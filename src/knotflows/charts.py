@@ -3,7 +3,9 @@
 The strip of a component is S(s, t) = c(s) + t e1(s) with |t| <= w_half; the
 chart extends it along the strip normal, X(rho, z, theta) = S(theta, z) + rho n.
 theta is arc length along the core and z the ruling parameter, so the strip is
-exactly {rho = 0} and the core exactly {rho = 0, z = 0}.
+exactly {rho = 0} and the core exactly {rho = 0, z = 0}. The normal is
+n = e1 x S_s / |e1 x S_s|, so the chart columns (X_rho, X_z, X_theta) are
+right-handed. TubeChart is the only place that builds n or those columns.
 """
 
 from __future__ import annotations
@@ -37,122 +39,105 @@ class TubeChart:
         return self.frame.position(s) + t[..., None] * self.frame.e1(s)
 
     def strip_jet(self, s, t):
-        """First and second derivatives of the strip embedding at (s, t)."""
+        """First and second derivatives of the strip embedding at (s, t).
+
+        s and t broadcast; the frame series are evaluated once per s value.
+        """
         t = np.asarray(t, dtype=float)[..., None]
-        pos1 = self.frame.position(s, 1)
-        pos2 = self.frame.position(s, 2)
-        e1 = self.frame.e1(s)
-        de1 = self.frame.e1(s, 1)
-        d2e1 = self.frame.e1(s, 2)
+        shape = np.broadcast_shapes(np.shape(s) + (3,), t.shape)
+        e1, de1, d2e1 = (np.broadcast_to(self.frame.e1(s, k), shape) for k in range(3))
         S = self.frame.position(s) + t * e1
-        S_s = pos1 + t * de1
-        S_ss = pos2 + t * d2e1
+        S_s = self.frame.position(s, 1) + t * de1
+        S_ss = self.frame.position(s, 2) + t * d2e1
         return {"S": S, "S_s": S_s, "S_ss": S_ss, "S_t": e1, "S_st": de1,
                 "e1": e1, "de1": de1, "d2e1": d2e1}
 
     def normal(self, s, t):
-        jet = self.strip_jet(s, t)
-        raw = np.cross(jet["S_s"], jet["e1"])
-        return raw / np.linalg.norm(raw, axis=-1, keepdims=True)
+        return _normal_jet(self.strip_jet(s, t))["n"]
 
     def normal_jet(self, s, t):
-        """Unit strip normal n with its s- and t-derivatives."""
-        jet = self.strip_jet(s, t)
-        raw = np.cross(jet["S_s"], jet["e1"])
-        raw_t = np.cross(jet["S_st"], jet["e1"])
-        raw_s = np.cross(jet["S_ss"], jet["e1"]) + np.cross(jet["S_s"], jet["de1"])
-        norm = np.linalg.norm(raw, axis=-1, keepdims=True)
-        n = raw / norm
-        def dunit(draw):
-            return draw / norm - n * np.sum(n * draw, axis=-1, keepdims=True) / norm
-        return {"n": n, "n_s": dunit(raw_s), "n_t": dunit(raw_t), **jet}
+        """Unit strip normal n with its s- and t-derivatives, and the strip jet."""
+        return _normal_jet(self.strip_jet(s, t))
 
     # chart map -------------------------------------------------------------
 
     def from_tube(self, rho, z, theta):
         """Ambient point of adapted coordinates (rho, z, theta)."""
-        rho = np.asarray(rho, dtype=float)
-        return self.strip_point(theta, z) + rho[..., None] * self.normal(theta, z)
+        nj = self.normal_jet(theta, z)
+        return nj["S"] + np.asarray(rho, dtype=float)[..., None] * nj["n"]
 
     def chart_jacobian(self, rho, z, theta):
         """Columns (X_rho, X_z, X_theta) of the chart differential."""
-        nj = self.normal_jet(theta, z)
-        rho = np.asarray(rho, dtype=float)[..., None]
-        x_rho = nj["n"]
-        x_z = nj["S_t"] + rho * nj["n_t"]
-        x_th = nj["S_s"] + rho * nj["n_s"]
-        return x_rho, x_z, x_th
+        return chart_columns(self.normal_jet(theta, z), rho)
 
     def _project(self, x, s0, t0, max_iter=40):
-        """Newton for the closest strip point; returns (s, t, ok)."""
-        s, t = float(s0), float(t0)
-        scale = max(1.0, float(np.linalg.norm(x)))
-        tol = 1e-13 * scale
-        f_old = None
-        for _ in range(max_iter):
+        """Newton for the closest strip point; returns (s, t, jet at (s, t), ok)."""
+
+        def residual(s, t):
             jet = self.strip_jet(s, np.array(t))
             d = x - jet["S"]
-            f = np.array([np.dot(d, jet["S_s"]), np.dot(d, jet["e1"])])
+            return jet, d, np.array([np.dot(d, jet["S_s"]), np.dot(d, jet["e1"])])
+
+        s, t = float(s0), float(t0)
+        tol = 1e-13 * max(1.0, float(np.linalg.norm(x)))
+        jet, d, f = residual(s, t)
+        for it in range(max_iter):
             if np.linalg.norm(f) < tol:
-                return s % self.length, t, True
+                return s % self.length, t, jet, True
             j11 = -np.dot(jet["S_s"], jet["S_s"]) + np.dot(d, jet["S_ss"])
             j12 = np.dot(d, jet["de1"])
             jac = np.array([[j11, j12], [j12, -1.0]])
             try:
                 step = np.linalg.solve(jac, -f)
             except np.linalg.LinAlgError:
-                return s % self.length, t, False
+                return s % self.length, t, jet, False
             lam = 1.0
             for _ in range(8):
                 s_new, t_new = s + lam * step[0], t + lam * step[1]
                 t_new = float(np.clip(t_new, -4.0 * self.w_half, 4.0 * self.w_half))
-                jn = self.strip_jet(s_new, np.array(t_new))
-                dn = x - jn["S"]
-                fn = np.array([np.dot(dn, jn["S_s"]), np.dot(dn, jn["e1"])])
-                if f_old is None or np.linalg.norm(fn) <= np.linalg.norm(f):
+                jet_new, d_new, f_new = residual(s_new, t_new)
+                # the first step is always taken; later ones must not increase |f|
+                if it == 0 or np.linalg.norm(f_new) <= np.linalg.norm(f):
                     break
                 lam *= 0.5
-            s, t, f_old = s_new, t_new, fn
-        return s % self.length, t, bool(np.linalg.norm(f_old) < 1e3 * tol)
+            s, t, jet, d, f = s_new, t_new, jet_new, d_new, f_new
+        return s % self.length, t, jet, bool(np.linalg.norm(f) < 1e3 * tol)
 
     def to_tube(self, x):
         """Adapted coordinates (rho, z, theta) of an ambient point.
 
         Returns None when the point is out of chart: the closest-point
         projection leaves the declared strip, the normal offset exceeds the
-        tube radius, or two distant sheet candidates are equally near.
+        tube radius, or two distant sheet candidates are equally near. Core
+        samples farther than radius + 4 w_half (the t-clip) plus one sample
+        step are not candidates.
         """
         x = np.asarray(x, dtype=float)
         pts = self.frame.arc.points
         d2 = np.sum((pts - x) ** 2, axis=1)
-        is_min = (d2 <= np.roll(d2, 1)) & (d2 <= np.roll(d2, -1))
+        reach = self.radius + 4.0 * self.w_half + self.length / len(pts)
+        is_min = (d2 <= np.roll(d2, 1)) & (d2 <= np.roll(d2, -1)) & (d2 <= reach**2)
         cand = np.flatnonzero(is_min)
         cand = cand[np.argsort(d2[cand])][:4]
         sols = []
         for i in cand:
-            s0 = self.frame.arc.s_nodes[i]
-            t0 = float(np.clip(np.dot(x - pts[i], self.frame.e1(s0)),
+            t0 = float(np.clip(np.dot(x - pts[i], self.frame.e1_samples[i]),
                                -self.w_half, self.w_half))
-            s, t, ok = self._project(x, s0, t0)
-            if not ok:
-                continue
-            dist = float(np.linalg.norm(x - self.strip_point(s, np.array(t))))
-            sols.append((dist, s, t))
+            s, t, jet, ok = self._project(x, self.frame.arc.s_nodes[i], t0)
+            if ok:
+                sols.append((float(np.linalg.norm(x - jet["S"])), s, t, jet))
         if not sols:
             return None
-        sols.sort()
-        dist, s, t = sols[0]
-        for d2_, s2, t2 in sols[1:]:
+        sols.sort(key=lambda sol: sol[:3])
+        dist, s, t, jet = sols[0]
+        for d2_, s2, t2, _ in sols[1:]:
             same = (min(abs(s2 - s), self.length - abs(s2 - s)) < 1e-6 * self.length
                     and abs(t2 - t) < 1e-6 * max(self.w_half, 1.0))
             if not same and d2_ <= dist * (1.0 + 1e-9) + 1e-12:
                 return None  # ambiguous: two equally near sheets
         if abs(t) > self.w_half:
             return None
-        jet = self.strip_jet(s, np.array(t))
-        raw = np.cross(jet["S_s"], jet["e1"])
-        n = raw / np.linalg.norm(raw)
-        rho = float(np.dot(x - jet["S"], n))
+        rho = float(np.dot(x - jet["S"], _normal_jet(jet)["n"]))
         if abs(rho) >= self.radius:
             return None
         return rho, float(t), float(s)
@@ -165,6 +150,26 @@ class TubeChart:
             if r is not None:
                 out[i] = r
         return out
+
+
+def _normal_jet(jet: dict) -> dict:
+    """Unit normal n = e1 x S_s / |e1 x S_s| of a strip jet, with n_s and n_t."""
+    raw = np.cross(jet["e1"], jet["S_s"])
+    raw_s = np.cross(jet["de1"], jet["S_s"]) + np.cross(jet["e1"], jet["S_ss"])
+    raw_t = np.cross(jet["e1"], jet["S_st"])
+    norm = np.linalg.norm(raw, axis=-1, keepdims=True)
+    n = raw / norm
+
+    def dunit(draw):
+        return draw / norm - n * np.sum(n * draw, axis=-1, keepdims=True) / norm
+
+    return {"n": n, "n_s": dunit(raw_s), "n_t": dunit(raw_t), **jet}
+
+
+def chart_columns(nj: dict, rho):
+    """Chart columns (X_rho, X_z, X_theta) at normal offset rho from a normal jet."""
+    rho = np.asarray(rho, dtype=float)[..., None]
+    return nj["n"], nj["S_t"] + rho * nj["n_t"], nj["S_s"] + rho * nj["n_s"]
 
 
 def component_gaps(arcs: list[ArcLengthCurve]):

@@ -33,9 +33,6 @@ class RunConfig:
     closure_tol: float = 1e-9        # |x(T) - x(0)| required of a refined orbit
     newton_max_iter: int = 30
     t_max_factor: float = 4.0        # Poincare return budget, multiples of core period
-    march_theta_nodes: int = 128
-    march_z_nodes: int = 33
-    march_steps: int = 24            # rho steps over the trusted range
     march_rho_frac: float = 0.2      # trusted range = march_rho_frac * strip half-width
     march_m_max: int = 32            # hard Fourier cutoff in theta during marching
     march_growth_cap: float = 10.0   # abort marching when level norm grows past this

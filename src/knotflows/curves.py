@@ -95,23 +95,19 @@ class SpectralSeries:
         self.period = float(period)
         self.omega = 2.0 * np.pi / self.period
         self.coeffs = np.fft.rfft(samples, axis=0)  # (n//2+1, d)
-        self._weights = np.full(self.coeffs.shape[0], 2.0)
-        self._weights[0] = 1.0
-        if self.n % 2 == 0:
-            self._weights[-1] = 1.0
+        self._ik = 1j * self.omega * np.arange(self.coeffs.shape[0])
+        self._scaled = {}  # deriv -> coefficients times weight * (i m omega)^deriv
 
     def __call__(self, s, deriv: int = 0) -> np.ndarray:
-        s = np.asarray(s, dtype=float)
-        scalar = s.ndim == 0
-        s = np.atleast_1d(s)
-        m = np.arange(self.coeffs.shape[0], dtype=float)
-        phase = np.exp(1j * np.multiply.outer(s, m * self.omega))
-        fac = (1j * m * self.omega) ** deriv if deriv else np.ones_like(m)
-        w = self._weights.copy()
-        if deriv and self.n % 2 == 0:
-            w[-1] = 0.0  # drop the Nyquist mode when differentiating
-        out = np.real(phase @ (self.coeffs * (fac * w)[:, None])) / self.n
-        return out[0] if scalar else out
+        if deriv not in self._scaled:
+            w = np.full(self.coeffs.shape[0], 2.0 / self.n)
+            w[0] = 1.0 / self.n
+            if self.n % 2 == 0:
+                # the Nyquist mode counts once, and is dropped when differentiating
+                w[-1] = 0.0 if deriv else 1.0 / self.n
+            self._scaled[deriv] = self.coeffs * (w * self._ik**deriv)[:, None]
+        phase = np.exp(np.multiply.outer(np.asarray(s, dtype=float), self._ik))
+        return np.real(phase @ self._scaled[deriv])
 
 
 class ArcLengthCurve:

@@ -2,9 +2,9 @@
 
 The periodic orbits of interest are saddles: one Floquet multiplier inside the
 unit circle, one outside, product one. Orbits are located by damped Newton on
-the planar Poincare return map and certified through a segmented monodromy
-product whose determinant and stable multiplier stay resolvable even when
-e^{T} is large.
+a multiple-shooting system (segment closures plus a phase condition on the
+first node) and certified through a segmented monodromy product whose
+determinant and stable multiplier stay resolvable even when e^{T} is large.
 """
 
 from __future__ import annotations
@@ -154,10 +154,14 @@ class PeriodicOrbit:
 
 @dataclass
 class FloquetData:
+    """Floquet data from segment factors M_k; flow_eigen_residual is
+    max_k |M_k u(x_k) - u(x_{k+1})| / |u(x_{k+1})|, per segment because the
+    assembled M(T) amplifies rounding by e^{T}."""
+
     monodromy: np.ndarray       # assembled M(T)
     det: float                  # from the segmented product, = 1 for div-free fields
     multipliers: tuple          # (mu_unstable, mu_stable) after flow deflation
-    flow_eigen_residual: float  # |M u(x0) - u(x0)| / |u(x0)|
+    flow_eigen_residual: float  # worst per-segment flow transport error
     classification: str         # hyperbolic_saddle | elliptic | indeterminate
     margin: float               # min distance of the multipliers from |mu| = 1
 
@@ -168,13 +172,13 @@ def refine_orbit(field, chart: TubeChart, rtol: float = 1e-10, atol: float = 1e-
                  n_samples: int = 1024, n_segments: int | None = None) -> PeriodicOrbit:
     """Newton-refine the periodic orbit of `field` near the core of `chart`.
 
-    Newton acts on the multiple-shooting closure of the Poincare fixed-point
-    equation: the period is split into segments short enough that each transfer
-    matrix stays O(e), which keeps the system solvable when e^{T} dwarfs the
-    closure tolerance (a single return map amplifies seed error by the unstable
-    multiplier, kicking the first return out of the fitted neighborhood).
-    Segment Jacobians come from the analytic variational equation. Iterates
-    that leave the tube raise OrbitEscape.
+    Newton acts on m segment closures plus the phase condition
+    u(anchor) . (x_0 - anchor) = 0, with the period unknown. Segments are short
+    enough that each transfer matrix stays O(e), which keeps the system
+    solvable when e^{T} dwarfs the closure tolerance (a single return map
+    amplifies seed error by the unstable multiplier, kicking the first return
+    out of the fitted neighborhood). Segment Jacobians come from the analytic
+    variational equation. Iterates that leave the tube raise OrbitEscape.
     """
     arc = chart.frame.arc
     speeds = np.linalg.norm(field(arc.points), axis=1)
@@ -312,6 +316,9 @@ def monodromy(field, orbit: PeriodicOrbit, rtol: float = 1e-11,
                                      0.0, T * (i1 - i0) / n, rtol, atol, method)
         factors.append(mk)
         det *= float(np.linalg.det(mk))
+    us = field(orbit.points[bounds % n])
+    flow_res = max(float(np.linalg.norm(mk @ u0 - u1) / np.linalg.norm(u1))
+                   for mk, u0, u1 in zip(factors, us[:-1], us[1:]))
 
     m_total = np.eye(3)
     m_inv = np.eye(3)
@@ -319,9 +326,6 @@ def monodromy(field, orbit: PeriodicOrbit, rtol: float = 1e-11,
         m_total = mk @ m_total
     for mk in factors:
         m_inv = m_inv @ np.linalg.inv(mk)
-
-    u0 = field(orbit.points[0])
-    flow_res = float(np.linalg.norm(m_total @ u0 - u0) / np.linalg.norm(u0))
 
     eig = np.linalg.eigvals(m_total)
     order = np.argsort(np.abs(eig - 1.0))

@@ -3,9 +3,10 @@
 The budget mirrors the inductive tolerance schedule: with sigma = number of
 multi-indices |alpha| <= s in three variables, the per-stage tolerances
 eps_m = (min eps~) / (7 sigma) * 3^{-m} satisfy eps_m < (1/(6 sigma)) min eps~
-and sum_{n>m} eps_n = eps_m / 2 < eps_m, both strictly. At finite scale the
-schedule survives as the weighting rule of a single least-squares solve over
-all tubes.
+and sum_{n>m} eps_n = eps_m / 2 < eps_m, both strictly. At finite scale a
+single least-squares solve over all tubes replaces the induction; it weights
+each tube by its own tolerance eps~, so the fit does not depend on the order
+in which the schedule lists the tubes.
 """
 
 from __future__ import annotations
@@ -126,14 +127,14 @@ def fit_global(datas: list[CauchyData], budget: ErrorBudget, k: np.ndarray,
     if len(datas) != len(budget.eps_tilde):
         raise ValueError("budget must list one tolerance per tube")
     pts_list, w_list, weights = [], [], []
-    eps_min = min(budget.epsilon_for_tube(i) for i in range(len(datas)))
+    eps_min = min(budget.eps_tilde)
     for i, data in enumerate(datas):
         p = data.points[::stride_s, ::stride_t].reshape(-1, 3)
         w = data.w[::stride_s, ::stride_t].reshape(-1, 3)
         pts_list.append(p)
         w_list.append(w)
-        # budget weights 1/eps_m^2, normalized so the largest row weight is 1
-        weights.append(np.full(p.shape[0], eps_min / budget.epsilon_for_tube(i)))
+        # row weight 1/eps~_i, normalized so the largest row weight is 1
+        weights.append(np.full(p.shape[0], eps_min / budget.eps_tilde[i]))
     pts = np.vstack(pts_list)
     targets = np.vstack(w_list)
     row_scale = np.repeat(np.concatenate(weights), 3)

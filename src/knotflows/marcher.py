@@ -1,12 +1,14 @@
 """Marching solver for *d(beta) = lambda * beta in adapted tube coordinates.
 
-beta = chi d(rho) + a_z dz + a_theta d(theta) on the metric
-d(rho)^2 + h_ij dxi^i dxi^j. The d(rho) component of the equation is an
-algebraic constraint fixing chi from the in-level curl of (a_z, a_theta); the
-two tangential components yield d(a)/d(rho) through a 2x2 metric solve. The
-transverse problem is ill posed (high theta modes grow like e^{|m| rho}), so
-the solver is a *validation* tool: spectral low-pass filtering in theta, a
-short trusted range in rho, and a growth cap that aborts the march.
+beta = chi d(rho) + a_z dz + a_theta d(theta) on the metric d(rho)^2 +
+h_ij dxi^i dxi^j, with (rho, z, theta) right-handed as TubeChart orients it,
+so the march solves curl u = lambda u in ambient terms. The d(rho) component
+of the equation is an algebraic constraint fixing chi from the in-level curl
+of (a_z, a_theta); the two tangential components yield d(a)/d(rho) through a
+2x2 metric solve. The transverse problem is ill posed (high theta modes grow
+like e^{|m| rho}), so the solver is a *validation* tool: spectral low-pass
+filtering in theta, a short trusted range in rho, and a growth cap that
+aborts the march.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .charts import TubeChart
+from .charts import TubeChart, chart_columns
 
 
 class MarchError(RuntimeError):
@@ -111,25 +113,19 @@ class ChartTubeMetric:
     def __init__(self, chart: TubeChart, grid: MarchGrid):
         self.chart = chart
         self.grid = grid
-        tt, ss = np.meshgrid(grid.z_nodes, grid.theta_nodes, indexing="ij")
-        # meshgrid above yields (nz, nth) arrays: tt is z, ss is theta
-        self._nj = chart.normal_jet(ss, tt)
+        # (nz, nth) grid: z along rows, theta along columns
+        self._nj = chart.normal_jet(grid.theta_nodes[None, :], grid.z_nodes[:, None])
 
     def at(self, rho: float) -> MetricLevel:
-        nj = self._nj
-        x_z = nj["S_t"] + rho * nj["n_t"]
-        x_th = nj["S_s"] + rho * nj["n_s"]
+        _, x_z, x_th = chart_columns(self._nj, rho)
         return MetricLevel(np.sum(x_z * x_z, axis=-1),
                            np.sum(x_z * x_th, axis=-1),
                            np.sum(x_th * x_th, axis=-1))
 
     def frame_at(self, rho: float):
-        """Ambient chart frame (n, X_z, X_theta) and points at one level."""
-        nj = self._nj
-        x_z = nj["S_t"] + rho * nj["n_t"]
-        x_th = nj["S_s"] + rho * nj["n_s"]
-        points = nj["S"] + rho * nj["n"]
-        return points, nj["n"], x_z, x_th
+        """Ambient points and chart frame (X_rho, X_z, X_theta) at one level."""
+        x_rho, x_z, x_th = chart_columns(self._nj, rho)
+        return self._nj["S"] + rho * x_rho, x_rho, x_z, x_th
 
 
 @dataclass(frozen=True)
@@ -349,8 +345,7 @@ def cross_validate(field, chart: TubeChart, lam: float, rho_frac: float = 0.2,
         dth = grid.theta_deriv(np.moveaxis(diffs, -1, -2))  # (nlev,nz,3,nth)
         dth = np.moveaxis(dth, -1, -2)
         for i, rho in enumerate(res.rhos):
-            _, n, x_z, x_th = metric.frame_at(rho)
-            jac = np.stack([np.broadcast_to(n, x_z.shape), x_z, x_th], axis=-1)
+            jac = np.stack(metric.frame_at(rho)[1:], axis=-1)
             g = np.stack([ddr[i], ddz[i], dth[i]], axis=-1)
             dd = g @ np.linalg.inv(jac)
             grads.append(np.max(np.sqrt(np.sum(dd**2, axis=(-2, -1)))))

@@ -43,16 +43,18 @@ def strip_metric(chart: TubeChart, s, t) -> StripMetric:
     return StripMetric(h_ss, h_st, h_tt)
 
 
+def _cauchy_vector(jet: dict, t) -> np.ndarray:
+    h_ss = np.sum(jet["S_s"] * jet["S_s"], axis=-1, keepdims=True)
+    return jet["S_s"] / h_ss - np.asarray(t, dtype=float)[..., None] * jet["e1"]
+
+
 def cauchy_field(chart: TubeChart, s, t) -> np.ndarray:
     """Ambient vector of w = grad(theta) - z grad(z) on the strip.
 
     In the adapted chart, grad(theta) = S_s / h_ss and grad(z) = e1 at rho = 0,
     so w has the closed form S_s / h_ss - t e1.
     """
-    t = np.asarray(t, dtype=float)
-    jet = chart.strip_jet(s, t)
-    h_ss = np.sum(jet["S_s"] * jet["S_s"], axis=-1, keepdims=True)
-    return jet["S_s"] / h_ss - t[..., None] * jet["e1"]
+    return _cauchy_vector(chart.strip_jet(s, t), t)
 
 
 @dataclass(frozen=True)
@@ -79,16 +81,11 @@ def build_cauchy_data(chart: TubeChart, config: RunConfig | None = None) -> Cauc
     ns = max(64, int(round(config.strip_s_per_2pi * chart.length / (2.0 * np.pi))))
     s = chart.length * np.arange(ns) / ns
     t = np.linspace(-chart.w_half, chart.w_half, config.strip_t_nodes)
-    ss, tt = np.meshgrid(s, t, indexing="ij")
-    jet = chart.strip_jet(ss, tt)
-    points = jet["S"]
-    h_ss = np.sum(jet["S_s"] * jet["S_s"], axis=-1, keepdims=True)
-    w = jet["S_s"] / h_ss - tt[..., None] * jet["e1"]
-    raw = np.cross(jet["S_s"], jet["e1"])
-    normals = raw / np.linalg.norm(raw, axis=-1, keepdims=True)
-    gamma_s = np.sum(w * jet["S_s"], axis=-1)
-    gamma_t = np.sum(w * jet["e1"], axis=-1)
-    return CauchyData(chart, s, t, points, w, normals, gamma_s, gamma_t)
+    nj = chart.normal_jet(s[:, None], t[None, :])
+    w = _cauchy_vector(nj, t[None, :])
+    gamma_s = np.sum(w * nj["S_s"], axis=-1)
+    gamma_t = np.sum(w * nj["e1"], axis=-1)
+    return CauchyData(chart, s, t, nj["S"], w, nj["n"], gamma_s, gamma_t)
 
 
 def closedness_residual(gamma_s: np.ndarray, gamma_t: np.ndarray,
@@ -114,12 +111,11 @@ def lyapunov_values(data: CauchyData) -> np.ndarray:
     The pairing is metric-free: it is w applied to the function t^2, and the
     d/dt component of w is -t by construction.
     """
-    tt = np.broadcast_to(data.t_nodes[None, :], data.gamma_s.shape)
     # d(t^2) applied to w = g d/ds - t d/dt; the d/dt coefficient of w is
     # gamma contracted with the inverse metric, = -t on the orthonormal ruling
-    met = strip_metric(data.chart, *np.meshgrid(data.s_nodes, data.t_nodes, indexing="ij"))
+    met = strip_metric(data.chart, data.s_nodes[:, None], data.t_nodes[None, :])
     w_t = (data.gamma_t * met.h_ss - data.gamma_s * met.h_st) / met.det
-    return 2.0 * tt * w_t
+    return 2.0 * data.t_nodes[None, :] * w_t
 
 
 def _g_and_derivatives(chart: TubeChart, s: float):

@@ -16,6 +16,12 @@ def _shifted_circle(z0: float) -> FourierCurve:
                         np.array([[0.0, 0.0, 0.0], [0.0, 1.0, 0.0]]))
 
 
+def _trefoil_chart():
+    arc = resample_arclength(presets.trefoil()[0], 1024)
+    radius = tube_radius([arc])[0]
+    return TubeChart(frame_transport(arc), radius, 0.3 * radius)
+
+
 def _circle_chart(radius=0.5, w_half=0.1, n=1024):
     arc = resample_arclength(presets.circle(1.0)[0], n)
     # radial seed makes the frame e1(s) = (cos s, sin s, 0) exactly
@@ -129,6 +135,39 @@ def test_chart_round_trip_on_trefoil():
     assert np.max(np.abs(back[:, 1] - z)) < 1e-9
     dth = np.abs(back[:, 2] - theta)
     assert np.max(np.minimum(dth, chart.length - dth)) < 1e-9
+
+
+def test_to_tube_skips_sheets_beyond_the_tube(monkeypatch):
+    # the trefoil's other strands are local minima of the core distance too;
+    # Newton toward them cannot end in the chart, so it must not run
+    chart = _trefoil_chart()
+    rng = np.random.default_rng(3)
+    r = chart.radius
+    pts = chart.from_tube(rng.uniform(-0.6 * r, 0.6 * r, 20),
+                          rng.uniform(-0.25 * r, 0.25 * r, 20),
+                          rng.uniform(0.0, chart.length, 20))
+    jets = []
+    strip_jet = TubeChart.strip_jet
+
+    def counted(self, s, t):
+        jets.append(1)
+        return strip_jet(self, s, t)
+
+    monkeypatch.setattr(TubeChart, "strip_jet", counted)
+    for x in pts:
+        assert chart.to_tube(x) is not None
+    assert len(jets) <= 20 * len(pts)
+
+
+def test_chart_frame_is_right_handed_on_trefoil():
+    chart = _trefoil_chart()
+    rng = np.random.default_rng(5)
+    r = chart.radius
+    cols = chart.chart_jacobian(rng.uniform(-0.6 * r, 0.6 * r, 50),
+                                rng.uniform(-chart.w_half, chart.w_half, 50),
+                                rng.uniform(0.0, chart.length, 50))
+    det = np.linalg.det(np.stack(cols, axis=-1))
+    assert np.all(det > 0.0)
 
 
 def test_points_outside_chart_return_none():

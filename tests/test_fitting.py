@@ -116,6 +116,23 @@ def test_fit_reports_failure_with_advice():
     assert "enlarge the direction set" in report.advice
 
 
+def test_fit_residuals_follow_component_permutation():
+    # the weights must not depend on the order in which tubes are listed
+    rng = np.random.default_rng(8)
+    k, e = make_basis(6, rng)
+    datas = []
+    for center in ([0.0, 0.0, 0.0], [2.0, 0.0, 0.0], [0.0, 2.0, 1.0]):
+        pts = np.asarray(center) + rng.uniform(-0.5, 0.5, (6, 4, 3))
+        datas.append(_synthetic_data(pts, pts**2))
+    budget = make_error_budget([1e-3] * 3, s=1)
+    _, report = fit_global(datas, budget, k, e, 1.0, stride_s=1, stride_t=1)
+    perm = [2, 0, 1]
+    _, permuted = fit_global([datas[i] for i in perm], budget, k, e, 1.0,
+                             stride_s=1, stride_t=1)
+    expect = [report.tube_residuals[i] for i in perm]
+    assert np.allclose(permuted.tube_residuals, expect, rtol=1e-6, atol=0.0)
+
+
 def test_fit_requires_one_tolerance_per_tube():
     rng = np.random.default_rng(0)
     k, e = make_basis(2, rng)

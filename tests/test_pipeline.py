@@ -119,6 +119,22 @@ def test_cross_validation_entry(unknot_run):
     assert np.isfinite(cv["c1"]) and cv["c1"] >= cv["c0"]
 
 
+def test_cross_validation_marches_the_fitted_orientation(unknot_run):
+    # marching curl u = +lam u in a right-handed chart lands within the fit
+    # residual of the fitted field; the opposite orientation gives c1 ~ 2 lam
+    comp = unknot_run["report"]["components"][0]
+    cv = comp["local_field_distance"]
+    assert cv["c0"] < 2.0 * comp["strip_residual"]
+    assert cv["c1"] < 1.0
+
+
+def test_flow_eigen_residual_per_segment(hopf_run):
+    # at T = 88 the assembled monodromy amplifies rounding by e^88; each
+    # segment factor must still carry the flow direction along the orbit
+    for comp in hopf_run["report"]["components"]:
+        assert comp["flow_eigen_residual"] < 1e-6
+
+
 def test_pairs_schema(hopf_run):
     pairs = hopf_run["report"]["pairs"]
     assert len(pairs) == 1
