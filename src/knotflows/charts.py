@@ -112,6 +112,11 @@ class TubeChart:
         samples farther than radius + 4 w_half (the t-clip) plus one sample
         step are not candidates.
         """
+        found = self._to_tube_jet(x)
+        return None if found is None else found[:3]
+
+    def _to_tube_jet(self, x):
+        """to_tube's (rho, z, theta) followed by the normal jet at (theta, z)."""
         x = np.asarray(x, dtype=float)
         pts = self.frame.arc.points
         d2 = np.sum((pts - x) ** 2, axis=1)
@@ -137,10 +142,11 @@ class TubeChart:
                 return None  # ambiguous: two equally near sheets
         if abs(t) > self.w_half:
             return None
-        rho = float(np.dot(x - jet["S"], _normal_jet(jet)["n"]))
+        nj = _normal_jet(jet)
+        rho = float(np.dot(x - jet["S"], nj["n"]))
         if abs(rho) >= self.radius:
             return None
-        return rho, float(t), float(s)
+        return rho, float(t), float(s), nj
 
     def to_tube_many(self, xs):
         """Vector version of to_tube: (n,3) -> (n,3) array with nan rows when out of chart."""

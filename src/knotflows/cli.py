@@ -97,6 +97,8 @@ def cmd_verify(args) -> int:
         print(f"[{state}] {crit['name']}: {crit['detail']}")
     if outcome.passed:
         return EXIT_PASS
+    if not outcome.budget_ok:
+        return EXIT_BUDGET
     if not outcome.dynamics_ok:
         return EXIT_DYNAMICS
     if not outcome.topology_ok:

@@ -5,6 +5,11 @@ unit circle, one outside, product one. Orbits are located by damped Newton on
 a multiple-shooting system (segment closures plus a phase condition on the
 first node) and certified through a segmented monodromy product whose
 determinant and stable multiplier stay resolvable even when e^{T} is large.
+
+Fields are callables x -> u(x) on (3,) or (n, 3) points. The variational flow
+(refine_orbit's shoots and monodromy) also needs field.jet(x) -> (u(x), Du(x))
+for a (3,) point: each of its right-hand sides is one jet call and no other
+field call.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .charts import TubeChart
+from .charts import TubeChart, chart_columns
 
 
 class IntegrationError(RuntimeError):
@@ -198,7 +203,6 @@ def refine_orbit(field, chart: TubeChart, rtol: float = 1e-10, atol: float = 1e-
     period = float(np.sum(seg_arc / speeds[idx]))
     t_cap = t_max_factor * chart.length / max(np.min(speeds), 1e-12)
 
-    jacobian = field.jacobian
     n_unk = 3 * m + 1
 
     def shoot(nodes, period):
@@ -206,7 +210,7 @@ def refine_orbit(field, chart: TubeChart, rtol: float = 1e-10, atol: float = 1e-
         mats = np.empty((m, 3, 3))
         for i in range(m):
             ys[i], mats[i] = _fundamental_segment(
-                field, jacobian, nodes[i], 0.0, period / m, rtol, atol, method)
+                field, nodes[i], 0.0, period / m, rtol, atol, method)
         f = np.empty(n_unk)
         f[:3 * m] = (ys - np.roll(nodes, -1, axis=0)).ravel()
         f[3 * m] = np.dot(u_anchor, nodes[0] - anchor)
@@ -274,12 +278,15 @@ def refine_orbit(field, chart: TubeChart, rtol: float = 1e-10, atol: float = 1e-
                          newton_iterations=it)
 
 
-def _fundamental_segment(field, jacobian, x0, t0, t1, rtol, atol, method):
-    """Integrate state + 3x3 variational matrix over [t0, t1] from (x0, I)."""
+def _fundamental_segment(field, x0, t0, t1, rtol, atol, method):
+    """Integrate state + 3x3 variational matrix over [t0, t1] from (x0, I).
+
+    Each right-hand side makes exactly one field.jet call.
+    """
 
     def rhs(t, y):
-        x, m = y[:3], y[3:].reshape(3, 3)
-        return np.concatenate([field(x), (jacobian(x) @ m).ravel()])
+        u, du = field.jet(y[:3])
+        return np.concatenate([u, (du @ y[3:].reshape(3, 3)).ravel()])
 
     y0 = np.concatenate([np.asarray(x0, dtype=float), np.eye(3).ravel()])
     sol = solve_ivp(rhs, (t0, t1), y0, method=method, rtol=rtol, atol=atol)
@@ -301,7 +308,6 @@ def monodromy(field, orbit: PeriodicOrbit, rtol: float = 1e-11,
     exceeds 1/rtol. The flow direction u(x0) is an exact eigenvector with
     eigenvalue 1 and is deflated from the multiplier pair.
     """
-    jacobian = field.jacobian
     T = orbit.period
     n = orbit.points.shape[0]
     if n_segments is None:
@@ -312,7 +318,7 @@ def monodromy(field, orbit: PeriodicOrbit, rtol: float = 1e-11,
     det = 1.0
     for k in range(n_segments):
         i0, i1 = int(bounds[k]), int(bounds[k + 1])
-        _, mk = _fundamental_segment(field, jacobian, orbit.points[i0 % n],
+        _, mk = _fundamental_segment(field, orbit.points[i0 % n],
                                      0.0, T * (i1 - i0) / n, rtol, atol, method)
         factors.append(mk)
         det *= float(np.linalg.det(mk))
@@ -369,12 +375,11 @@ class TubeModelField:
         x = np.asarray(x, dtype=float)
         if x.ndim == 2:
             return np.array([self(xi) for xi in x])
-        coords = self.chart.to_tube(x)
-        if coords is None:
+        found = self.chart._to_tube_jet(x)
+        if found is None:
             raise OrbitEscape("tube-model field evaluated outside its chart")
-        rho, z, theta = coords
-        x_rho, x_z, x_th = self.chart.chart_jacobian(
-            np.array(rho), np.array(z), theta)
+        rho, z, _, nj = found
+        x_rho, x_z, x_th = chart_columns(nj, rho)
         return x_th - z * x_z + rho * x_rho
 
     def jacobian(self, x):
@@ -385,3 +390,6 @@ class TubeModelField:
             dx[j] = h
             jac[:, j] = (self(x + dx) - self(x - dx)) / (2.0 * h)
         return jac
+
+    def jet(self, x):
+        return self(x), self.jacobian(x)

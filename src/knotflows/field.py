@@ -74,6 +74,10 @@ class BeltramiExpansion:
     alpha: np.ndarray   # (m,)
     beta: np.ndarray    # (m,)
     f: np.ndarray = dc_field(init=False, repr=False)
+    # tables of jet(), built in __post_init__
+    lk: np.ndarray = dc_field(init=False, repr=False, compare=False)
+    cos_table: np.ndarray = dc_field(init=False, repr=False, compare=False)
+    sin_table: np.ndarray = dc_field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.lam == 0.0:
@@ -85,7 +89,19 @@ class BeltramiExpansion:
         object.__setattr__(self, "e", e)
         object.__setattr__(self, "alpha", np.asarray(self.alpha, dtype=float))
         object.__setattr__(self, "beta", np.asarray(self.beta, dtype=float))
-        object.__setattr__(self, "f", np.cross(k, e))
+        f = np.cross(k, e)
+        object.__setattr__(self, "f", f)
+        # u = A e + B f with A = c alpha + s beta, B = c beta - s alpha; since
+        # dA = lam B k and dB = -lam A k, Du = lam (B e - A f) k^T. Both are
+        # A @ w1 + B @ w2 with rows w1 = [e | -lam f k^T], w2 = [f | lam e k^T],
+        # and folding alpha, beta into the rows leaves one cos and one sin term
+        m, lam = k.shape[0], self.lam
+        w1 = np.hstack([e, -lam * (f[:, :, None] * k[:, None, :]).reshape(m, 9)])
+        w2 = np.hstack([f, lam * (e[:, :, None] * k[:, None, :]).reshape(m, 9)])
+        a, b = self.alpha[:, None], self.beta[:, None]
+        object.__setattr__(self, "lk", np.ascontiguousarray((lam * k).T))
+        object.__setattr__(self, "cos_table", a * w1 + b * w2)
+        object.__setattr__(self, "sin_table", b * w1 - a * w2)
 
     @property
     def n_members(self) -> int:
@@ -102,19 +118,19 @@ class BeltramiExpansion:
             + (c * self.beta - s * self.alpha) @ self.f
         return u[0] if single else u
 
+    def jet(self, x):
+        """Field values and Jacobians d u_i / d x_j from one cos/sin pass.
+
+        x is (3,) or (n, 3); returns u of shape (3,) or (n, 3) and Du of
+        shape (3, 3) or (n, 3, 3).
+        """
+        phase = np.asarray(x, dtype=float) @ self.lk
+        o = np.cos(phase) @ self.cos_table + np.sin(phase) @ self.sin_table
+        return o[..., :3], o[..., 3:].reshape(o.shape[:-1] + (3, 3))
+
     def jacobian(self, x) -> np.ndarray:
         """Analytic Jacobian d u_i / d x_j; traceless (div u = 0 exactly)."""
-        x = np.asarray(x, dtype=float)
-        single = x.ndim == 1
-        pts = np.atleast_2d(x)
-        phase = self.lam * (pts @ self.k.T)
-        c, s = np.cos(phase), np.sin(phase)
-        # d Re N = -lam (Im N) k^T, d Im N = +lam (Re N) k^T per member
-        re_n = c[..., None] * self.e - s[..., None] * self.f    # (n, m, 3)
-        im_n = s[..., None] * self.e + c[..., None] * self.f
-        amp = (self.beta[:, None] * re_n - self.alpha[:, None] * im_n)
-        jac = self.lam * np.einsum("nmi,mj->nij", amp, self.k)
-        return jac[0] if single else jac
+        return self.jet(x)[1]
 
     def curl_residual(self, x) -> float:
         """Max |curl u - lam u| from the analytic Jacobian (round-off check)."""

@@ -12,7 +12,7 @@ local field. Emits a machine-readable report with per-criterion pass/fail.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
@@ -147,6 +147,7 @@ class VerificationOutcome:
     budget_ok: bool
     dynamics_ok: bool
     topology_ok: bool
+    orbits: list = dc_field(default_factory=list)  # PeriodicOrbit or None per component
 
 
 def _criterion(criteria: list, name: str, passed: bool, detail: str) -> bool:
@@ -154,12 +155,47 @@ def _criterion(criteria: list, name: str, passed: bool, detail: str) -> bool:
     return bool(passed)
 
 
+def _certify_orbit(expansion: BeltramiExpansion, chart, config: RunConfig):
+    """Refine one component's orbit; return it with its report entries."""
+    orbit = refine_orbit(expansion, chart,
+                         rtol=config.rtol, atol=config.atol,
+                         method=config.method,
+                         closure_tol=config.closure_tol,
+                         max_iter=config.newton_max_iter,
+                         t_max_factor=config.t_max_factor,
+                         n_samples=config.orbit_samples)
+    flo = monodromy(expansion, orbit, rtol=min(config.rtol, 1e-11),
+                    atol=min(config.atol, 1e-13), method=config.method)
+    cert = tube_confinement(orbit.points, chart)
+    haus = hausdorff_distance(orbit.points, chart.frame.arc.points)
+    return orbit, {
+        "status": "ok",
+        "period": orbit.period,
+        "closure_residual": orbit.closure_residual,
+        "newton_iterations": orbit.newton_iterations,
+        "multipliers": [flo.multipliers[0], flo.multipliers[1]],
+        "det_monodromy": flo.det,
+        "classification": flo.classification,
+        "margin": flo.margin,
+        "flow_eigen_residual": flo.flow_eigen_residual,
+        "confined": cert.confined,
+        "winding": cert.winding,
+        "margin_rho": cert.margin_rho,
+        "margin_z": cert.margin_z,
+        "hausdorff": haus,
+        "hausdorff_tol": config.hausdorff_tol,
+    }
+
+
 def verify(link: LinkSpec, expansion: BeltramiExpansion,
            config: RunConfig | None = None) -> VerificationOutcome:
     """Check every claim the synthesized field makes about the link.
 
     Dynamics failures (orbit escape, Newton breakdown) are recorded per
-    component and verification continues for the remaining components.
+    component and verification continues for the remaining components. A
+    component whose strip residual is not below its eps~ is marked
+    "over_budget" and gets no orbit: its fit is not close enough to the
+    strip data for an orbit near the core to be expected.
     """
     if expansion.lam != link.lam:
         raise ValueError(f"lambda mismatch: field has {expansion.lam!r}, "
@@ -208,41 +244,18 @@ def verify(link: LinkSpec, expansion: BeltramiExpansion,
                        "tube_radius": chart.radius,
                        "strip_half_width": chart.w_half,
                        "core_length": chart.length}
-        try:
-            orbit = refine_orbit(expansion, chart,
-                                 rtol=config.rtol, atol=config.atol,
-                                 method=config.method,
-                                 closure_tol=config.closure_tol,
-                                 max_iter=config.newton_max_iter,
-                                 t_max_factor=config.t_max_factor,
-                                 n_samples=config.orbit_samples)
-            flo = monodromy(expansion, orbit, rtol=min(config.rtol, 1e-11),
-                            atol=min(config.atol, 1e-13), method=config.method)
-            cert = tube_confinement(orbit.points, chart)
-            haus = hausdorff_distance(orbit.points, chart.frame.arc.points)
-            entry.update({
-                "status": "ok",
-                "period": orbit.period,
-                "closure_residual": orbit.closure_residual,
-                "newton_iterations": orbit.newton_iterations,
-                "multipliers": [flo.multipliers[0], flo.multipliers[1]],
-                "det_monodromy": flo.det,
-                "classification": flo.classification,
-                "margin": flo.margin,
-                "flow_eigen_residual": flo.flow_eigen_residual,
-                "confined": cert.confined,
-                "winding": cert.winding,
-                "margin_rho": cert.margin_rho,
-                "margin_z": cert.margin_z,
-                "hausdorff": haus,
-                "hausdorff_tol": config.hausdorff_tol,
-            })
-            orbits.append(orbit)
-        except (OrbitEscape, NewtonFailure, IntegrationError,
-                TransversalityError) as exc:
-            entry.update({"status": "dynamics_error",
-                          "error": f"{type(exc).__name__}: {exc}"})
-            orbits.append(None)
+        orbit = None
+        if strip_residuals[i] >= budget.eps_tilde[i]:
+            entry["status"] = "over_budget"
+        else:
+            try:
+                orbit, certificate = _certify_orbit(expansion, chart, config)
+                entry.update(certificate)
+            except (OrbitEscape, NewtonFailure, IntegrationError,
+                    TransversalityError) as exc:
+                entry.update({"status": "dynamics_error",
+                              "error": f"{type(exc).__name__}: {exc}"})
+        orbits.append(orbit)
         if config.cross_validate:
             try:
                 cv = cross_validate(expansion, chart, link.lam,
@@ -341,4 +354,4 @@ def verify(link: LinkSpec, expansion: BeltramiExpansion,
     }
     return VerificationOutcome(report, passed, bool(budget_ok and closed_ok),
                                bool(dynamics_ok and hyper_ok and det_ok),
-                               topology_ok)
+                               topology_ok, orbits)

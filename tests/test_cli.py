@@ -155,15 +155,16 @@ def test_verify_exit_code_mapping(tmp_path, monkeypatch):
     assert cli.main(argv) == 3
 
 
-def test_verify_junk_field_exits_4(tmp_path, capsys):
-    # a single axis wave matches no circle orbit: Newton cannot close and the
-    # dynamics criterion must fail while parsing stays clean
+def test_verify_junk_field_exits_3(tmp_path, capsys):
+    # a single axis wave is far over the strip budget of a circle: verify
+    # reports the budget failure first, and no orbit is refined for it
     link = _circle_link(tmp_path)
     _, field = _axis_field(tmp_path)
     code = cli.main(["verify", "--field", str(field), "--link", str(link),
                      "--rtol", "1e-8", "--atol", "1e-10"])
-    assert code == 4
+    assert code == 3
     out = capsys.readouterr().out
+    assert "[FAIL] strip_residual_budget" in out
     assert "[FAIL] orbits_converged" in out
 
 

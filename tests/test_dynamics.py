@@ -3,14 +3,14 @@
 import numpy as np
 import pytest
 
-from knotflows import presets
+from knotflows import dynamics, presets
 from knotflows.charts import TubeChart
 from knotflows.curves import FourierCurve, resample_arclength
 from knotflows.dynamics import (NewtonFailure, OrbitEscape, PeriodicOrbit,
                                 Section, TransversalityError, TubeModelField,
                                 integrate, monodromy, poincare_return,
                                 refine_orbit)
-from knotflows.field import BeltramiExpansion
+from knotflows.field import BeltramiExpansion, make_basis
 from knotflows.framing import frame_transport
 
 
@@ -25,6 +25,9 @@ class _ConstantField:
     def jacobian(self, x):
         return np.zeros((3, 3))
 
+    def jet(self, x):
+        return self(x), self.jacobian(x)
+
 
 class _DoubledField:
     """Time reparametrization v = 2u: same orbits, half the period."""
@@ -37,6 +40,29 @@ class _DoubledField:
 
     def jacobian(self, x):
         return 2.0 * self.base.jacobian(x)
+
+    def jet(self, x):
+        return self(x), self.jacobian(x)
+
+
+class _CountingField:
+    """Counts the calls a consumer makes into each method of a base field."""
+
+    def __init__(self, base):
+        self.base = base
+        self.calls = {"__call__": 0, "jacobian": 0, "jet": 0}
+
+    def __call__(self, x):
+        self.calls["__call__"] += 1
+        return self.base(x)
+
+    def jacobian(self, x):
+        self.calls["jacobian"] += 1
+        return self.base.jacobian(x)
+
+    def jet(self, x):
+        self.calls["jet"] += 1
+        return self.base.jet(x)
 
 
 def _circle_chart(n=96, radius=0.5, w_half=0.1):
@@ -199,6 +225,9 @@ def test_monodromy_of_rigid_rotation_is_identity():
         def jacobian(self, x):
             return np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
 
+        def jet(self, x):
+            return self(x), self.jacobian(x)
+
     theta = 2.0 * np.pi * np.arange(64) / 64
     pts = np.column_stack([np.cos(theta), np.sin(theta), np.zeros_like(theta)])
     orbit = PeriodicOrbit(points=pts, period=2.0 * np.pi,
@@ -209,3 +238,41 @@ def test_monodromy_of_rigid_rotation_is_identity():
     assert abs(flo.det - 1.0) < 1e-10
     assert flo.classification == "indeterminate"
     assert flo.margin < 1e-8
+
+
+def test_variational_rhs_makes_one_jet_call(monkeypatch):
+    rng = np.random.default_rng(3)
+    k, e = make_basis(6, rng)
+    field = _CountingField(BeltramiExpansion(1.0, k, e, rng.standard_normal(12),
+                                             rng.standard_normal(12)))
+    nfev = []
+    solve_ivp = dynamics.solve_ivp
+
+    def counted_solve_ivp(*args, **kwargs):
+        sol = solve_ivp(*args, **kwargs)
+        nfev.append(sol.nfev)
+        return sol
+
+    monkeypatch.setattr(dynamics, "solve_ivp", counted_solve_ivp)
+    dynamics._fundamental_segment(field, np.zeros(3), 0.0, 2.0, 1e-10, 1e-12,
+                                  "DOP853")
+    assert nfev and field.calls == {"__call__": 0, "jacobian": 0, "jet": nfev[0]}
+
+
+def test_tube_model_field_projects_once(monkeypatch):
+    chart = _circle_chart()
+    field = TubeModelField(chart)
+    x = chart.from_tube(np.array(0.2), np.array(0.05), np.array(1.0))
+    jets = []
+    strip_jet = chart.strip_jet
+
+    def counted_strip_jet(s, t):
+        jets.append(1)
+        return strip_jet(s, t)
+
+    monkeypatch.setattr(chart, "strip_jet", counted_strip_jet)
+    chart.to_tube(x)
+    projection = len(jets)
+    jets.clear()
+    field(x)
+    assert projection > 0 and len(jets) == projection

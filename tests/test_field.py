@@ -68,6 +68,20 @@ def test_analytic_curl_residual_and_trace():
     assert np.max(np.abs(np.trace(u.jacobian(pts), axis1=-2, axis2=-1))) < 1e-12
 
 
+def test_jet_matches_call_and_is_traceless():
+    u = _random_expansion(n_dirs=12, lam=1.7, seed=4)
+    pts = np.random.default_rng(8).uniform(-3.0, 3.0, (30, 3))
+    val, jac = u.jet(pts)
+    ref = u(pts)
+    assert val.shape == (30, 3) and jac.shape == (30, 3, 3)
+    assert np.max(np.abs(val - ref)) < 1e-13 * np.max(np.abs(ref))
+    assert np.max(np.abs(np.trace(jac, axis1=-2, axis2=-1))) < 1e-12
+    val1, jac1 = u.jet(pts[3])
+    assert val1.shape == (3,) and jac1.shape == (3, 3)
+    assert np.max(np.abs(val1 - u(pts[3]))) < 1e-13 * np.max(np.abs(ref))
+    assert np.max(np.abs(jac1 - jac[3])) < 1e-13 * np.max(np.abs(jac))
+
+
 def test_direction_set_quasi_uniform():
     dirs = direction_set(6)
     assert np.max(np.abs(np.linalg.norm(dirs, axis=1) - 1.0)) < 1e-12

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from knotflows import pipeline
 from knotflows.config import RunConfig
 from knotflows.curves import LinkSpec
 from knotflows.field import BeltramiExpansion
@@ -148,3 +149,27 @@ def test_verification_outcome_flags(unknot_run):
     outcome = unknot_run["outcome"]
     assert outcome.passed and outcome.budget_ok
     assert outcome.dynamics_ok and outcome.topology_ok
+
+
+def test_outcome_returns_the_refined_orbits(hopf_run):
+    outcome = hopf_run["outcome"]
+    comps = hopf_run["report"]["components"]
+    assert len(outcome.orbits) == len(comps)
+    for orbit, comp in zip(outcome.orbits, comps):
+        assert orbit.period == comp["period"]
+
+
+def test_over_budget_component_skips_orbit_refinement(unknot_run, monkeypatch):
+    u = unknot_run["synthesis"].expansion
+    doubled = BeltramiExpansion(u.lam, u.k, u.e, 2.0 * u.alpha, 2.0 * u.beta)
+
+    def refine_orbit(*args, **kwargs):
+        raise AssertionError("refine_orbit called on an over-budget fit")
+
+    monkeypatch.setattr(pipeline, "refine_orbit", refine_orbit)
+    outcome = verify(unknot_run["link"], doubled, unknot_run["config"])
+    assert not outcome.passed and not outcome.budget_ok
+    assert outcome.report["components"][0]["status"] == "over_budget"
+    assert outcome.orbits == [None]
+    failed = {c["name"] for c in outcome.report["criteria"] if not c["passed"]}
+    assert {"strip_residual_budget", "orbits_converged"} <= failed
