@@ -103,6 +103,17 @@ class BeltramiExpansion:
         object.__setattr__(self, "cos_table", a * w1 + b * w2)
         object.__setattr__(self, "sin_table", b * w1 - a * w2)
 
+    def __eq__(self, other):
+        """Equal by value: lam, then k, e, alpha and beta; derived tables ignored."""
+        if not isinstance(other, BeltramiExpansion):
+            return NotImplemented
+        return self.lam == other.lam and all(
+            np.array_equal(getattr(self, n), getattr(other, n))
+            for n in ("k", "e", "alpha", "beta"))
+
+    def __hash__(self):
+        raise TypeError(f"unhashable type: '{type(self).__name__}'")
+
     @property
     def n_members(self) -> int:
         return self.k.shape[0]

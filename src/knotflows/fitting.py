@@ -6,7 +6,8 @@ eps_m = (min eps~) / (7 sigma) * 3^{-m} satisfy eps_m < (1/(6 sigma)) min eps~
 and sum_{n>m} eps_n = eps_m / 2 < eps_m, both strictly. At finite scale a
 single least-squares solve over all tubes replaces the induction; it weights
 each tube by its own tolerance eps~, so the fit does not depend on the order
-in which the schedule lists the tubes.
+in which the schedule lists the tubes. The solve streams the system through a
+blocked QR and so holds O(n^2) memory for n coefficients; see fit_global.
 """
 
 from __future__ import annotations
@@ -97,67 +98,68 @@ class FitReport:
 
 def design_matrix(k: np.ndarray, e: np.ndarray, lam: float,
                   points: np.ndarray) -> np.ndarray:
-    """Rows: 3 vector components per point; columns: (alpha_j, beta_j) per member."""
+    """Rows: 3 vector components per point; columns: (alpha_j, beta_j) per member;
+    Fortran order, for the one block of points a caller passes."""
     f = np.cross(k, e)
-    m = k.shape[0]
-    n = points.shape[0]
-    a = np.empty((3 * n, 2 * m))
-    chunk = max(1, int(2e6) // max(m, 1))
-    for lo in range(0, n, chunk):
-        hi = min(n, lo + chunk)
-        phase = lam * (points[lo:hi] @ k.T)
-        c, s = np.cos(phase), np.sin(phase)
-        re_n = c[:, :, None] * e[None] - s[:, :, None] * f[None]   # (p, m, 3)
-        im_n = s[:, :, None] * e[None] + c[:, :, None] * f[None]
-        block = np.stack([re_n, im_n], axis=2)                     # (p, m, 2, 3)
-        a[3 * lo:3 * hi] = block.transpose(0, 3, 1, 2).reshape((hi - lo) * 3, 2 * m)
+    phase = lam * (points @ k.T)
+    c, s = np.cos(phase), np.sin(phase)
+    a = np.empty((3 * points.shape[0], 2 * k.shape[0]), order="F")
+    for d in range(3):
+        a[d::3, 0::2] = c * e[:, d] - s * f[:, d]    # Re N_j
+        a[d::3, 1::2] = s * e[:, d] + c * f[:, d]    # Im N_j
     return a
 
 
 def fit_global(datas: list[CauchyData], budget: ErrorBudget, k: np.ndarray,
                e: np.ndarray, lam: float, ridge: float = 1e-10,
-               stride_s: int = 2, stride_t: int = 4):
+               stride_s: int = 1, stride_t: int = 1):
     """Weighted ridge least squares of the plane-wave basis against all tubes.
 
-    Solved through one orthogonal factorization (LAPACK SVD driver) of the
-    ridge-stacked system, never through the normal equations. Residuals are
-    evaluated on the full strip grids, not just the fitted subsample; success
-    means every tube meets its own eps~ there.
+    The ridge-stacked system [A | b] is folded, one block of about n+1 rows at
+    a time, into its (n+1) x (n+1) triangular factor R (LAPACK tpqrt, as in
+    TSQR), so A is never held whole and memory is O(n^2) for n coefficients.
+    The LAPACK SVD driver then solves the n x n factor, which has the singular
+    values of the stacked system; the normal equations are never formed.
+    Residuals are evaluated on the full strip grids; success means every tube
+    meets its own eps~ there.
     """
     if len(datas) != len(budget.eps_tilde):
         raise ValueError("budget must list one tolerance per tube")
-    pts_list, w_list, weights = [], [], []
+    pts = np.vstack([d.points[::stride_s, ::stride_t].reshape(-1, 3) for d in datas])
+    targets = np.vstack([d.w[::stride_s, ::stride_t].reshape(-1, 3) for d in datas])
+    # row weight 1/eps~_i, normalized so the largest row weight is 1
     eps_min = min(budget.eps_tilde)
-    for i, data in enumerate(datas):
-        p = data.points[::stride_s, ::stride_t].reshape(-1, 3)
-        w = data.w[::stride_s, ::stride_t].reshape(-1, 3)
-        pts_list.append(p)
-        w_list.append(w)
-        # row weight 1/eps~_i, normalized so the largest row weight is 1
-        weights.append(np.full(p.shape[0], eps_min / budget.eps_tilde[i]))
-    pts = np.vstack(pts_list)
-    targets = np.vstack(w_list)
-    row_scale = np.repeat(np.concatenate(weights), 3)
+    n_rows = [3 * d.points[::stride_s, ::stride_t, 0].size for d in datas]
+    weights = np.repeat(eps_min / np.asarray(budget.eps_tilde), n_rows)[:, None]
 
-    a = design_matrix(k, e, lam, pts)
-    a *= row_scale[:, None]
-    b = (targets * np.concatenate(weights)[:, None]).reshape(-1)
-    n_coef = a.shape[1]
-    if ridge > 0:
-        a = np.vstack([a, np.sqrt(ridge) * np.eye(n_coef)])
-        b = np.concatenate([b, np.zeros(n_coef)])
-    coef, res, rank, sv = scipy.linalg.lstsq(a, b, lapack_driver="gelsd")
+    n_coef = 2 * k.shape[0]
+    # R of the ridge rows [sqrt(ridge) I | 0]; the last column carries b
+    r = np.zeros((n_coef + 1, n_coef + 1), order="F")
+    r[range(n_coef), range(n_coef)] = np.sqrt(ridge)
+    step = -(-(n_coef + 1) // 3)    # points per block: about n+1 rows
+    for lo in range(0, pts.shape[0], step):
+        block = np.empty((3 * len(pts[lo:lo + step]), n_coef + 1), order="F")
+        block[:, :n_coef] = design_matrix(k, e, lam, pts[lo:lo + step])
+        block[:, n_coef] = targets[lo:lo + step].reshape(-1)
+        block *= weights[3 * lo:3 * lo + block.shape[0]]
+        r, _, _, info = scipy.linalg.lapack.dtpqrt(
+            0, min(32, n_coef + 1), r, block, overwrite_a=1, overwrite_b=1)
+        if info != 0:
+            raise np.linalg.LinAlgError(f"tpqrt failed with info {info}")
+    r_coef, r_rhs = np.triu(r[:n_coef, :n_coef]), r[:n_coef, n_coef]
+    coef, _, rank, sv = scipy.linalg.lstsq(r_coef, r_rhs, lapack_driver="gelsd")
     cond = float(sv[0] / sv[-1]) if sv is not None and sv[-1] > 0 else np.inf
-    objective = float(np.sum((a @ coef - b) ** 2))
+    objective = float(np.sum((r_coef @ coef - r_rhs) ** 2) + r[n_coef, n_coef] ** 2)
 
     expansion = BeltramiExpansion(lam, k, e, coef[0::2], coef[1::2])
     tube_res = []
     for data in datas:
-        u = expansion(data.points.reshape(-1, 3))
-        err = np.linalg.norm(u - data.w.reshape(-1, 3), axis=1)
-        tube_res.append(float(np.max(err)))
+        x, w = data.points.reshape(-1, 3), data.w.reshape(-1, 3)
+        err = [np.linalg.norm(expansion(x[lo:lo + step]) - w[lo:lo + step], axis=1).max()
+               for lo in range(0, x.shape[0], step)]
+        tube_res.append(float(max(err)))
     budgets = [budget.eps_tilde[i] for i in range(len(datas))]
-    success = all(r < b_ for r, b_ in zip(tube_res, budgets))
+    success = all(res < b_ for res, b_ in zip(tube_res, budgets))
     advice = "" if success else (
         "strip residual exceeds the budget; enlarge the direction set, "
         "densify the fit grid, or relax eps~")

@@ -130,6 +130,19 @@ def test_member_validation():
         BeltramiExpansion(0.0, [[0.0, 0.0, 1.0]], [[1.0, 0.0, 0.0]], [1.0], [0.0])
 
 
+def test_expansion_equality_by_value_and_unhashable():
+    u, v = _random_expansion(), _random_expansion()
+    assert u is not v
+    assert (u == v) is True and (u != v) is False
+    assert u != _random_expansion(seed=12)
+    assert u != _random_expansion(lam=2.0)
+    assert u != BeltramiExpansion(u.lam, u.k, u.e, u.alpha, 2.0 * u.beta)
+    assert u != BeltramiExpansion(u.lam, u.k[:-1], u.e[:-1], u.alpha[:-1], u.beta[:-1])
+    assert u != "not an expansion"
+    with pytest.raises(TypeError, match="BeltramiExpansion"):
+        hash(u)
+
+
 def test_beltramize_fixes_beltrami_inputs():
     # canonical polarizations so the coefficient comparison is literal
     rng = np.random.default_rng(21)

@@ -2,7 +2,9 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
+from knotflows import fitting
 from knotflows.field import BeltramiExpansion, make_basis
 from knotflows.fitting import (design_matrix, fit_global, make_error_budget,
                                multi_index_count)
@@ -17,6 +19,15 @@ def _synthetic_data(points, w):
                       t_nodes=np.arange(nt, dtype=float), points=points,
                       w=w, normals=np.zeros_like(points),
                       gamma_s=zeros, gamma_t=zeros)
+
+
+def _three_tubes(rng):
+    """Three separated tubes of quadratic targets, which no basis fits exactly."""
+    datas = []
+    for center in ([0.0, 0.0, 0.0], [2.0, 0.0, 0.0], [0.0, 2.0, 1.0]):
+        pts = np.asarray(center) + rng.uniform(-0.5, 0.5, (6, 4, 3))
+        datas.append(_synthetic_data(pts, pts**2))
+    return datas
 
 
 def test_multi_index_count_small_orders():
@@ -120,10 +131,7 @@ def test_fit_residuals_follow_component_permutation():
     # the weights must not depend on the order in which tubes are listed
     rng = np.random.default_rng(8)
     k, e = make_basis(6, rng)
-    datas = []
-    for center in ([0.0, 0.0, 0.0], [2.0, 0.0, 0.0], [0.0, 2.0, 1.0]):
-        pts = np.asarray(center) + rng.uniform(-0.5, 0.5, (6, 4, 3))
-        datas.append(_synthetic_data(pts, pts**2))
+    datas = _three_tubes(rng)
     budget = make_error_budget([1e-3] * 3, s=1)
     _, report = fit_global(datas, budget, k, e, 1.0, stride_s=1, stride_t=1)
     perm = [2, 0, 1]
@@ -141,3 +149,51 @@ def test_fit_requires_one_tolerance_per_tube():
     budget = make_error_budget([1e-3, 1e-3], s=1)
     with pytest.raises(ValueError, match="one tolerance per tube"):
         fit_global([data], budget, k, e, 1.0)
+
+
+def test_streamed_fit_matches_dense_lstsq():
+    rng = np.random.default_rng(8)
+    k, e = make_basis(6, rng)
+    datas = _three_tubes(rng)
+    eps, ridge, lam = [1e-3, 3e-3, 2e-4], 1e-6, 1.0
+    fitted, report = fit_global(datas, make_error_budget(eps, s=1), k, e, lam,
+                                ridge=ridge, stride_s=1, stride_t=1)
+    # dense reference: the whole weighted, ridge-stacked system at once
+    n = 2 * k.shape[0]
+    row_w = np.concatenate([np.full(d.points[..., 0].size, min(eps) / ep)
+                            for d, ep in zip(datas, eps)])
+    row_w = np.repeat(row_w, 3)
+    pts = np.vstack([d.points.reshape(-1, 3) for d in datas])
+    a = design_matrix(k, e, lam, pts) * row_w[:, None]
+    b = np.concatenate([d.w.reshape(-1) for d in datas]) * row_w
+    a = np.vstack([a, np.sqrt(ridge) * np.eye(n)])
+    b = np.concatenate([b, np.zeros(n)])
+    coef, _, rank, sv = scipy.linalg.lstsq(a, b, lapack_driver="gelsd")
+    streamed = np.empty(n)
+    streamed[0::2], streamed[1::2] = fitted.alpha, fitted.beta
+    assert np.linalg.norm(streamed - coef) <= 1e-8 * np.linalg.norm(coef)
+    assert report.rank == rank
+    assert report.condition == pytest.approx(sv[0] / sv[-1], rel=1e-8)
+    assert report.weighted_objective == pytest.approx(
+        float(np.sum((a @ coef - b) ** 2)), rel=1e-8)
+
+
+def test_fit_streams_the_design_matrix_in_blocks(monkeypatch):
+    rows = []
+
+    def recording(k, e, lam, points):
+        out = design_matrix(k, e, lam, points)
+        rows.append(out.shape[0])
+        return out
+
+    monkeypatch.setattr(fitting, "design_matrix", recording)
+    rng = np.random.default_rng(8)
+    k, e = make_basis(6, rng)
+    datas = _three_tubes(rng)
+    _, report = fit_global(datas, make_error_budget([1e-3] * 3, s=1), k, e, 1.0)
+    n_coef = 2 * k.shape[0]
+    assert len(rows) > 1
+    assert max(rows) <= n_coef + 3
+    assert sum(rows) == 3 * report.n_points
+    # the default strides fit every strip node, as RunConfig does
+    assert report.n_points == sum(d.points[..., 0].size for d in datas)
