@@ -37,7 +37,7 @@ chart = TubeChart(frame_transport(resample_arclength(circle(1.0)[0], 96)),
 field = TubeModelField(chart)
 pts = chart.frame.arc.points
 orbit = PeriodicOrbit(points=pts, period=chart.length, anchor=pts[0],
-                      section=None, closure_residual=0.0, newton_iterations=0)
+                      closure_residual=0.0, newton_iterations=0)
 flo = monodromy(field, orbit, rtol=1e-9, atol=1e-11)
 mu_u, mu_s = flo.multipliers
 print(f"  unstable: {mu_u:.8f}   (e^2pi  = {np.exp(2 * np.pi):.8f})")

@@ -14,8 +14,7 @@ from .curves import (ArcLengthCurve, EmbeddingError, FourierCurve, LinkSpec,
                      resample_arclength)
 from .dynamics import (FloquetData, IntegrationError, NewtonFailure, OrbitEscape,
                        PeriodicOrbit, Trajectory, TransversalityError,
-                       TubeModelField, integrate, monodromy, poincare_return,
-                       refine_orbit)
+                       TubeModelField, integrate, monodromy, refine_orbit)
 from .field import (BeltramiExpansion, HelmholtzScalarExpansion, beltramize,
                     direction_set, make_basis, to_scalar_components)
 from .fileio import (FileFormatError, load_field, load_link, load_seeds,
@@ -52,7 +51,7 @@ __all__ = [
     "divergence_residual", "fit_global", "frame_transport", "hausdorff_distance",
     "integrate", "linking_number", "load_field", "load_link", "load_seeds",
     "lyapunov_values", "make_basis", "make_error_budget", "march",
-    "monodromy", "multi_index_count", "poincare_return", "presets",
+    "monodromy", "multi_index_count", "presets",
     "refine_orbit", "resample_arclength", "rho_step", "save_field", "save_link",
     "save_seeds", "strip_metric", "strip_monodromy", "synthesize",
     "to_scalar_components", "tube_confinement", "tube_radius", "verify",

@@ -22,8 +22,11 @@ class RunConfig:
     strip_t_nodes: int = 33          # strip grid: nodes across [-w_half, w_half]
     fit_stride_s: int = 1            # fit uses every stride-th strip node in s
     fit_stride_t: int = 1            # fit uses every stride-th strip node in t
-    directions: int = 200            # quasi-uniform wave directions (2 polarizations each)
-    ridge: float = 1e-10             # Tikhonov weight on the expansion coefficients
+    directions: int = 200            # quasi-uniform wave directions, one member each
+    # Tikhonov weight on the expansion coefficients. A basis with both
+    # polarizations per direction (N2 = -i N1) splits each coefficient evenly
+    # across the twins, so its ridge 1e-10 is this basis's 5e-11: same fit
+    ridge: float = 5e-11
     budget_order: int = 1            # derivative order s in the error budget count
     eps_tilde: float = 1e-3          # per-tube strip residual tolerance
     rtol: float = 1e-10              # integrator relative tolerance
@@ -32,7 +35,7 @@ class RunConfig:
     orbit_samples: int = 1024        # polyline samples per recovered orbit
     closure_tol: float = 1e-9        # |x(T) - x(0)| required of a refined orbit
     newton_max_iter: int = 30
-    t_max_factor: float = 4.0        # Poincare return budget, multiples of core period
+    t_max_factor: float = 4.0        # shooting period cap, multiples of core transit time
     march_rho_frac: float = 0.2      # trusted range = march_rho_frac * strip half-width
     march_m_max: int = 32            # hard Fourier cutoff in theta during marching
     march_growth_cap: float = 10.0   # abort marching when level norm grows past this

@@ -1,4 +1,4 @@
-"""Stream-line integration, Poincare return maps, periodic orbits, monodromy.
+"""Stream-line integration, periodic orbits, monodromy.
 
 The periodic orbits of interest are saddles: one Floquet multiplier inside the
 unit circle, one outside, product one. Orbits are located by damped Newton on
@@ -29,7 +29,7 @@ class IntegrationError(RuntimeError):
 
 
 class OrbitEscape(RuntimeError):
-    """An iterate left the tube or never returned to the section."""
+    """An iterate left the tube."""
 
 
 class NewtonFailure(RuntimeError):
@@ -74,85 +74,11 @@ def integrate(field, x0, t_end: float, rtol: float = 1e-10, atol: float = 1e-12,
     return Trajectory(ts, xs, sol=sol.sol, nfev=sol.nfev)
 
 
-@dataclass(frozen=True)
-class Section:
-    """Oriented planar Poincare section through `anchor` with unit `normal`."""
-
-    anchor: np.ndarray
-    normal: np.ndarray
-    q1: np.ndarray
-    q2: np.ndarray
-
-    @classmethod
-    def at(cls, anchor, normal):
-        anchor = np.asarray(anchor, dtype=float)
-        normal = np.asarray(normal, dtype=float)
-        normal = normal / np.linalg.norm(normal)
-        axis = np.zeros(3)
-        axis[np.argmin(np.abs(normal))] = 1.0
-        q1 = np.cross(normal, axis)
-        q1 /= np.linalg.norm(q1)
-        return cls(anchor, normal, q1, np.cross(normal, q1))
-
-    def embed(self, xi) -> np.ndarray:
-        return self.anchor + xi[0] * self.q1 + xi[1] * self.q2
-
-    def coords(self, x) -> np.ndarray:
-        d = np.asarray(x) - self.anchor
-        return np.array([np.dot(d, self.q1), np.dot(d, self.q2)])
-
-
-def poincare_return(field, section: Section, x, t_max: float,
-                    rtol: float = 1e-10, atol: float = 1e-12,
-                    method: str = "DOP853"):
-    """First return of the forward orbit of x to the section (positive crossing).
-
-    Returns (point, time). Raises TransversalityError when the field is nearly
-    tangent to the section at x, OrbitEscape when no return occurs by t_max.
-    """
-    x = np.asarray(x, dtype=float)
-    u0 = field(x)
-    if abs(np.dot(u0, section.normal)) < 1e-8 * np.linalg.norm(u0):
-        raise TransversalityError("field is tangent to the section at the start point")
-
-    def rhs(t, y):
-        return field(y)
-
-    def crossing(t, y):
-        return np.dot(y - section.anchor, section.normal)
-
-    crossing.terminal = True
-    crossing.direction = 1.0
-
-    # skip the trivial crossing at t = 0 by flowing a short grace interval first
-    t_skip = 1e-6 * t_max
-    pre = solve_ivp(rhs, (0.0, t_skip), x, method=method, rtol=rtol, atol=atol)
-    if not pre.success:
-        raise IntegrationError(f"integration failed: {pre.message}")
-    sol = solve_ivp(rhs, (t_skip, t_max), pre.y[:, -1], method=method,
-                    rtol=rtol, atol=atol, events=crossing, dense_output=True)
-    if not sol.success:
-        raise IntegrationError(f"integration failed: {sol.message}")
-    if sol.t_events[0].size == 0:
-        raise OrbitEscape(f"no return to the section within t_max = {t_max:g}")
-    t_ev = float(sol.t_events[0][0])
-    y_ev = sol.y_events[0][0]
-    # one Newton step on the dense output tightens the event location
-    u = field(y_ev)
-    g = np.dot(y_ev - section.anchor, section.normal)
-    gdot = np.dot(u, section.normal)
-    if gdot != 0.0:
-        dt = -g / gdot
-        t_ev, y_ev = t_ev + dt, np.asarray(sol.sol(t_ev + dt))
-    return y_ev, float(t_ev)
-
-
 @dataclass
 class PeriodicOrbit:
     points: np.ndarray          # (n, 3) samples over one period, x(0) first
     period: float
     anchor: np.ndarray
-    section: Section
     closure_residual: float
     newton_iterations: int
 
@@ -190,7 +116,6 @@ def refine_orbit(field, chart: TubeChart, rtol: float = 1e-10, atol: float = 1e-
     anchor_idx = int(np.argmax(speeds))
     anchor = arc.points[anchor_idx]
     u_anchor = field(anchor)
-    section = Section.at(anchor, u_anchor)
 
     # keep per-segment stretching e^{T/m} modest even for cores hundreds long
     m = n_segments or int(np.clip(np.ceil(0.5 * chart.length), 8, 64))
@@ -274,8 +199,7 @@ def refine_orbit(field, chart: TubeChart, rtol: float = 1e-10, atol: float = 1e-
         seg = integrate(field, nodes[i], seg_t, rtol, atol, method)
         pts[i * per:(i + 1) * per] = seg.at(ts)
     return PeriodicOrbit(points=pts, period=period, anchor=x0,
-                         section=section, closure_residual=res,
-                         newton_iterations=it)
+                         closure_residual=res, newton_iterations=it)
 
 
 def _fundamental_segment(field, x0, t0, t1, rtol, atol, method):

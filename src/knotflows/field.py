@@ -44,15 +44,11 @@ def polarization_pair(k: np.ndarray):
 
 
 def make_basis(n_directions: int, rng: np.random.Generator | None = None):
-    """(k, e) member arrays: two polarizations per direction, 2n members,
-    hence 4n real basis fields (alpha and beta coefficients per member)."""
+    """(k, e) member arrays: one member per direction, n members, hence 2n real
+    basis fields (alpha and beta per member). A second polarization would add
+    nothing: with e2 = k x e1, N2 = -i N1 spans the same two real fields."""
     dirs = direction_set(n_directions, rng)
-    ks, es = [], []
-    for k in dirs:
-        e1, e2 = polarization_pair(k)
-        ks.extend([k, k])
-        es.extend([e1, e2])
-    return np.array(ks), np.array(es)
+    return dirs, np.array([polarization_pair(k)[0] for k in dirs])
 
 
 def _check_members(k, e, tol=1e-12):

@@ -14,6 +14,7 @@ import pytest
 from knotflows import presets
 from knotflows.config import RunConfig
 from knotflows.curves import LinkSpec
+from knotflows.field import direction_set, polarization_pair
 from knotflows.pipeline import synthesize, verify
 
 
@@ -126,3 +127,10 @@ def fd_jacobian(field, x: np.ndarray, h: float = 1e-6) -> np.ndarray:
         dx[j] = h
         jac[:, j] = (field(x + dx) - field(x - dx)) / (2.0 * h)
     return jac
+
+
+def twin_basis(n: int, rng=None):
+    """The two-polarization basis of earlier field files: each direction of
+    direction_set(n, rng) twice, with e1 and e2 = k x e1 (N2 = -i N1)."""
+    dirs = direction_set(n, rng)
+    return np.repeat(dirs, 2, axis=0), np.vstack([polarization_pair(k) for k in dirs])

@@ -94,8 +94,7 @@ def test_criterion_4_monodromy_oracle():
     field = TubeModelField(chart)
     pts = chart.frame.arc.points
     orbit = PeriodicOrbit(points=pts, period=chart.length, anchor=pts[0],
-                          section=None, closure_residual=0.0,
-                          newton_iterations=0)
+                          closure_residual=0.0, newton_iterations=0)
     t0 = time.perf_counter()
     flo = monodromy(field, orbit, rtol=1e-9, atol=1e-11)
     dt = time.perf_counter() - t0

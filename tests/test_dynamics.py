@@ -1,4 +1,4 @@
-"""Integration, return maps, orbit refinement and Floquet data on closed-form fields."""
+"""Integration, orbit refinement and Floquet data on closed-form fields."""
 
 import numpy as np
 import pytest
@@ -7,8 +7,7 @@ from knotflows import dynamics, presets
 from knotflows.charts import TubeChart
 from knotflows.curves import FourierCurve, resample_arclength
 from knotflows.dynamics import (NewtonFailure, OrbitEscape, PeriodicOrbit,
-                                Section, TransversalityError, TubeModelField,
-                                integrate, monodromy, poincare_return,
+                                TubeModelField, integrate, monodromy,
                                 refine_orbit)
 from knotflows.field import BeltramiExpansion, make_basis
 from knotflows.framing import frame_transport
@@ -74,8 +73,7 @@ def _core_orbit(chart):
     """The periodic orbit of the tube model is exactly the chart core."""
     pts = chart.frame.arc.points
     return PeriodicOrbit(points=pts, period=chart.length, anchor=pts[0],
-                         section=None, closure_residual=0.0,
-                         newton_iterations=0)
+                         closure_residual=0.0, newton_iterations=0)
 
 
 @pytest.fixture(scope="module")
@@ -102,51 +100,6 @@ def test_integrate_single_wave_stays_on_straight_line():
     expect = np.column_stack([t * np.cos(z0), -t * np.sin(z0),
                               np.full_like(t, z0)])
     assert np.max(np.abs(traj.x - expect)) < 1e-9
-
-
-def test_section_frame_and_round_trip():
-    sec = Section.at(np.array([1.0, 2.0, 3.0]), np.array([0.0, 3.0, 4.0]))
-    for a, b in ((sec.normal, sec.q1), (sec.normal, sec.q2), (sec.q1, sec.q2)):
-        assert abs(np.dot(a, b)) < 1e-14
-        assert abs(np.linalg.norm(a) - 1.0) < 1e-14
-    xi = np.array([0.3, -0.8])
-    assert np.max(np.abs(sec.coords(sec.embed(xi)) - xi)) < 1e-14
-
-
-def test_poincare_return_contracts_ruling_offset(model):
-    chart, field = model
-    anchor = chart.strip_point(0.0, np.array(0.0))
-    sec = Section.at(anchor, field(anchor))
-    x0 = chart.strip_point(0.0, np.array(0.002))
-    y, t = poincare_return(field, sec, x0, t_max=20.0)
-    assert abs(t - 2.0 * np.pi) < 1e-6
-    # the ruling coordinate is multiplied by e^{-T} after one turn
-    off = np.linalg.norm(sec.coords(y))
-    assert abs(off - 0.002 * np.exp(-2.0 * np.pi)) < 1e-4 * 0.002
-
-
-def test_poincare_return_fixed_point_on_core(model):
-    chart, field = model
-    anchor = chart.strip_point(0.0, np.array(0.0))
-    sec = Section.at(anchor, field(anchor))
-    y, t = poincare_return(field, sec, anchor, t_max=20.0)
-    assert np.linalg.norm(y - anchor) < 1e-8
-    assert abs(t - 2.0 * np.pi) < 1e-8
-
-
-def test_poincare_transversality_guard(model):
-    chart, field = model
-    anchor = chart.strip_point(0.0, np.array(0.0))
-    sec = Section.at(anchor, np.array([0.0, 0.0, 1.0]))  # normal orthogonal to u
-    with pytest.raises(TransversalityError):
-        poincare_return(field, sec, anchor, t_max=20.0)
-
-
-def test_poincare_no_return_raises_escape():
-    field = _ConstantField([0.0, 0.0, 1.0])
-    sec = Section.at(np.zeros(3), np.array([0.0, 0.0, 1.0]))
-    with pytest.raises(OrbitEscape, match="no return"):
-        poincare_return(field, sec, np.zeros(3), t_max=5.0)
 
 
 def test_model_field_outside_chart_raises(model):
@@ -231,8 +184,8 @@ def test_monodromy_of_rigid_rotation_is_identity():
     theta = 2.0 * np.pi * np.arange(64) / 64
     pts = np.column_stack([np.cos(theta), np.sin(theta), np.zeros_like(theta)])
     orbit = PeriodicOrbit(points=pts, period=2.0 * np.pi,
-                          anchor=pts[0], section=None,
-                          closure_residual=0.0, newton_iterations=0)
+                          anchor=pts[0], closure_residual=0.0,
+                          newton_iterations=0)
     flo = monodromy(Rotation(), orbit)
     assert np.max(np.abs(flo.monodromy - np.eye(3))) < 1e-8
     assert abs(flo.det - 1.0) < 1e-10
@@ -243,8 +196,8 @@ def test_monodromy_of_rigid_rotation_is_identity():
 def test_variational_rhs_makes_one_jet_call(monkeypatch):
     rng = np.random.default_rng(3)
     k, e = make_basis(6, rng)
-    field = _CountingField(BeltramiExpansion(1.0, k, e, rng.standard_normal(12),
-                                             rng.standard_normal(12)))
+    field = _CountingField(BeltramiExpansion(1.0, k, e, rng.standard_normal(len(k)),
+                                             rng.standard_normal(len(k))))
     nfev = []
     solve_ivp = dynamics.solve_ivp
 

@@ -13,6 +13,8 @@ from knotflows.fileio import (FileFormatError, dump_cauchy, load_field,
                               save_seeds, write_report, write_table)
 from knotflows.strip import CauchyData
 
+from conftest import twin_basis
+
 
 def _expansion(seed=0, lam=1.5, n=3):
     rng = np.random.default_rng(seed)
@@ -100,6 +102,22 @@ def test_field_round_trip_is_bitwise(tmp_path):
     assert np.array_equal(back.beta, u.beta)
     pts = np.random.default_rng(1).uniform(-1, 1, (20, 3))
     assert np.array_equal(back(pts), u(pts))
+
+
+def test_twin_basis_field_file_loads_and_folds(tmp_path):
+    # field files written with two polarizations per direction still load,
+    # and equal their folded one-member-per-direction form
+    rng = np.random.default_rng(4)
+    k, e = twin_basis(5, rng)
+    alpha, beta = rng.standard_normal(10), rng.standard_normal(10)
+    path = tmp_path / "twin.json"
+    save_field(BeltramiExpansion(1.5, k, e, alpha, beta), path)
+    back = load_field(path)
+    assert back.n_members == 10
+    folded = BeltramiExpansion(1.5, k[0::2], e[0::2], alpha[0::2] - beta[1::2],
+                               beta[0::2] + alpha[1::2])
+    pts = rng.uniform(-2.0, 2.0, (40, 3))
+    assert np.max(np.abs(back(pts) - folded(pts))) < 1e-12
 
 
 def test_field_malformed_documents(tmp_path):

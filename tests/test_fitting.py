@@ -10,6 +10,8 @@ from knotflows.fitting import (design_matrix, fit_global, make_error_budget,
                                multi_index_count)
 from knotflows.strip import CauchyData
 
+from conftest import twin_basis
+
 
 def _synthetic_data(points, w):
     """CauchyData carrying only what the fitter reads: points and targets."""
@@ -80,7 +82,7 @@ def test_design_matrix_columns_are_member_fields():
     k, e = make_basis(3, rng)
     pts = rng.uniform(-1.0, 1.0, (15, 3))
     a = design_matrix(k, e, 1.4, pts)
-    assert a.shape == (45, 12)
+    assert a.shape == (45, 6)
     for j in range(k.shape[0]):
         re_n = BeltramiExpansion(1.4, k[j:j + 1], e[j:j + 1], [1.0], [0.0])(pts)
         im_n = BeltramiExpansion(1.4, k[j:j + 1], e[j:j + 1], [0.0], [1.0])(pts)
@@ -98,19 +100,39 @@ def test_fit_recovers_single_member_exactly():
     budget = make_error_budget([1e-8], s=1)
     fitted, report = fit_global([data], budget, k, e, 1.0, ridge=0.0,
                                 stride_s=1, stride_t=1)
-    coef = np.empty(2 * k.shape[0])
-    coef[0::2], coef[1::2] = fitted.alpha, fitted.beta
-    # members 2 and 3 share a direction and N_3 = -i N_2, so the minimal-norm
-    # solution splits Re N_2 = -Im N_3 evenly across the twin columns
-    expect = np.zeros_like(coef)
-    expect[4], expect[7] = 0.5, -0.5
-    assert np.max(np.abs(coef - expect)) < 1e-8
+    expect = np.zeros(k.shape[0])
+    expect[2] = 1.0
+    assert np.max(np.abs(fitted.alpha - expect)) < 1e-8
+    assert np.max(np.abs(fitted.beta)) < 1e-8
     probe = rng.uniform(-1.0, 1.0, (30, 3))
     assert np.max(np.abs(fitted(probe) - target(probe))) < 1e-10
     assert report.success
     assert report.max_residual() < 1e-10
-    # real rank is 2 per direction, half the column count
-    assert report.rank == k.shape[0]
+    # one member per direction: full column rank, 2 real fields per member
+    assert report.rank == 2 * k.shape[0]
+
+
+def test_single_basis_at_half_ridge_matches_twin_basis():
+    # on the twin basis N2 = -i N1, so the minimum-norm ridge solution splits
+    # each coefficient evenly across the twins: twin ridge rho is single rho/2
+    datas = _three_tubes(np.random.default_rng(8))
+    budget = make_error_budget([1e-3, 3e-3, 2e-4], s=1)
+    ridge = 1e-6
+    k2, e2 = twin_basis(6, np.random.default_rng(5))
+    twin, twin_report = fit_global(datas, budget, k2, e2, 1.0, ridge=ridge)
+    k, e = make_basis(6, np.random.default_rng(5))
+    single, report = fit_global(datas, budget, k, e, 1.0, ridge=ridge / 2)
+    assert np.array_equal(k, k2[0::2]) and np.array_equal(e, e2[0::2])
+    probe = np.random.default_rng(1).uniform(-1.0, 2.5, (200, 3))
+    ref = twin(probe)
+    assert np.max(np.abs(single(probe) - ref)) < 1e-8 * np.max(np.abs(ref))
+    assert np.allclose(report.tube_residuals, twin_report.tube_residuals,
+                       rtol=1e-8, atol=0.0)
+    # alpha = alpha_1 - beta_2 and beta = beta_1 + alpha_2
+    folded = np.concatenate([twin.alpha[0::2] - twin.beta[1::2],
+                             twin.beta[0::2] + twin.alpha[1::2]])
+    coef = np.concatenate([single.alpha, single.beta])
+    assert np.max(np.abs(coef - folded)) < 1e-8 * np.max(np.abs(coef))
 
 
 def test_fit_reports_failure_with_advice():
