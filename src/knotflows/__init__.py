@@ -13,8 +13,8 @@ from .config import RunConfig, config_from_dict
 from .curves import (ArcLengthCurve, EmbeddingError, FourierCurve, LinkSpec,
                      resample_arclength)
 from .dynamics import (FloquetData, IntegrationError, NewtonFailure, OrbitEscape,
-                       PeriodicOrbit, Trajectory, TransversalityError,
-                       TubeModelField, integrate, monodromy, refine_orbit)
+                       PeriodicOrbit, Trajectory, TubeModelField, integrate,
+                       monodromy, refine_orbit)
 from .field import (BeltramiExpansion, HelmholtzScalarExpansion, beltramize,
                     direction_set, make_basis, to_scalar_components)
 from .fileio import (FileFormatError, load_field, load_link, load_seeds,
@@ -43,7 +43,7 @@ __all__ = [
     "HelmholtzScalarExpansion", "IntegrationError", "LinkSpec", "LinkingError",
     "LinkingResult", "MarchError", "MarchGrid", "MarchResult", "NewtonFailure",
     "OrbitEscape", "PeriodicOrbit", "PipelineError", "RunConfig",
-    "StripMetric", "SynthesisResult", "Trajectory", "TransversalityError",
+    "StripMetric", "SynthesisResult", "Trajectory",
     "TubeChart", "TubeModelField", "VerificationOutcome",
     "beltrami_residual", "beltramize", "build_cauchy_data", "build_charts",
     "cauchy_field", "chi_from_constraint", "closedness_check",

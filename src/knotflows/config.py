@@ -10,8 +10,11 @@ from dataclasses import dataclass
 class RunConfig:
     """Numeric knobs for a synthesis/verification run.
 
-    All defaults are the values used by the acceptance suite; every field can
-    be overridden from the CLI or by constructing a replaced copy.
+    All defaults are the values used by the acceptance suite. The CLI sets
+    lam, directions, ridge, rtol, atol, seed and eps_tilde; any field can be
+    overridden by constructing a replaced copy. Numerics not listed here (the
+    integrator method, Newton iteration caps, marching cutoffs) are the
+    defaults of the functions that own them.
     """
 
     lam: float = 1.0                 # Beltrami eigenvalue, must be > 0
@@ -31,21 +34,15 @@ class RunConfig:
     eps_tilde: float = 1e-3          # per-tube strip residual tolerance
     rtol: float = 1e-10              # integrator relative tolerance
     atol: float = 1e-12              # integrator absolute tolerance
-    method: str = "DOP853"           # embedded Runge-Kutta pair with dense output
     orbit_samples: int = 1024        # polyline samples per recovered orbit
     closure_tol: float = 1e-9        # |x(T) - x(0)| required of a refined orbit
-    newton_max_iter: int = 30
-    t_max_factor: float = 4.0        # shooting period cap, multiples of core transit time
     march_rho_frac: float = 0.2      # trusted range = march_rho_frac * strip half-width
-    march_m_max: int = 32            # hard Fourier cutoff in theta during marching
-    march_growth_cap: float = 10.0   # abort marching when level norm grows past this
     defect_tol: float = 0.1          # max pre-rounding defect accepted for linking numbers
     hausdorff_tol: float = 1e-2      # orbit-to-core Hausdorff distance gate
     closedness_tol: float = 1e-8     # max d(pullback gamma) residual on the strip
     curl_check_points: int = 100     # random points for the eigen-relation spot check
     curl_tol: float = 1e-6           # relative FD curl error gate
     div_tol: float = 1e-8            # FD divergence gate
-    cross_validate: bool = True      # measure C0/C1 distance to the marched local field
     seed: int = 0                    # seed for direction jitter
 
     def replace(self, **kw) -> "RunConfig":

@@ -114,7 +114,8 @@ class ArcLengthCurve:
     """Arc-length model of a closed FourierCurve.
 
     Provides the total length, the inverse parameter map t(s), uniform
-    arc-length samples, and spectrally interpolated position derivatives.
+    arc-length samples, spectrally interpolated position derivatives, and the
+    self-distance and reach from one scan of the sampled chords.
     """
 
     def __init__(self, curve: FourierCurve, n: int = 1024):
@@ -138,12 +139,17 @@ class ArcLengthCurve:
         self.t_nodes = self.t_at(self.s_nodes)
         self.points = curve.point(self.t_nodes)
         self.position = SpectralSeries(self.points, self.length)
+        self._closest, self._reach = self._scan_chords()
 
     def arclen(self, t) -> np.ndarray:
         """Arc length from parameter 0 to t."""
         t = np.asarray(t, dtype=float)
         m = np.arange(1, self._anti.shape[0] + 1, dtype=float)
-        phase = np.exp(1j * np.multiply.outer(t, m))
+        # exp(i t m) formed in place: its (t, m) temporaries set the peak
+        # memory of a geometry build, so hold one complex array, not three
+        phase = np.zeros(t.shape + m.shape, dtype=complex)
+        np.multiply.outer(t, m, out=phase.imag)
+        np.exp(phase, out=phase)
         periodic = 2.0 * np.real(phase @ self._anti) / self._anti_n
         periodic0 = 2.0 * np.real(np.sum(self._anti)) / self._anti_n
         return self._mean_speed * t + periodic - periodic0
@@ -160,62 +166,47 @@ class ArcLengthCurve:
                 break
         return t
 
-    def point(self, s) -> np.ndarray:
-        return self.curve.point(self.t_at(s))
+    def _scan_chords(self):
+        """One scan of the sampled chord matrix: (self_distance, reach).
 
-    def tangent(self, s) -> np.ndarray:
-        v = self.curve.velocity(self.t_at(s))
-        return v / np.linalg.norm(v, axis=-1, keepdims=True)
-
-    def self_distance(self, kappa_max: float | None = None):
-        """Minimal distance between points separated by more than the local window.
-
-        Pairs closer in arc length than min(pi/kappa_max, L/4) cannot come nearer
-        than the curvature bound allows, so the window excludes only trivial
-        neighbors. Returns (distance, s_i, s_j).
-        """
-        if kappa_max is None:
-            kappa_max = self.curve.max_curvature()
-        window = min(np.pi / kappa_max, self.length / 4.0)
-        h = self.length / self.n
-        kmin = max(1, int(np.ceil(window / h)))
-        p = self.points
-        d2 = np.sum((p[:, None, :] - p[None, :, :]) ** 2, axis=-1)
-        idx = np.arange(self.n)
-        sep = np.abs(idx[:, None] - idx[None, :])
-        sep = np.minimum(sep, self.n - sep)
-        d2 = np.where(sep >= kmin, d2, np.inf)
-        i, j = np.unravel_index(np.argmin(d2), d2.shape)
-        return float(np.sqrt(d2[i, j])), float(self.s_nodes[i]), float(self.s_nodes[j])
-
-    def reach(self) -> float:
-        """min(1/max curvature, half the closest bottleneck distance).
-
-        Bottleneck pairs are discrete local minima of the chord distance in
-        both indices, at arc separation beyond the curvature window. Window
-        edge minima are not local minima of the unmasked distance (the chord
-        keeps shrinking into the window), and convex curves, which never
-        double back, contribute no bottleneck at all: their reach is 1/kappa.
-        Inside the window the chord is Schur-bounded below by the kappa
-        circle, so no excluded pair can undercut 1/kappa.
+        Pairs closer than the curvature window min(pi/kappa_max, L/4) are
+        skipped: inside it the chord is Schur-bounded below by the kappa
+        circle, so no excluded pair comes nearer than the curvature allows or
+        undercuts 1/kappa. The closest pair (distance, s_i, s_j) is taken at
+        index separation >= max(1, window/h); the reach is min(1/kappa_max,
+        half the closest bottleneck), bottlenecks being discrete local minima
+        of the chord distance in both indices at separation >= max(2, window/h).
+        Window edge minima are not local minima of the unmasked distance (the
+        chord keeps shrinking into the window), and convex curves, which never
+        double back, have no bottleneck: their reach is 1/kappa.
         """
         kappa = self.curve.max_curvature()
-        window = min(np.pi / kappa, self.length / 4.0)
-        h = self.length / self.n
-        kmin = max(2, int(np.ceil(window / h)))
+        k_win = int(np.ceil(min(np.pi / kappa, self.length / 4.0) / (self.length / self.n)))
         p = self.points
         d2 = np.sum((p[:, None, :] - p[None, :, :]) ** 2, axis=-1)
         idx = np.arange(self.n)
         sep = np.abs(idx[:, None] - idx[None, :])
         sep = np.minimum(sep, self.n - sep)
-        local = np.ones_like(d2, dtype=bool)
+        i, j = np.unravel_index(np.argmin(np.where(sep >= max(1, k_win), d2, np.inf)),
+                                d2.shape)
+        closest = (float(np.sqrt(d2[i, j])), float(self.s_nodes[i]), float(self.s_nodes[j]))
+        local = sep >= max(2, k_win)
         for ax in (0, 1):
             for shift in (1, -1):
                 local &= d2 <= np.roll(d2, shift, axis=ax)
-        cand = local & (sep >= kmin)
-        if np.any(cand):
-            return float(min(1.0 / kappa, 0.5 * np.sqrt(np.min(d2[cand]))))
-        return float(1.0 / kappa)
+        reach = 1.0 / kappa
+        if np.any(local):
+            reach = min(reach, 0.5 * np.sqrt(np.min(d2[local])))
+        return closest, float(reach)
+
+    def self_distance(self):
+        """Minimal distance between samples beyond the curvature window:
+        (distance, s_i, s_j)."""
+        return self._closest
+
+    def reach(self) -> float:
+        """min(1/max curvature, half the closest bottleneck distance)."""
+        return self._reach
 
 
 def resample_arclength(curve: FourierCurve, n: int, min_gap: float | None = None) -> ArcLengthCurve:

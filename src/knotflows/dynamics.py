@@ -39,10 +39,6 @@ class NewtonFailure(RuntimeError):
         self.iterate = iterate
 
 
-class TransversalityError(ValueError):
-    """Field nearly tangent to the section at the anchor."""
-
-
 @dataclass(frozen=True)
 class Trajectory:
     t: np.ndarray
@@ -289,31 +285,43 @@ class TubeModelField:
 
     Exact saddle dynamics around the core: period = core length, multipliers
     {e^{-T}, e^{+T}}. Serves as the closed-form oracle for the orbit pipeline.
+    jet makes one chart projection: Du is the chart-coordinate derivative of
+    the pushforward, by central differences of step fd_step in
+    (rho, z, theta), which need no projection, times the inverse chart
+    Jacobian.
     """
 
     def __init__(self, chart: TubeChart, fd_step: float = 1e-6):
         self.chart = chart
         self.fd_step = fd_step
 
+    def _coords(self, x):
+        found = self.chart._to_tube_jet(np.asarray(x, dtype=float))
+        if found is None:
+            raise OrbitEscape("tube-model field evaluated outside its chart")
+        return found
+
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
         if x.ndim == 2:
             return np.array([self(xi) for xi in x])
-        found = self.chart._to_tube_jet(x)
-        if found is None:
-            raise OrbitEscape("tube-model field evaluated outside its chart")
-        rho, z, _, nj = found
-        x_rho, x_z, x_th = chart_columns(nj, rho)
-        return x_th - z * x_z + rho * x_rho
-
-    def jacobian(self, x):
-        h = self.fd_step
-        jac = np.empty((3, 3))
-        for j in range(3):
-            dx = np.zeros(3)
-            dx[j] = h
-            jac[:, j] = (self(x + dx) - self(x - dx)) / (2.0 * h)
-        return jac
+        rho, z, _, nj = self._coords(x)
+        return _model_vector(nj, rho, z)
 
     def jet(self, x):
-        return self(x), self.jacobian(x)
+        rho, z, theta, nj = self._coords(x)
+        q = np.array([rho, z, theta]) + self.fd_step * np.vstack([np.eye(3), -np.eye(3)])
+        v = _model_vector(self.chart.normal_jet(q[:, 2], q[:, 1]), q[:, 0], q[:, 1])
+        dv_dq = (v[:3] - v[3:]).T / (2.0 * self.fd_step)
+        cols = np.column_stack(chart_columns(nj, rho))
+        return _model_vector(nj, rho, z), np.linalg.solve(cols.T, dv_dq.T).T
+
+    def jacobian(self, x):
+        return self.jet(x)[1]
+
+
+def _model_vector(nj: dict, rho, z):
+    """X_theta - z X_z + rho X_rho at chart coordinates (rho, z, theta of nj)."""
+    x_rho, x_z, x_th = chart_columns(nj, rho)
+    z = np.asarray(z, dtype=float)[..., None]
+    return x_th - z * x_z + np.asarray(rho, dtype=float)[..., None] * x_rho

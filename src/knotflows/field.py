@@ -139,15 +139,6 @@ class BeltramiExpansion:
         """Analytic Jacobian d u_i / d x_j; traceless (div u = 0 exactly)."""
         return self.jet(x)[1]
 
-    def curl_residual(self, x) -> float:
-        """Max |curl u - lam u| from the analytic Jacobian (round-off check)."""
-        pts = np.atleast_2d(np.asarray(x, dtype=float))
-        jac = self.jacobian(pts)
-        curl = np.stack([jac[..., 2, 1] - jac[..., 1, 2],
-                         jac[..., 0, 2] - jac[..., 2, 0],
-                         jac[..., 1, 0] - jac[..., 0, 1]], axis=-1)
-        return float(np.max(np.abs(curl - self.lam * self(pts))))
-
 
 @dataclass(frozen=True)
 class HelmholtzScalarExpansion:

@@ -18,6 +18,7 @@ from math import comb
 import numpy as np
 import scipy.linalg
 
+from .config import RunConfig
 from .field import BeltramiExpansion
 from .strip import CauchyData
 
@@ -111,8 +112,9 @@ def design_matrix(k: np.ndarray, e: np.ndarray, lam: float,
 
 
 def fit_global(datas: list[CauchyData], budget: ErrorBudget, k: np.ndarray,
-               e: np.ndarray, lam: float, ridge: float = 1e-10,
-               stride_s: int = 1, stride_t: int = 1):
+               e: np.ndarray, lam: float, ridge: float = RunConfig.ridge,
+               stride_s: int = RunConfig.fit_stride_s,
+               stride_t: int = RunConfig.fit_stride_t):
     """Weighted ridge least squares of the plane-wave basis against all tubes.
 
     The ridge-stacked system [A | b] is folded, one block of about n+1 rows at

@@ -66,9 +66,9 @@ class FrameModel:
     def __init__(self, arc: ArcLengthCurve, seed_normal: np.ndarray | None = None):
         self.arc = arc
         self.length = arc.length
-        n = arc.n
         pts = arc.points
-        tans = arc.tangent(arc.s_nodes)
+        # node tangents from the node parameters the arc-length model already inverted
+        tans = _unit(arc.curve.velocity(arc.t_nodes))
         if seed_normal is None:
             seed_normal = _seed_normal(pts, tans[0])
         # transport once around, re-visiting the start point to read the holonomy
@@ -83,7 +83,6 @@ class FrameModel:
         e1 = e1 - np.sum(e1 * tans, axis=1, keepdims=True) * tans
         e1 = _unit(e1)
         self.e1_samples = e1
-        self.e2_samples = np.cross(tans, e1)
         self.tan_samples = tans
         self._e1 = SpectralSeries(e1, self.length)
         self._pos = arc.position

@@ -128,28 +128,6 @@ class ChartTubeMetric:
         return self._nj["S"] + rho * x_rho, x_rho, x_z, x_th
 
 
-@dataclass(frozen=True)
-class TubeMetricField:
-    """Materialized metric on the marched rho levels (for inspection and tests)."""
-
-    rhos: np.ndarray
-    h11: np.ndarray
-    h12: np.ndarray
-    h22: np.ndarray
-    sqrt_det: np.ndarray
-
-
-def materialize_metric(metric, rhos) -> TubeMetricField:
-    levels = [metric.at(r) for r in rhos]
-    return TubeMetricField(
-        np.asarray(rhos),
-        np.stack([l.h11 for l in levels]),
-        np.stack([l.h12 for l in levels]),
-        np.stack([l.h22 for l in levels]),
-        np.stack([l.sqrt_det for l in levels]),
-    )
-
-
 def initial_level(grid: MarchGrid) -> np.ndarray:
     """Exact Cauchy data in form components: a_z = -z, a_theta = 1 at rho = 0."""
     nz, nth = len(grid.z_nodes), grid.n_theta

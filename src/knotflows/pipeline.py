@@ -5,8 +5,8 @@ synthesize: link -> tube charts -> strip Cauchy data -> error budget -> basis
 
 verify: expansion + link -> strip residual recheck, eigen-relation spot check,
 orbit refinement with Floquet data, confinement and winding certificates,
-pairwise linking numbers, optional C0/C1 cross-validation against the marched
-local field. Emits a machine-readable report with per-criterion pass/fail.
+pairwise linking numbers, C0/C1 cross-validation against the marched local
+field. Emits a machine-readable report with per-criterion pass/fail.
 """
 
 from __future__ import annotations
@@ -19,8 +19,8 @@ import numpy as np
 from .charts import build_charts
 from .config import RunConfig
 from .curves import LinkSpec
-from .dynamics import (IntegrationError, NewtonFailure, OrbitEscape,
-                       TransversalityError, monodromy, refine_orbit)
+from .dynamics import (IntegrationError, NewtonFailure, OrbitEscape, monodromy,
+                       refine_orbit)
 from .field import BeltramiExpansion, make_basis
 from .fileio import REPORT_SCHEMA
 from .fitting import ErrorBudget, FitReport, fit_global, make_error_budget
@@ -157,15 +157,11 @@ def _criterion(criteria: list, name: str, passed: bool, detail: str) -> bool:
 
 def _certify_orbit(expansion: BeltramiExpansion, chart, config: RunConfig):
     """Refine one component's orbit; return it with its report entries."""
-    orbit = refine_orbit(expansion, chart,
-                         rtol=config.rtol, atol=config.atol,
-                         method=config.method,
+    orbit = refine_orbit(expansion, chart, rtol=config.rtol, atol=config.atol,
                          closure_tol=config.closure_tol,
-                         max_iter=config.newton_max_iter,
-                         t_max_factor=config.t_max_factor,
                          n_samples=config.orbit_samples)
     flo = monodromy(expansion, orbit, rtol=min(config.rtol, 1e-11),
-                    atol=min(config.atol, 1e-13), method=config.method)
+                    atol=min(config.atol, 1e-13))
     cert = tube_confinement(orbit.points, chart)
     haus = hausdorff_distance(orbit.points, chart.frame.arc.points)
     return orbit, {
@@ -251,21 +247,15 @@ def verify(link: LinkSpec, expansion: BeltramiExpansion,
             try:
                 orbit, certificate = _certify_orbit(expansion, chart, config)
                 entry.update(certificate)
-            except (OrbitEscape, NewtonFailure, IntegrationError,
-                    TransversalityError) as exc:
+            except (OrbitEscape, NewtonFailure, IntegrationError) as exc:
                 entry.update({"status": "dynamics_error",
                               "error": f"{type(exc).__name__}: {exc}"})
         orbits.append(orbit)
-        if config.cross_validate:
-            try:
-                cv = cross_validate(expansion, chart, link.lam,
-                                    rho_frac=config.march_rho_frac,
-                                    m_max=config.march_m_max,
-                                    growth_cap=config.march_growth_cap)
-                entry["local_field_distance"] = cv
-            except MarchError as exc:
-                entry["local_field_distance"] = {
-                    "error": f"MarchError: {exc}"}
+        try:
+            entry["local_field_distance"] = cross_validate(
+                expansion, chart, link.lam, rho_frac=config.march_rho_frac)
+        except MarchError as exc:
+            entry["local_field_distance"] = {"error": f"MarchError: {exc}"}
         components.append(entry)
     timings["dynamics_s"] = time.perf_counter() - t0
 

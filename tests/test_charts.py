@@ -6,8 +6,8 @@ import pytest
 from knotflows import presets
 from knotflows.charts import TubeChart, build_charts, component_gaps, tube_radius
 from knotflows.config import RunConfig
-from knotflows.curves import (EmbeddingError, FourierCurve, LinkSpec,
-                              resample_arclength)
+from knotflows.curves import (ArcLengthCurve, EmbeddingError, FourierCurve,
+                              LinkSpec, resample_arclength)
 from knotflows.framing import frame_transport
 
 
@@ -206,3 +206,23 @@ def test_build_charts_uses_config_factors():
     assert [c.component_id for c in charts] == [0, 1]
     for c in charts:
         assert abs(c.w_half - 0.1 * c.radius) < 1e-12
+
+
+def test_build_charts_inverts_arc_length_and_reads_curvature_once(monkeypatch):
+    calls = {"t_at": 0, "max_curvature": 0}
+    t_at, max_curvature = ArcLengthCurve.t_at, FourierCurve.max_curvature
+
+    def counted_t_at(self, s):
+        calls["t_at"] += 1
+        return t_at(self, s)
+
+    def counted_max_curvature(self, *args, **kwargs):
+        calls["max_curvature"] += 1
+        return max_curvature(self, *args, **kwargs)
+
+    monkeypatch.setattr(ArcLengthCurve, "t_at", counted_t_at)
+    monkeypatch.setattr(FourierCurve, "max_curvature", counted_max_curvature)
+    charts = build_charts(LinkSpec(1.0, tuple(presets.hopf())), RunConfig(frame_samples=512))
+    assert len(charts) == 2
+    # one inversion and one curvature scan per component
+    assert calls == {"t_at": 2, "max_curvature": 2}

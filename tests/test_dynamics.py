@@ -12,6 +12,8 @@ from knotflows.dynamics import (NewtonFailure, OrbitEscape, PeriodicOrbit,
 from knotflows.field import BeltramiExpansion, make_basis
 from knotflows.framing import frame_transport
 
+from conftest import fd_jacobian
+
 
 class _ConstantField:
     def __init__(self, v):
@@ -229,3 +231,25 @@ def test_tube_model_field_projects_once(monkeypatch):
     jets.clear()
     field(x)
     assert projection > 0 and len(jets) == projection
+
+
+def test_tube_model_jet_projects_once_and_matches_differences(monkeypatch):
+    chart = _circle_chart()
+    field = TubeModelField(chart)
+    points = [chart.from_tube(*(np.array(c) for c in q))
+              for q in ((0.2, 0.05, 1.0), (-0.3, -0.08, 4.0), (0.0, 0.0, 0.0))]
+    values = [field(x) for x in points]
+    jacobians = [fd_jacobian(field, x) for x in points]
+    projections = []
+    to_tube_jet = chart._to_tube_jet
+
+    def counted_to_tube_jet(x):
+        projections.append(1)
+        return to_tube_jet(x)
+
+    monkeypatch.setattr(chart, "_to_tube_jet", counted_to_tube_jet)
+    for x, value, jacobian in zip(points, values, jacobians):
+        u, du = field.jet(x)
+        assert np.array_equal(u, value)
+        assert np.max(np.abs(du - jacobian)) < 1e-6
+    assert len(projections) == len(points)

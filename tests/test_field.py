@@ -64,8 +64,12 @@ def test_analytic_curl_residual_and_trace():
     u = _random_expansion(n_dirs=12, lam=3.0)
     rng = np.random.default_rng(9)
     pts = rng.uniform(-1.0, 1.0, (50, 3))
-    assert u.curl_residual(pts) < 1e-10
-    assert np.max(np.abs(np.trace(u.jacobian(pts), axis1=-2, axis2=-1))) < 1e-12
+    jac = u.jacobian(pts)
+    curl = np.stack([jac[:, 2, 1] - jac[:, 1, 2],
+                     jac[:, 0, 2] - jac[:, 2, 0],
+                     jac[:, 1, 0] - jac[:, 0, 1]], axis=-1)
+    assert np.max(np.abs(curl - u.lam * u(pts))) < 1e-10
+    assert np.max(np.abs(np.trace(jac, axis1=-2, axis2=-1))) < 1e-12
 
 
 def test_jet_matches_call_and_is_traceless():

@@ -5,6 +5,7 @@ import pytest
 import scipy.linalg
 
 from knotflows import fitting
+from knotflows.config import RunConfig
 from knotflows.field import BeltramiExpansion, make_basis
 from knotflows.fitting import (design_matrix, fit_global, make_error_budget,
                                multi_index_count)
@@ -161,6 +162,19 @@ def test_fit_residuals_follow_component_permutation():
                              stride_s=1, stride_t=1)
     expect = [report.tube_residuals[i] for i in perm]
     assert np.allclose(permuted.tube_residuals, expect, rtol=1e-6, atol=0.0)
+
+
+def test_fit_defaults_are_the_run_config_defaults():
+    rng = np.random.default_rng(8)
+    k, e = make_basis(6, rng)
+    datas = _three_tubes(rng)
+    budget = make_error_budget([1e-3] * 3, s=1)
+    default, report = fit_global(datas, budget, k, e, 1.0)
+    cfg = RunConfig()
+    explicit, _ = fit_global(datas, budget, k, e, 1.0, ridge=cfg.ridge,
+                             stride_s=cfg.fit_stride_s, stride_t=cfg.fit_stride_t)
+    assert default == explicit
+    assert report.ridge == cfg.ridge
 
 
 def test_fit_requires_one_tolerance_per_tube():

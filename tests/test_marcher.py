@@ -10,7 +10,7 @@ from knotflows.framing import frame_transport
 from knotflows.marcher import (ChartTubeMetric, FlatMetric, MarchError,
                                MarchGrid, beltrami_residual, chi_from_constraint,
                                d1_matrix, divergence_residual, initial_level,
-                               march, materialize_metric, rho_step)
+                               march, rho_step)
 from knotflows.strip import strip_metric
 
 
@@ -170,10 +170,3 @@ def test_chart_tube_metric_matches_strip_metric_on_strip():
     pts, n, x_z, x_th = metric.frame_at(0.02)
     expect = chart.strip_point(ss, tt) + 0.02 * chart.normal(ss, tt)
     assert np.max(np.abs(pts - expect)) < 1e-10
-
-
-def test_materialize_metric_stacks_levels():
-    grid, flat = _flat(nz=5, nth=8)
-    field = materialize_metric(flat, np.array([0.0, 0.1, 0.2]))
-    assert field.h11.shape == (3, 5, 8)
-    assert np.max(np.abs(field.sqrt_det - 1.0)) < 1e-14
