@@ -35,20 +35,20 @@ class TubeChart:
     # strip embedding and derivatives -------------------------------------
 
     def strip_point(self, s, t):
-        t = np.asarray(t, dtype=float)
-        return self.frame.position(s) + t[..., None] * self.frame.e1(s)
+        c, e = self.frame.jet(s)
+        return c[..., 0, :] + np.asarray(t, dtype=float)[..., None] * e[..., 0, :]
 
     def strip_jet(self, s, t):
         """First and second derivatives of the strip embedding at (s, t).
 
-        s and t broadcast; the frame series are evaluated once per s value.
+        s and t broadcast; one series evaluation per s value gives c, e1 and
+        their first two s-derivatives.
         """
         t = np.asarray(t, dtype=float)[..., None]
+        c, e = self.frame.jet(s)
         shape = np.broadcast_shapes(np.shape(s) + (3,), t.shape)
-        e1, de1, d2e1 = (np.broadcast_to(self.frame.e1(s, k), shape) for k in range(3))
-        S = self.frame.position(s) + t * e1
-        S_s = self.frame.position(s, 1) + t * de1
-        S_ss = self.frame.position(s, 2) + t * d2e1
+        e1, de1, d2e1 = (np.broadcast_to(e[..., k, :], shape) for k in range(3))
+        S, S_s, S_ss = (c[..., k, :] + t * e[..., k, :] for k in range(3))
         return {"S": S, "S_s": S_s, "S_ss": S_ss, "S_t": e1, "S_st": de1,
                 "e1": e1, "de1": de1, "d2e1": d2e1}
 
@@ -70,7 +70,7 @@ class TubeChart:
         """Columns (X_rho, X_z, X_theta) of the chart differential."""
         return chart_columns(self.normal_jet(theta, z), rho)
 
-    def _project(self, x, s0, t0, max_iter=40):
+    def _project(self, x, s0, t0):
         """Newton for the closest strip point; returns (s, t, jet at (s, t), ok)."""
 
         def residual(s, t):
@@ -81,7 +81,7 @@ class TubeChart:
         s, t = float(s0), float(t0)
         tol = 1e-13 * max(1.0, float(np.linalg.norm(x)))
         jet, d, f = residual(s, t)
-        for it in range(max_iter):
+        for it in range(40):
             if np.linalg.norm(f) < tol:
                 return s % self.length, t, jet, True
             j11 = -np.dot(jet["S_s"], jet["S_s"]) + np.dot(d, jet["S_ss"])

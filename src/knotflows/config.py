@@ -13,8 +13,8 @@ class RunConfig:
     All defaults are the values used by the acceptance suite. The CLI sets
     lam, directions, ridge, rtol, atol, seed and eps_tilde; any field can be
     overridden by constructing a replaced copy. Numerics not listed here (the
-    integrator method, Newton iteration caps, marching cutoffs) are the
-    defaults of the functions that own them.
+    integrator method, Newton iteration caps, marching cutoffs) are fixed in
+    the functions that own them.
     """
 
     lam: float = 1.0                 # Beltrami eigenvalue, must be > 0

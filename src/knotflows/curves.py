@@ -83,39 +83,39 @@ class FourierCurve:
 class SpectralSeries:
     """Trigonometric interpolant of periodic samples, with exact derivatives.
 
-    Built from n uniform samples over one period; evaluates the interpolant and
-    its derivatives at arbitrary parameter values.
+    Built from (n, d) samples, uniform over one period. A call at s returns
+    shape s.shape + (3, d): the interpolant and its first and second
+    derivatives, from one complex phase matrix times one (K, 3d) coefficient
+    table with columns [value | d/ds | d2/ds2].
     """
 
     def __init__(self, samples: np.ndarray, period: float):
-        samples = np.asarray(samples, dtype=float)
-        if samples.ndim == 1:
-            samples = samples[:, None]
-        self.n = samples.shape[0]
-        self.period = float(period)
-        self.omega = 2.0 * np.pi / self.period
-        self.coeffs = np.fft.rfft(samples, axis=0)  # (n//2+1, d)
-        self._ik = 1j * self.omega * np.arange(self.coeffs.shape[0])
-        self._scaled = {}  # deriv -> coefficients times weight * (i m omega)^deriv
+        samples = np.asarray(samples, dtype=float).reshape(len(samples), -1)
+        n, self.dim = samples.shape
+        coeffs = np.fft.rfft(samples, axis=0)  # (n//2+1, d)
+        self._ik = 1j * (2.0 * np.pi / float(period)) * np.arange(coeffs.shape[0])
+        w = np.full(coeffs.shape[0], 2.0 / n)
+        w[0] = 1.0 / n
+        wd = w.copy()
+        if n % 2 == 0:
+            # the Nyquist mode counts once, and is dropped when differentiating
+            w[-1], wd[-1] = 1.0 / n, 0.0
+        self.table = np.hstack([coeffs * w[:, None],
+                                coeffs * (wd * self._ik)[:, None],
+                                coeffs * (wd * self._ik**2)[:, None]])
 
-    def __call__(self, s, deriv: int = 0) -> np.ndarray:
-        if deriv not in self._scaled:
-            w = np.full(self.coeffs.shape[0], 2.0 / self.n)
-            w[0] = 1.0 / self.n
-            if self.n % 2 == 0:
-                # the Nyquist mode counts once, and is dropped when differentiating
-                w[-1] = 0.0 if deriv else 1.0 / self.n
-            self._scaled[deriv] = self.coeffs * (w * self._ik**deriv)[:, None]
-        phase = np.exp(np.multiply.outer(np.asarray(s, dtype=float), self._ik))
-        return np.real(phase @ self._scaled[deriv])
+    def __call__(self, s) -> np.ndarray:
+        s = np.asarray(s, dtype=float)
+        phase = np.exp(np.multiply.outer(s, self._ik))
+        return np.real(phase @ self.table).reshape(s.shape + (3, self.dim))
 
 
 class ArcLengthCurve:
     """Arc-length model of a closed FourierCurve.
 
     Provides the total length, the inverse parameter map t(s), uniform
-    arc-length samples, spectrally interpolated position derivatives, and the
-    self-distance and reach from one scan of the sampled chords.
+    arc-length samples, and the self-distance and reach from one scan of the
+    sampled chords.
     """
 
     def __init__(self, curve: FourierCurve, n: int = 1024):
@@ -138,7 +138,6 @@ class ArcLengthCurve:
         self.s_nodes = self.length * np.arange(self.n) / self.n
         self.t_nodes = self.t_at(self.s_nodes)
         self.points = curve.point(self.t_nodes)
-        self.position = SpectralSeries(self.points, self.length)
         self._closest, self._reach = self._scan_chords()
 
     def arclen(self, t) -> np.ndarray:

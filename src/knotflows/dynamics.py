@@ -51,13 +51,13 @@ class Trajectory:
 
 
 def integrate(field, x0, t_end: float, rtol: float = 1e-10, atol: float = 1e-12,
-              method: str = "DOP853", n_samples: int = 0) -> Trajectory:
+              n_samples: int = 0) -> Trajectory:
     """Flow x' = u(x) from x0 over [0, t_end] with dense output."""
 
     def rhs(t, y):
         return field(y)
 
-    sol = solve_ivp(rhs, (0.0, t_end), np.asarray(x0, dtype=float), method=method,
+    sol = solve_ivp(rhs, (0.0, t_end), np.asarray(x0, dtype=float), method="DOP853",
                     rtol=rtol, atol=atol, dense_output=True)
     if not sol.success:
         raise IntegrationError(f"integration failed: {sol.message}",
@@ -94,9 +94,8 @@ class FloquetData:
 
 
 def refine_orbit(field, chart: TubeChart, rtol: float = 1e-10, atol: float = 1e-12,
-                 method: str = "DOP853", closure_tol: float = 1e-9,
-                 max_iter: int = 30, t_max_factor: float = 4.0,
-                 n_samples: int = 1024, n_segments: int | None = None) -> PeriodicOrbit:
+                 closure_tol: float = 1e-9, max_iter: int = 30,
+                 n_samples: int = 1024) -> PeriodicOrbit:
     """Newton-refine the periodic orbit of `field` near the core of `chart`.
 
     Newton acts on m segment closures plus the phase condition
@@ -114,7 +113,7 @@ def refine_orbit(field, chart: TubeChart, rtol: float = 1e-10, atol: float = 1e-
     u_anchor = field(anchor)
 
     # keep per-segment stretching e^{T/m} modest even for cores hundreds long
-    m = n_segments or int(np.clip(np.ceil(0.5 * chart.length), 8, 64))
+    m = int(np.clip(np.ceil(0.5 * chart.length), 8, 64))
     # shooting nodes: core points at equal arc distances starting at the anchor
     n_core = arc.points.shape[0]
     idx = (anchor_idx + (np.arange(m) * n_core) // m) % n_core
@@ -122,7 +121,7 @@ def refine_orbit(field, chart: TubeChart, rtol: float = 1e-10, atol: float = 1e-
     d = (arc.s_nodes[idx] - arc.s_nodes[anchor_idx]) % chart.length
     seg_arc = np.diff(np.append(d, chart.length))
     period = float(np.sum(seg_arc / speeds[idx]))
-    t_cap = t_max_factor * chart.length / max(np.min(speeds), 1e-12)
+    t_cap = 4.0 * chart.length / max(np.min(speeds), 1e-12)
 
     n_unk = 3 * m + 1
 
@@ -130,8 +129,7 @@ def refine_orbit(field, chart: TubeChart, rtol: float = 1e-10, atol: float = 1e-
         ys = np.empty((m, 3))
         mats = np.empty((m, 3, 3))
         for i in range(m):
-            ys[i], mats[i] = _fundamental_segment(
-                field, nodes[i], 0.0, period / m, rtol, atol, method)
+            ys[i], mats[i] = _fundamental_segment(field, nodes[i], 0.0, period / m, rtol, atol)
         f = np.empty(n_unk)
         f[:3 * m] = (ys - np.roll(nodes, -1, axis=0)).ravel()
         f[3 * m] = np.dot(u_anchor, nodes[0] - anchor)
@@ -192,13 +190,13 @@ def refine_orbit(field, chart: TubeChart, rtol: float = 1e-10, atol: float = 1e-
     ts = seg_t * np.arange(per) / per
     pts = np.empty((m * per, 3))
     for i in range(m):
-        seg = integrate(field, nodes[i], seg_t, rtol, atol, method)
+        seg = integrate(field, nodes[i], seg_t, rtol, atol)
         pts[i * per:(i + 1) * per] = seg.at(ts)
     return PeriodicOrbit(points=pts, period=period, anchor=x0,
                          closure_residual=res, newton_iterations=it)
 
 
-def _fundamental_segment(field, x0, t0, t1, rtol, atol, method):
+def _fundamental_segment(field, x0, t0, t1, rtol, atol):
     """Integrate state + 3x3 variational matrix over [t0, t1] from (x0, I).
 
     Each right-hand side makes exactly one field.jet call.
@@ -209,15 +207,14 @@ def _fundamental_segment(field, x0, t0, t1, rtol, atol, method):
         return np.concatenate([u, (du @ y[3:].reshape(3, 3)).ravel()])
 
     y0 = np.concatenate([np.asarray(x0, dtype=float), np.eye(3).ravel()])
-    sol = solve_ivp(rhs, (t0, t1), y0, method=method, rtol=rtol, atol=atol)
+    sol = solve_ivp(rhs, (t0, t1), y0, method="DOP853", rtol=rtol, atol=atol)
     if not sol.success:
         raise IntegrationError(f"variational integration failed: {sol.message}")
     return sol.y[:3, -1], sol.y[3:, -1].reshape(3, 3)
 
 
 def monodromy(field, orbit: PeriodicOrbit, rtol: float = 1e-11,
-              atol: float = 1e-13, method: str = "DOP853",
-              n_segments: int | None = None) -> FloquetData:
+              atol: float = 1e-13, n_segments: int | None = None) -> FloquetData:
     """Floquet data of a periodic orbit via a segmented fundamental-matrix product.
 
     M(T) is assembled as M_n ... M_1 with every factor integrated from the
@@ -239,7 +236,7 @@ def monodromy(field, orbit: PeriodicOrbit, rtol: float = 1e-11,
     for k in range(n_segments):
         i0, i1 = int(bounds[k]), int(bounds[k + 1])
         _, mk = _fundamental_segment(field, orbit.points[i0 % n],
-                                     0.0, T * (i1 - i0) / n, rtol, atol, method)
+                                     0.0, T * (i1 - i0) / n, rtol, atol)
         factors.append(mk)
         det *= float(np.linalg.det(mk))
     us = field(orbit.points[bounds % n])
@@ -286,14 +283,12 @@ class TubeModelField:
     Exact saddle dynamics around the core: period = core length, multipliers
     {e^{-T}, e^{+T}}. Serves as the closed-form oracle for the orbit pipeline.
     jet makes one chart projection: Du is the chart-coordinate derivative of
-    the pushforward, by central differences of step fd_step in
-    (rho, z, theta), which need no projection, times the inverse chart
-    Jacobian.
+    the pushforward, by central differences of step 1e-6 in (rho, z, theta),
+    which need no projection, times the inverse chart Jacobian.
     """
 
-    def __init__(self, chart: TubeChart, fd_step: float = 1e-6):
+    def __init__(self, chart: TubeChart):
         self.chart = chart
-        self.fd_step = fd_step
 
     def _coords(self, x):
         found = self.chart._to_tube_jet(np.asarray(x, dtype=float))
@@ -310,9 +305,10 @@ class TubeModelField:
 
     def jet(self, x):
         rho, z, theta, nj = self._coords(x)
-        q = np.array([rho, z, theta]) + self.fd_step * np.vstack([np.eye(3), -np.eye(3)])
+        h = 1e-6
+        q = np.array([rho, z, theta]) + h * np.vstack([np.eye(3), -np.eye(3)])
         v = _model_vector(self.chart.normal_jet(q[:, 2], q[:, 1]), q[:, 0], q[:, 1])
-        dv_dq = (v[:3] - v[3:]).T / (2.0 * self.fd_step)
+        dv_dq = (v[:3] - v[3:]).T / (2.0 * h)
         cols = np.column_stack(chart_columns(nj, rho))
         return _model_vector(nj, rho, z), np.linalg.solve(cols.T, dv_dq.T).T
 

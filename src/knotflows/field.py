@@ -70,7 +70,7 @@ class BeltramiExpansion:
     alpha: np.ndarray   # (m,)
     beta: np.ndarray    # (m,)
     f: np.ndarray = dc_field(init=False, repr=False)
-    # tables of jet(), built in __post_init__
+    # tables of jet() and __call__, built in __post_init__
     lk: np.ndarray = dc_field(init=False, repr=False, compare=False)
     cos_table: np.ndarray = dc_field(init=False, repr=False, compare=False)
     sin_table: np.ndarray = dc_field(init=False, repr=False, compare=False)
@@ -78,23 +78,28 @@ class BeltramiExpansion:
     def __post_init__(self):
         if self.lam == 0.0:
             raise ValueError("lambda must be nonzero")
-        k = np.atleast_2d(np.asarray(self.k, dtype=float))
-        e = np.atleast_2d(np.asarray(self.e, dtype=float))
+        k, e, alpha, beta = (np.asarray(v, dtype=float)
+                             for v in (self.k, self.e, self.alpha, self.beta))
+        m = k.shape[0] if k.ndim == 2 else -1
+        shapes = (k.shape, e.shape, alpha.shape, beta.shape)
+        if shapes != ((m, 3), (m, 3), (m,), (m,)):
+            raise ValueError("k, e, alpha, beta need shapes (m, 3), (m, 3), (m,), (m,); "
+                             f"got {shapes}")
         _check_members(k, e)
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "e", e)
-        object.__setattr__(self, "alpha", np.asarray(self.alpha, dtype=float))
-        object.__setattr__(self, "beta", np.asarray(self.beta, dtype=float))
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "beta", beta)
         f = np.cross(k, e)
         object.__setattr__(self, "f", f)
         # u = A e + B f with A = c alpha + s beta, B = c beta - s alpha; since
         # dA = lam B k and dB = -lam A k, Du = lam (B e - A f) k^T. Both are
         # A @ w1 + B @ w2 with rows w1 = [e | -lam f k^T], w2 = [f | lam e k^T],
         # and folding alpha, beta into the rows leaves one cos and one sin term
-        m, lam = k.shape[0], self.lam
+        lam = self.lam
         w1 = np.hstack([e, -lam * (f[:, :, None] * k[:, None, :]).reshape(m, 9)])
         w2 = np.hstack([f, lam * (e[:, :, None] * k[:, None, :]).reshape(m, 9)])
-        a, b = self.alpha[:, None], self.beta[:, None]
+        a, b = alpha[:, None], beta[:, None]
         object.__setattr__(self, "lk", np.ascontiguousarray((lam * k).T))
         object.__setattr__(self, "cos_table", a * w1 + b * w2)
         object.__setattr__(self, "sin_table", b * w1 - a * w2)
@@ -115,15 +120,10 @@ class BeltramiExpansion:
         return self.k.shape[0]
 
     def __call__(self, x) -> np.ndarray:
-        """Field values; x is (3,) or (n, 3)."""
-        x = np.asarray(x, dtype=float)
-        single = x.ndim == 1
-        pts = np.atleast_2d(x)
-        phase = self.lam * (pts @ self.k.T)          # (n, m)
-        c, s = np.cos(phase), np.sin(phase)
-        u = (c * self.alpha + s * self.beta) @ self.e \
-            + (c * self.beta - s * self.alpha) @ self.f
-        return u[0] if single else u
+        """Field values; x is (3,) or (n, 3). Reads the value columns of jet's
+        tables, so the two share one formula."""
+        phase = np.asarray(x, dtype=float) @ self.lk
+        return np.cos(phase) @ self.cos_table[:, :3] + np.sin(phase) @ self.sin_table[:, :3]
 
     def jet(self, x):
         """Field values and Jacobians d u_i / d x_j from one cos/sin pass.

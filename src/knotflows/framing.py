@@ -58,8 +58,9 @@ class FrameModel:
 
     The raw transported frame picks up a holonomy angle around the loop; the
     correction rotates e1 by -holonomy * s / L so the frame closes up, and the
-    closed samples are stored as trigonometric interpolants. Positions, frames
-    and their s-derivatives all come from those interpolants, which keeps every
+    closed samples, with the positions beside them, are stored as one
+    trigonometric interpolant over the (n, 6) samples [c | e1]. Positions,
+    frames and their s-derivatives all come from it, which keeps every
     downstream geometric quantity self-consistent.
     """
 
@@ -84,17 +85,21 @@ class FrameModel:
         e1 = _unit(e1)
         self.e1_samples = e1
         self.tan_samples = tans
-        self._e1 = SpectralSeries(e1, self.length)
-        self._pos = arc.position
+        self.series = SpectralSeries(np.hstack([pts, e1]), self.length)
+
+    def jet(self, s):
+        """(c, e1) from one series call, each s.shape + (3, 3): [..., d/ds order, xyz]."""
+        v = self.series(s)
+        return v[..., :3], v[..., 3:]
 
     def position(self, s, deriv: int = 0) -> np.ndarray:
-        return self._pos(s, deriv)
+        return self.jet(s)[0][..., deriv, :]
 
     def tangent(self, s) -> np.ndarray:
-        return _unit(self._pos(s, 1))
+        return _unit(self.position(s, 1))
 
     def e1(self, s, deriv: int = 0) -> np.ndarray:
-        return self._e1(s, deriv)
+        return self.jet(s)[1][..., deriv, :]
 
     def e2(self, s) -> np.ndarray:
         return np.cross(self.tangent(s), self.e1(s))

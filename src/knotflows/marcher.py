@@ -290,9 +290,7 @@ def ambient_field(result: MarchResult, metric: ChartTubeMetric, level_index: int
     return points, vectors
 
 
-def cross_validate(field, chart: TubeChart, lam: float, rho_frac: float = 0.2,
-                   n_steps: int = 8, z_nodes: int = 17, n_theta: int = 64,
-                   m_max: int = 32, growth_cap: float = 10.0) -> dict:
+def cross_validate(field, chart: TubeChart, lam: float, rho_frac: float = 0.2) -> dict:
     """Measured C0/C1 distance between a fitted field and the marched local field.
 
     Marches the exact Cauchy data both ways across the trusted range and
@@ -302,14 +300,14 @@ def cross_validate(field, chart: TubeChart, lam: float, rho_frac: float = 0.2,
     e^{rho/w}-ish, so the tube radius is the wrong yardstick when w << r).
     """
     w = chart.w_half
+    n_steps, z_nodes, n_theta = 8, 17, 64
     grid = MarchGrid(np.linspace(-w, w, z_nodes), n_theta, chart.length)
     metric = ChartTubeMetric(chart, grid)
     rho_max = rho_frac * w
     c0 = 0.0
     grads = []
     for sign in (+1.0, -1.0):
-        res = march(metric, lam, sign * rho_max, n_steps, grid=grid,
-                    m_max=m_max, growth_cap=growth_cap)
+        res = march(metric, lam, sign * rho_max, n_steps, grid=grid)
         diffs = []
         for i in range(len(res.rhos)):
             pts, vec = ambient_field(res, metric, i)

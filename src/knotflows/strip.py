@@ -129,7 +129,7 @@ def _g_and_derivatives(chart: TubeChart, s: float):
     return g, -dh_dt / h**2, -dh_ds / h**2
 
 
-def strip_monodromy(chart: TubeChart, rtol: float = 1e-12, atol: float = 1e-14):
+def strip_monodromy(chart: TubeChart):
     """Transverse multiplier of the core cycle of the in-strip field g d/ds - t d/dt.
 
     Integrates the 2x2 linearization around the cycle (parametrized by theta,
@@ -146,7 +146,7 @@ def strip_monodromy(chart: TubeChart, rtol: float = 1e-12, atol: float = 1e-14):
 
     y0 = np.concatenate([[0.0], np.eye(2).ravel()])
     sol = solve_ivp(rhs, (0.0, chart.length), y0, method="DOP853",
-                    rtol=rtol, atol=atol, dense_output=False)
+                    rtol=1e-12, atol=1e-14, dense_output=False)
     if not sol.success:
         raise RuntimeError(f"strip monodromy integration failed: {sol.message}")
     period = sol.y[0, -1]

@@ -7,7 +7,7 @@ from knotflows import presets
 from knotflows.charts import TubeChart, build_charts, component_gaps, tube_radius
 from knotflows.config import RunConfig
 from knotflows.curves import (ArcLengthCurve, EmbeddingError, FourierCurve,
-                              LinkSpec, resample_arclength)
+                              LinkSpec, SpectralSeries, resample_arclength)
 from knotflows.framing import frame_transport
 
 
@@ -96,6 +96,24 @@ def test_strip_embedding_of_radially_framed_circle():
     assert np.max(np.abs(jet["S_t"] - chart.frame.e1(s))) < 1e-12
     n = chart.normal(s, t)
     assert np.max(np.abs(np.abs(n[:, 2]) - 1.0)) < 1e-8
+
+
+def test_strip_jet_makes_one_series_evaluation(monkeypatch):
+    chart = _trefoil_chart()
+    calls = []
+    call = SpectralSeries.__call__
+
+    def counted(self, s, *args):
+        calls.append(np.shape(s))
+        return call(self, s, *args)
+
+    monkeypatch.setattr(SpectralSeries, "__call__", counted)
+    chart.strip_jet(1.3, np.array(0.01))
+    assert calls == [()]
+    calls.clear()
+    s = np.linspace(0.0, chart.length, 5, endpoint=False)
+    chart.strip_jet(s[:, None], np.linspace(-0.01, 0.01, 3)[None, :])
+    assert calls == [(5, 1)]
 
 
 def test_core_point_maps_to_origin_coordinates():

@@ -6,6 +6,7 @@ import pytest
 from knotflows import presets
 from knotflows.curves import (ArcLengthCurve, EmbeddingError, FourierCurve,
                               LinkSpec, SpectralSeries, resample_arclength)
+from knotflows.framing import frame_transport
 
 from conftest import quadrature_length
 
@@ -16,11 +17,11 @@ def test_circle_length_is_2pi():
 
 
 def test_unit_speed_after_reparametrization():
-    # |dc/ds| = 1 at the samples, via the spectral position model
+    # |dc/ds| = 1 at the samples, via the frame's spectral position model
     for curve in (presets.circle(1.0)[0], presets.trefoil()[0],
                   presets.figure_eight()[0]):
         arc = resample_arclength(curve, 512)
-        vel = arc.position(arc.s_nodes, 1)
+        vel = frame_transport(arc).position(arc.s_nodes, 1)
         speeds = np.linalg.norm(vel, axis=1)
         assert np.max(np.abs(speeds - 1.0)) < 1e-8
 
@@ -88,8 +89,12 @@ def test_spectral_series_reproduces_samples_and_derivative():
     sq = np.linspace(0.0, 2.0 * np.pi, 17)
     expect = np.column_stack([np.cos(3 * sq), np.sin(2 * sq)])
     d_expect = np.column_stack([-3 * np.sin(3 * sq), 2 * np.cos(2 * sq)])
-    assert np.max(np.abs(series(sq) - expect)) < 1e-12
-    assert np.max(np.abs(series(sq, 1) - d_expect)) < 1e-11
+    dd_expect = np.column_stack([-9 * np.cos(3 * sq), -4 * np.sin(2 * sq)])
+    jet = series(sq)
+    assert jet.shape == (17, 3, 2)
+    assert np.max(np.abs(jet[:, 0] - expect)) < 1e-12
+    assert np.max(np.abs(jet[:, 1] - d_expect)) < 1e-11
+    assert np.max(np.abs(jet[:, 2] - dd_expect)) < 1e-10
 
 
 def test_reach_of_unit_circle_is_one():

@@ -209,8 +209,7 @@ def test_variational_rhs_makes_one_jet_call(monkeypatch):
         return sol
 
     monkeypatch.setattr(dynamics, "solve_ivp", counted_solve_ivp)
-    dynamics._fundamental_segment(field, np.zeros(3), 0.0, 2.0, 1e-10, 1e-12,
-                                  "DOP853")
+    dynamics._fundamental_segment(field, np.zeros(3), 0.0, 2.0, 1e-10, 1e-12)
     assert nfev and field.calls == {"__call__": 0, "jacobian": 0, "jet": nfev[0]}
 
 

@@ -122,6 +122,18 @@ def test_member_validation():
         BeltramiExpansion(1.0, [[0.0, 0.0, 1.0]], [[0.0, 0.0, 1.0]], [1.0], [0.0])
     with pytest.raises(ValueError, match="nonzero"):
         BeltramiExpansion(0.0, [[0.0, 0.0, 1.0]], [[1.0, 0.0, 0.0]], [1.0], [0.0])
+    # shapes: k and e must be (m, 3), alpha and beta (m,); nothing broadcasts
+    k3 = [[0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]
+    e3 = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
+    for k, e, alpha, beta in (
+            (k3, e3, [1.0], [0.0]),                        # one coefficient, 3 members
+            (k3, e3, np.ones((3, 1)), np.zeros((3, 1))),   # (m, 1) coefficients
+            (k3, e3, 1.0, 0.0),                            # scalar coefficients
+            ([[1.0, 0.0]], [[0.0, 1.0]], [1.0], [0.0]),    # 2-vectors
+            ([[0.0, 0.0, 1.0]], [[1.0, 0.0]], [1.0], [0.0]),
+            ([0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [1.0], [0.0])):  # k not (m, 3)
+        with pytest.raises(ValueError, match="shape"):
+            BeltramiExpansion(1.0, k, e, alpha, beta)
 
 
 def test_expansion_equality_by_value_and_unhashable():

@@ -136,6 +136,18 @@ def test_field_malformed_documents(tmp_path):
                                              "alpha": 1.0, "beta": 0.0}]}))
     with pytest.raises(FileFormatError, match="unit"):
         load_field(path)
+    # malformed member shapes are format errors, not crashes or silent broadcasts
+    member = {"k": [0, 0, 1], "e": [1, 0, 0], "alpha": 1.0, "beta": 0.0}
+    for bad in ({"alpha": [0.5]}, {"beta": [0.5, 0.1]}, {"k": [1.0, 0.0]},
+                {"e": [1.0, 0.0, 0.0, 0.0]}):
+        path.write_text(json.dumps({"schema": "knotflows.field/1", "lambda": 1.0,
+                                    "members": [member, {**member, **bad}]}))
+        with pytest.raises(FileFormatError):
+            load_field(path)
+        path.write_text(json.dumps({"schema": "knotflows.field/1", "lambda": 1.0,
+                                    "members": [{**member, **bad}]}))
+        with pytest.raises(FileFormatError, match="shape"):
+            load_field(path)
 
 
 def test_seeds_round_trip_including_empty(tmp_path):
