@@ -12,7 +12,7 @@ import numpy as np
 from knotflows import fileio
 from knotflows.config import RunConfig
 from knotflows.curves import LinkSpec
-from knotflows.dynamics import integrate, refine_orbit
+from knotflows.dynamics import integrate
 from knotflows.pipeline import synthesize, verify
 from knotflows.presets import circle
 
@@ -43,13 +43,13 @@ print(f"Floquet multipliers {comp['multipliers'][0]:.4f}, "
       f"{comp['multipliers'][1]:.6f}; det M = {comp['det_monodromy']:.12f}")
 print(f"Hausdorff distance to the circle: {comp['hausdorff']:.3e}")
 
-# trace one full period from the refined orbit anchor; the endpoint gap is
+# trace one full period from the refined orbit's first sample; the endpoint gap is
 # the closure quality a plotting tool will see
-orbit = refine_orbit(result.expansion, result.charts[0])
-traj = integrate(result.expansion, orbit.anchor,
+orbit = outcome.orbits[0]
+traj = integrate(result.expansion, orbit.points[0],
                  orbit.period, rtol=1e-10, atol=1e-12, n_samples=2048)
 gap = np.linalg.norm(traj.x[-1] - traj.x[0])
 fileio.write_table(out / "unknot_orbit.csv", ["t", "x", "y", "z"],
                    [traj.t, traj.x[:, 0], traj.x[:, 1], traj.x[:, 2]])
-print(f"traced one period from the orbit anchor: closure gap {gap:.3e}")
+print(f"traced one period from the orbit's first sample: closure gap {gap:.3e}")
 print(f"overall: {'PASS' if outcome.passed else 'FAIL'}")

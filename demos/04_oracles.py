@@ -4,8 +4,8 @@
    the core cycle of a component of length L has transverse multiplier e^{-L}.
 2. Tube-model Floquet: extending the strip dynamics to a 3D model field over
    the circle gives a saddle with multipliers {e^{-2pi}, e^{2pi}} and unit
-   monodromy determinant. The general-purpose multiple-shooting monodromy
-   solver must reproduce them.
+   monodromy determinant. The general-purpose multiple-shooting orbit solver,
+   whose closing shoot also gives the Floquet factors, must reproduce them.
 
 Both numbers are known exactly, so they pin the integrators down before any
 fitted field is trusted.
@@ -15,7 +15,7 @@ import numpy as np
 
 from knotflows.charts import TubeChart
 from knotflows.curves import resample_arclength
-from knotflows.dynamics import PeriodicOrbit, TubeModelField, monodromy
+from knotflows.dynamics import TubeModelField, monodromy, refine_orbit
 from knotflows.framing import frame_transport
 from knotflows.presets import circle, figure_eight, trefoil
 from knotflows.strip import strip_monodromy
@@ -35,10 +35,11 @@ print("tube-model Floquet multipliers over circle(1):")
 chart = TubeChart(frame_transport(resample_arclength(circle(1.0)[0], 96)),
                   0.5, 0.1)
 field = TubeModelField(chart)
-pts = chart.frame.arc.points
-orbit = PeriodicOrbit(points=pts, period=chart.length, anchor=pts[0],
-                      closure_residual=0.0, newton_iterations=0)
-flo = monodromy(field, orbit, rtol=1e-9, atol=1e-11)
+# the chart core is the model's orbit: Newton closes it without a step
+orbit = refine_orbit(field, chart, rtol=1e-9, atol=1e-11)
+flo = monodromy(field, orbit)
+print(f"  period {orbit.period:.10f} (2pi = {2 * np.pi:.10f}), "
+      f"{orbit.newton_iterations} Newton steps, closure {orbit.closure_residual:.1e}")
 mu_u, mu_s = flo.multipliers
 print(f"  unstable: {mu_u:.8f}   (e^2pi  = {np.exp(2 * np.pi):.8f})")
 print(f"  stable:   {mu_s:.8f}   (e^-2pi = {np.exp(-2 * np.pi):.8f})")

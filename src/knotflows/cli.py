@@ -111,6 +111,7 @@ def cmd_trace(args) -> int:
     seeds = fileio.load_seeds(args.seeds)
     if args.t_end < 0:
         raise FileFormatError("t-end must be >= 0")
+    tol = _config_from_args(args, RunConfig.lam)  # checks rtol and atol
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     failures = 0
@@ -120,9 +121,8 @@ def cmd_trace(args) -> int:
             ts, xs = np.array([0.0]), seed[None, :]
         else:
             try:
-                traj = integrate(expansion, seed, args.t_end,
-                                 rtol=args.rtol or 1e-10, atol=args.atol or 1e-12,
-                                 n_samples=args.samples)
+                traj = integrate(expansion, seed, args.t_end, rtol=tol.rtol,
+                                 atol=tol.atol, n_samples=args.samples)
                 ts, xs = traj.t, traj.x
             except IntegrationError as exc:
                 print(f"seed {i}: integration failed: {exc}", file=sys.stderr)

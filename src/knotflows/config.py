@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 
 
@@ -34,7 +35,7 @@ class RunConfig:
     eps_tilde: float = 1e-3          # per-tube strip residual tolerance
     rtol: float = 1e-10              # integrator relative tolerance
     atol: float = 1e-12              # integrator absolute tolerance
-    orbit_samples: int = 1024        # polyline samples per recovered orbit
+    orbit_samples: int = 1024        # orbit samples at times kT/n, read from the closing shoot
     closure_tol: float = 1e-9        # |x(T) - x(0)| required of a refined orbit
     march_rho_frac: float = 0.2      # trusted range = march_rho_frac * strip half-width
     defect_tol: float = 0.1          # max pre-rounding defect accepted for linking numbers
@@ -44,6 +45,16 @@ class RunConfig:
     curl_tol: float = 1e-6           # relative FD curl error gate
     div_tol: float = 1e-8            # FD divergence gate
     seed: int = 0                    # seed for direction jitter
+
+    def __post_init__(self):
+        # fail before any geometry runs: a NaN or zero integrator tolerance
+        # makes the integrator's step loop spin instead of failing
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            zero_ok = f.name in ("ridge", "budget_order", "seed")
+            if not (math.isfinite(value) and (value > 0 or zero_ok and value == 0)):
+                raise ValueError(f"config {f.name} must be finite and "
+                                 f"{'>=' if zero_ok else '>'} 0, got {value!r}")
 
     def replace(self, **kw) -> "RunConfig":
         return dataclasses.replace(self, **kw)

@@ -3,13 +3,14 @@
 The periodic orbits of interest are saddles: one Floquet multiplier inside the
 unit circle, one outside, product one. Orbits are located by damped Newton on
 a multiple-shooting system (segment closures plus a phase condition on the
-first node) and certified through a segmented monodromy product whose
-determinant and stable multiplier stay resolvable even when e^{T} is large.
+first node). The shoot that closes the system is the orbit's one integration:
+its dense interpolants give the orbit samples, and its segment transfer
+matrices give a segmented monodromy product whose determinant and stable
+multiplier stay resolvable even when e^{T} is large.
 
 Fields are callables x -> u(x) on (3,) or (n, 3) points. The variational flow
-(refine_orbit's shoots and monodromy) also needs field.jet(x) -> (u(x), Du(x))
-for a (3,) point: each of its right-hand sides is one jet call and no other
-field call.
+of refine_orbit's shoots also needs field.jet(x) -> (u(x), Du(x)) for a (3,)
+point: each of its right-hand sides is one jet call and no other field call.
 """
 
 from __future__ import annotations
@@ -72,11 +73,12 @@ def integrate(field, x0, t_end: float, rtol: float = 1e-10, atol: float = 1e-12,
 
 @dataclass
 class PeriodicOrbit:
-    points: np.ndarray          # (n, 3) samples over one period, x(0) first
+    points: np.ndarray          # (n, 3) samples x(kT/n), k = 0..n-1, x(0) first
     period: float
-    anchor: np.ndarray
     closure_residual: float
     newton_iterations: int
+    nodes: np.ndarray           # (m, 3) nodes of the closing shoot, nodes[0] = x(0)
+    transfers: np.ndarray       # (m, 3, 3) transfer matrix of each segment, T/m long
 
 
 @dataclass
@@ -105,6 +107,10 @@ def refine_orbit(field, chart: TubeChart, rtol: float = 1e-10, atol: float = 1e-
     amplifies seed error by the unstable multiplier, kicking the first return
     out of the fitted neighborhood). Segment Jacobians come from the analytic
     variational equation. Iterates that leave the tube raise OrbitEscape.
+
+    The closing shoot is the orbit's only integration: its nodes and transfer
+    matrices are returned for `monodromy`, and the n_samples points at times
+    kT/n are read from its segments' dense interpolants.
     """
     arc = chart.frame.arc
     speeds = np.linalg.norm(field(arc.points), axis=1)
@@ -126,20 +132,21 @@ def refine_orbit(field, chart: TubeChart, rtol: float = 1e-10, atol: float = 1e-
     n_unk = 3 * m + 1
 
     def shoot(nodes, period):
-        ys = np.empty((m, 3))
-        mats = np.empty((m, 3, 3))
-        for i in range(m):
-            ys[i], mats[i] = _fundamental_segment(field, nodes[i], 0.0, period / m, rtol, atol)
-        f = np.empty(n_unk)
-        f[:3 * m] = (ys - np.roll(nodes, -1, axis=0)).ravel()
-        f[3 * m] = np.dot(u_anchor, nodes[0] - anchor)
-        return f, ys, mats
+        ends, mats, sols = zip(*(_fundamental_segment(field, x, 0.0, period / m, rtol, atol)
+                                 for x in nodes))
+        ys = np.array(ends)
+        f = np.append((ys - np.roll(nodes, -1, axis=0)).ravel(),
+                      np.dot(u_anchor, nodes[0] - anchor))
+        return f, ys, np.array(mats), sols
 
-    f, ys, mats = shoot(nodes, period)
+    f, ys, mats, sols = shoot(nodes, period)
     res = float(np.max(np.abs(f)))
-    for it in range(max_iter):
-        if res < closure_tol:
-            break
+    it = 0
+    while not res < closure_tol:
+        if it == max_iter:
+            raise NewtonFailure(
+                f"shooting system not closed after {max_iter} iterations", res,
+                iterate=nodes[0])
         jac = np.zeros((n_unk, n_unk))
         for i in range(m):
             r = slice(3 * i, 3 * i + 3)
@@ -163,42 +170,37 @@ def refine_orbit(field, chart: TubeChart, rtol: float = 1e-10, atol: float = 1e-
             if not 0.0 < new_period < t_cap:
                 scale *= 0.5
                 continue
-            f_new, ys_new, mats_new = shoot(new_nodes, new_period)
-            res_new = float(np.max(np.abs(f_new)))
-            if res_new < res or res < closure_tol:
+            shot = shoot(new_nodes, new_period)
+            res_new = float(np.max(np.abs(shot[0])))
+            if res_new < res:
                 break
             scale *= 0.5
         else:
             raise NewtonFailure(
                 f"shooting Newton stalled at iteration {it}", res, iterate=nodes[0])
         nodes, period = new_nodes, new_period
-        f, ys, mats = f_new, ys_new, mats_new
+        f, ys, mats, sols = shot
         res = res_new
-        for i in range(m):
-            if chart.to_tube(nodes[i]) is None:
-                raise OrbitEscape(f"Newton iterate left the tube at iteration {it}")
-    else:
-        raise NewtonFailure(
-            f"shooting system not closed after {max_iter} iterations", res,
-            iterate=nodes[0])
+        if any(chart.to_tube(x) is None for x in nodes):
+            raise OrbitEscape(f"Newton iterate left the tube at iteration {it}")
+        it += 1
 
-    # sample the orbit segment by segment; a single full-period integration
-    # would amplify the seed error by e^{T} and cannot close for large T
-    x0 = nodes[0]
-    seg_t = period / m
-    per = max(1, n_samples // m)
-    ts = seg_t * np.arange(per) / per
-    pts = np.empty((m * per, 3))
-    for i in range(m):
-        seg = integrate(field, nodes[i], seg_t, rtol, atol)
-        pts[i * per:(i + 1) * per] = seg.at(ts)
-    return PeriodicOrbit(points=pts, period=period, anchor=x0,
-                         closure_residual=res, newton_iterations=it)
+    # sample k lies on segment k*m // n at local time kT/n - seg T/m; sampling
+    # segment by segment keeps the e^{T} growth of a full-period flow out
+    k = np.arange(n_samples)
+    seg = k * m // n_samples
+    pts = np.empty((n_samples, 3))
+    for i in np.unique(seg):
+        ki = k[seg == i]
+        pts[ki] = sols[i](period * (ki * m - i * n_samples) / (m * n_samples))[:3].T
+    return PeriodicOrbit(points=pts, period=period, closure_residual=res,
+                         newton_iterations=it, nodes=nodes, transfers=mats)
 
 
 def _fundamental_segment(field, x0, t0, t1, rtol, atol):
     """Integrate state + 3x3 variational matrix over [t0, t1] from (x0, I).
 
+    Returns the end state, the transfer matrix and the dense interpolant.
     Each right-hand side makes exactly one field.jet call.
     """
 
@@ -207,47 +209,34 @@ def _fundamental_segment(field, x0, t0, t1, rtol, atol):
         return np.concatenate([u, (du @ y[3:].reshape(3, 3)).ravel()])
 
     y0 = np.concatenate([np.asarray(x0, dtype=float), np.eye(3).ravel()])
-    sol = solve_ivp(rhs, (t0, t1), y0, method="DOP853", rtol=rtol, atol=atol)
+    sol = solve_ivp(rhs, (t0, t1), y0, method="DOP853", rtol=rtol, atol=atol,
+                    dense_output=True)
     if not sol.success:
         raise IntegrationError(f"variational integration failed: {sol.message}")
-    return sol.y[:3, -1], sol.y[3:, -1].reshape(3, 3)
+    return sol.y[:3, -1], sol.y[3:, -1].reshape(3, 3), sol.sol
 
 
-def monodromy(field, orbit: PeriodicOrbit, rtol: float = 1e-11,
-              atol: float = 1e-13, n_segments: int | None = None) -> FloquetData:
-    """Floquet data of a periodic orbit via a segmented fundamental-matrix product.
+def monodromy(field, orbit: PeriodicOrbit) -> FloquetData:
+    """Floquet data of a periodic orbit from its closing shoot's transfer matrices.
 
-    M(T) is assembled as M_n ... M_1 with every factor integrated from the
-    stored orbit sample at its segment start, so trajectory error never
-    compounds along the period. The determinant is the product of the
-    per-segment determinants and the stable multiplier is read from the
-    inverse-factor product, which keeps both quantities accurate when e^{T}
-    exceeds 1/rtol. The flow direction u(x0) is an exact eigenvector with
-    eigenvalue 1 and is deflated from the multiplier pair.
+    Integrates nothing: M(T) = M_m ... M_1 from the factors refine_orbit
+    integrated from each shooting node, so trajectory error never compounds
+    along the period. The determinant is the product of the factor
+    determinants and the stable multiplier is read from the inverse-factor
+    product, which keeps both accurate when e^{T} exceeds 1/rtol. The flow
+    direction u(x0) is an exact eigenvector with eigenvalue 1 and is deflated
+    from the multiplier pair.
     """
-    T = orbit.period
-    n = orbit.points.shape[0]
-    if n_segments is None:
-        n_segments = max(8, int(np.ceil(0.5 * T)))
-    n_segments = min(n_segments, n)
-    bounds = np.round(np.linspace(0, n, n_segments + 1)).astype(int)
-    factors = []
-    det = 1.0
-    for k in range(n_segments):
-        i0, i1 = int(bounds[k]), int(bounds[k + 1])
-        _, mk = _fundamental_segment(field, orbit.points[i0 % n],
-                                     0.0, T * (i1 - i0) / n, rtol, atol)
-        factors.append(mk)
-        det *= float(np.linalg.det(mk))
-    us = field(orbit.points[bounds % n])
-    flow_res = max(float(np.linalg.norm(mk @ u0 - u1) / np.linalg.norm(u1))
-                   for mk, u0, u1 in zip(factors, us[:-1], us[1:]))
+    factors = orbit.transfers
+    det = float(np.prod(np.linalg.det(factors)))
+    us = field(orbit.nodes)
+    u_next = np.roll(us, -1, axis=0)
+    flow_res = float(np.max(np.linalg.norm(np.einsum("kij,kj->ki", factors, us) - u_next,
+                                           axis=1) / np.linalg.norm(u_next, axis=1)))
 
-    m_total = np.eye(3)
-    m_inv = np.eye(3)
+    m_total, m_inv = np.eye(3), np.eye(3)
     for mk in factors:
         m_total = mk @ m_total
-    for mk in factors:
         m_inv = m_inv @ np.linalg.inv(mk)
 
     eig = np.linalg.eigvals(m_total)

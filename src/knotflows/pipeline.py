@@ -160,8 +160,7 @@ def _certify_orbit(expansion: BeltramiExpansion, chart, config: RunConfig):
     orbit = refine_orbit(expansion, chart, rtol=config.rtol, atol=config.atol,
                          closure_tol=config.closure_tol,
                          n_samples=config.orbit_samples)
-    flo = monodromy(expansion, orbit, rtol=min(config.rtol, 1e-11),
-                    atol=min(config.atol, 1e-13))
+    flo = monodromy(expansion, orbit)
     cert = tube_confinement(orbit.points, chart)
     haus = hausdorff_distance(orbit.points, chart.frame.arc.points)
     return orbit, {

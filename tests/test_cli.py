@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -166,6 +167,26 @@ def test_verify_junk_field_exits_3(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "[FAIL] strip_residual_budget" in out
     assert "[FAIL] orbits_converged" in out
+
+
+def test_bad_tolerance_exits_2_before_any_geometry(tmp_path, capsys, monkeypatch):
+    # a NaN rtol would make the integrator's step loop spin for good
+    def verify(*args, **kwargs):
+        raise AssertionError("verify reached with an invalid config")
+
+    monkeypatch.setattr(cli, "verify", verify)
+    link = _circle_link(tmp_path)
+    _, field = _axis_field(tmp_path)
+    t0 = time.perf_counter()
+    code = cli.main(["verify", "--field", str(field), "--link", str(link),
+                     "--rtol", "nan"])
+    assert code == 2 and time.perf_counter() - t0 < 5.0
+    assert "rtol" in capsys.readouterr().err
+    seeds = tmp_path / "seeds.json"
+    save_seeds(np.zeros((0, 3)), seeds)
+    assert cli.main(["trace", "--field", str(field), "--seeds", str(seeds),
+                     "--t-end", "1.0", "--out", str(tmp_path / "t"),
+                     "--atol", "nan"]) == 2
 
 
 def test_synthesize_under_resourced_exits_3(tmp_path, capsys):

@@ -6,9 +6,8 @@ import pytest
 from knotflows import dynamics, presets
 from knotflows.charts import TubeChart
 from knotflows.curves import FourierCurve, resample_arclength
-from knotflows.dynamics import (NewtonFailure, OrbitEscape, PeriodicOrbit,
-                                TubeModelField, integrate, monodromy,
-                                refine_orbit)
+from knotflows.dynamics import (NewtonFailure, OrbitEscape, TubeModelField,
+                                integrate, monodromy, refine_orbit)
 from knotflows.field import BeltramiExpansion, make_basis
 from knotflows.framing import frame_transport
 
@@ -71,11 +70,12 @@ def _circle_chart(n=96, radius=0.5, w_half=0.1):
     return TubeChart(frame_transport(arc), radius, w_half)
 
 
-def _core_orbit(chart):
-    """The periodic orbit of the tube model is exactly the chart core."""
-    pts = chart.frame.arc.points
-    return PeriodicOrbit(points=pts, period=chart.length, anchor=pts[0],
-                         closure_residual=0.0, newton_iterations=0)
+def _wobbled_chart():
+    """A circle chart whose core is 1e-3 off the unit circle."""
+    wobbled = FourierCurve(
+        np.array([[0, 0, 0], [1, 0, 0], [0, 0, 0], [0, 0, 1e-3]], dtype=float),
+        np.array([[0, 0, 0], [0, 1, 0], [0, 0, 0], [0, 0, 0]], dtype=float))
+    return TubeChart(frame_transport(resample_arclength(wobbled, 96)), 0.5, 0.05)
 
 
 @pytest.fixture(scope="module")
@@ -116,20 +116,21 @@ def test_model_field_outside_chart_raises(model):
 def test_refine_orbit_finds_core_from_wobbled_seeds(model):
     _, field = model
     # seeds come from a chart whose core is 1e-3 off the true periodic orbit
-    wobbled = FourierCurve(
-        np.array([[0, 0, 0], [1, 0, 0], [0, 0, 0], [0, 0, 1e-3]], dtype=float),
-        np.array([[0, 0, 0], [0, 1, 0], [0, 0, 0], [0, 0, 0]], dtype=float))
-    arc = resample_arclength(wobbled, 96)
-    chart_b = TubeChart(frame_transport(arc), 0.5, 0.05)
+    chart_b = _wobbled_chart()
     # the oracle jacobian is finite-difference, so 1e-9 is its useful rtol floor
     orbit = refine_orbit(field, chart_b, rtol=1e-9, atol=1e-11,
-                         closure_tol=1e-8)
+                         closure_tol=1e-8, n_samples=1001)
     assert orbit.newton_iterations >= 1
     assert orbit.closure_residual < 1e-8
     radii = np.linalg.norm(orbit.points[:, :2], axis=1)
     assert np.max(np.abs(radii - 1.0)) < 1e-7
     assert np.max(np.abs(orbit.points[:, 2])) < 1e-7
     assert abs(orbit.period - 2.0 * np.pi) < 1e-7
+    # exactly the samples asked for, at times kT/n: the unit-speed circle
+    # advances 2 pi / n in angle from each sample to the next
+    assert orbit.points.shape == (1001, 3)
+    step = np.diff(np.unwrap(np.arctan2(orbit.points[:, 1], orbit.points[:, 0])))
+    assert np.max(np.abs(step - 2.0 * np.pi / 1001)) < 1e-7
 
 
 def test_refine_orbit_newton_budget_exhausted(model):
@@ -142,10 +143,48 @@ def test_refine_orbit_newton_budget_exhausted(model):
         refine_orbit(field, chart_b, rtol=1e-7, atol=1e-9, max_iter=0)
 
 
+def test_refine_orbit_accepts_the_closing_last_step(model):
+    # one Newton step closes the wobbled seeds to ~3e-9, under 1e-8
+    _, field = model
+    orbit = refine_orbit(field, _wobbled_chart(), rtol=1e-9, atol=1e-11,
+                         closure_tol=1e-8, max_iter=1)
+    assert orbit.newton_iterations == 1
+    assert orbit.closure_residual < 1e-8
+
+
+def test_refine_orbit_needs_no_step_on_a_closed_seed(model):
+    chart, field = model
+    orbit = refine_orbit(field, chart, max_iter=0)
+    assert orbit.newton_iterations == 0
+    assert orbit.closure_residual < 1e-9
+
+
+def test_orbit_is_integrated_once(model, monkeypatch):
+    # the closing shoot's 8 segments are the only integrations: the samples
+    # and the Floquet factors both come from it
+    chart, field = model
+    calls = []
+    solve_ivp = dynamics.solve_ivp
+
+    def counted_solve_ivp(*args, **kwargs):
+        calls.append(1)
+        return solve_ivp(*args, **kwargs)
+
+    monkeypatch.setattr(dynamics, "solve_ivp", counted_solve_ivp)
+    orbit = refine_orbit(field, chart, rtol=1e-9, atol=1e-11)
+    monodromy(field, orbit)
+    assert orbit.newton_iterations == 0
+    assert len(calls) == 8
+
+
 def test_monodromy_multipliers_of_tube_model(model):
     chart, field = model
-    orbit = _core_orbit(chart)
-    flo = monodromy(field, orbit, rtol=1e-9, atol=1e-11)
+    # the chart core is the model's orbit; the oracle jacobian is
+    # finite-difference, so 1e-9 is its useful rtol floor
+    orbit = refine_orbit(field, chart, rtol=1e-9, atol=1e-11)
+    assert orbit.newton_iterations == 0
+    assert orbit.points.shape == (1024, 3)
+    flo = monodromy(field, orbit)
     mu_u, mu_s = flo.multipliers
     assert abs(mu_u - np.exp(2.0 * np.pi)) < 1e-4 * np.exp(2.0 * np.pi)
     assert abs(mu_s - np.exp(-2.0 * np.pi)) < 1e-4 * np.exp(-2.0 * np.pi)
@@ -154,18 +193,15 @@ def test_monodromy_multipliers_of_tube_model(model):
     assert flo.classification == "hyperbolic_saddle"
     assert flo.margin > 0.9
     assert flo.flow_eigen_residual < 1e-6
-    # the segment count must not change the assembled multipliers
-    flo16 = monodromy(field, orbit, rtol=1e-9, atol=1e-11, n_segments=16)
-    assert abs(flo16.multipliers[0] - mu_u) < 1e-6 * abs(mu_u)
-    assert abs(flo16.multipliers[1] - mu_s) < 1e-6 * abs(mu_s)
 
 
 def test_time_rescaled_field_keeps_multipliers(model):
     chart, field = model
     fast = _DoubledField(field)
-    orbit = _core_orbit(chart)
-    orbit.period = np.pi  # same closed curve traversed twice as fast
-    flo = monodromy(fast, orbit, rtol=1e-9, atol=1e-11)
+    # same closed curve traversed twice as fast
+    orbit = refine_orbit(fast, chart, rtol=1e-9, atol=1e-11)
+    assert abs(orbit.period - np.pi) < 1e-7
+    flo = monodromy(fast, orbit)
     assert abs(flo.multipliers[0] - np.exp(2.0 * np.pi)) < 1e-4 * np.exp(2.0 * np.pi)
     assert abs(flo.multipliers[1] - np.exp(-2.0 * np.pi)) < 1e-4 * np.exp(-2.0 * np.pi)
 
@@ -183,11 +219,8 @@ def test_monodromy_of_rigid_rotation_is_identity():
         def jet(self, x):
             return self(x), self.jacobian(x)
 
-    theta = 2.0 * np.pi * np.arange(64) / 64
-    pts = np.column_stack([np.cos(theta), np.sin(theta), np.zeros_like(theta)])
-    orbit = PeriodicOrbit(points=pts, period=2.0 * np.pi,
-                          anchor=pts[0], closure_residual=0.0,
-                          newton_iterations=0)
+    orbit = refine_orbit(Rotation(), _circle_chart())
+    assert abs(orbit.period - 2.0 * np.pi) < 1e-9
     flo = monodromy(Rotation(), orbit)
     assert np.max(np.abs(flo.monodromy - np.eye(3))) < 1e-8
     assert abs(flo.det - 1.0) < 1e-10

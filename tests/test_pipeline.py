@@ -63,6 +63,23 @@ def test_synthesize_closedness_gate():
         synthesize(link, cfg)
 
 
+@pytest.mark.parametrize("bad", [
+    {"rtol": float("nan")}, {"atol": 0.0}, {"rtol": -1.0}, {"ridge": -1.0},
+    {"lam": float("inf")}, {"directions": 0}, {"orbit_samples": -4},
+    {"closure_tol": 0.0},
+])
+def test_run_config_rejects_bad_values(bad):
+    name = next(iter(bad))
+    with pytest.raises(ValueError, match=name):
+        RunConfig(**bad)
+    with pytest.raises(ValueError, match=name):
+        RunConfig().replace(**bad)
+
+
+def test_run_config_accepts_zero_ridge_order_and_seed():
+    assert RunConfig(ridge=0.0, budget_order=0, seed=0).ridge == 0.0
+
+
 def test_verify_rejects_lambda_mismatch():
     link = LinkSpec(1.0, tuple(circle()))
     with pytest.raises(ValueError, match="lambda mismatch"):
@@ -157,6 +174,10 @@ def test_outcome_returns_the_refined_orbits(hopf_run):
     assert len(outcome.orbits) == len(comps)
     for orbit, comp in zip(outcome.orbits, comps):
         assert orbit.period == comp["period"]
+        # exactly the samples asked for, though 1024 is no multiple of the
+        # 44 shooting segments at T = 88
+        assert orbit.points.shape == (hopf_run["config"].orbit_samples, 3)
+        assert len(orbit.nodes) == 44
 
 
 def test_over_budget_component_skips_orbit_refinement(unknot_run, monkeypatch):
