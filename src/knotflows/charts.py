@@ -222,7 +222,7 @@ def build_charts(link: LinkSpec, config: RunConfig | None = None) -> list[TubeCh
     """Arc-length models, frames, radii and charts for every component of a link."""
     config = config or RunConfig()
     arcs = [resample_arclength(c, config.frame_samples) for c in link.components]
-    radii = tube_radius(arcs, config.safety)
+    radii = tube_radius(arcs)
     charts = []
     for i, arc in enumerate(arcs):
         frame = frame_transport(arc)

@@ -29,32 +29,28 @@ EXIT_TOPOLOGY = 5
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
+    """Flags of both synthesize and verify."""
     p.add_argument("--lambda", dest="lam", type=float, default=None,
                    help="override the link file's Beltrami eigenvalue")
-    p.add_argument("--directions", type=int, default=None,
-                   help="number of quasi-uniform wave directions")
-    p.add_argument("--ridge", type=float, default=None,
-                   help="Tikhonov ridge weight")
-    p.add_argument("--rtol", type=float, default=None,
-                   help="integrator relative tolerance")
-    p.add_argument("--atol", type=float, default=None,
-                   help="integrator absolute tolerance")
     p.add_argument("--seed", type=int, default=None,
                    help="random seed for direction jitter")
     p.add_argument("--eps-tilde", type=float, default=None,
                    help="per-tube strip residual tolerance")
 
 
+def _add_tolerances(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--rtol", type=float, default=None,
+                   help="integrator relative tolerance")
+    p.add_argument("--atol", type=float, default=None,
+                   help="integrator absolute tolerance")
+
+
 def _config_from_args(args, lam: float) -> RunConfig:
-    cfg = RunConfig(lam=lam)
-    overrides = {}
-    for name in ("directions", "ridge", "rtol", "atol", "seed"):
-        val = getattr(args, name, None)
-        if val is not None:
-            overrides[name] = val
-    if getattr(args, "eps_tilde", None) is not None:
-        overrides["eps_tilde"] = args.eps_tilde
-    return cfg.replace(**overrides) if overrides else cfg
+    """RunConfig with the flags that the subcommand defines and the user set."""
+    overrides = {name: getattr(args, name)
+                 for name in ("directions", "ridge", "rtol", "atol", "seed", "eps_tilde")
+                 if getattr(args, name, None) is not None}
+    return RunConfig(lam=lam, **overrides)
 
 
 def cmd_synthesize(args) -> int:
@@ -84,10 +80,6 @@ def cmd_synthesize(args) -> int:
 def cmd_verify(args) -> int:
     link = fileio.load_link(args.link, lam_override=args.lam)
     expansion = fileio.load_field(args.field)
-    if expansion.lam != link.lam:
-        raise FileFormatError(
-            f"lambda mismatch: field file has {expansion.lam!r}, "
-            f"link file has {link.lam!r}")
     config = _config_from_args(args, link.lam)
     outcome = verify(link, expansion, config)
     if args.report:
@@ -182,6 +174,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_syn.add_argument("--out", required=True, help="output field file")
     p_syn.add_argument("--report", default=None, help="optional fit report path")
     _add_common(p_syn)
+    p_syn.add_argument("--directions", type=int, default=None,
+                       help="number of quasi-uniform wave directions")
+    p_syn.add_argument("--ridge", type=float, default=None,
+                       help="Tikhonov ridge weight")
     p_syn.set_defaults(func=cmd_synthesize)
 
     p_ver = sub.add_parser("verify",
@@ -190,6 +186,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--link", required=True, help="link-spec file")
     p_ver.add_argument("--report", default=None, help="verification report path")
     _add_common(p_ver)
+    _add_tolerances(p_ver)
     p_ver.set_defaults(func=cmd_verify)
 
     p_tr = sub.add_parser("trace", help="integrate stream lines from seed points")
@@ -200,8 +197,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_tr.add_argument("--out", required=True, help="output directory")
     p_tr.add_argument("--samples", type=int, default=1024,
                       help="polyline samples per trace")
-    p_tr.add_argument("--rtol", type=float, default=None)
-    p_tr.add_argument("--atol", type=float, default=None)
+    _add_tolerances(p_tr)
     p_tr.set_defaults(func=cmd_trace)
 
     p_sm = sub.add_parser("sample", help="tabulate field values on a grid")

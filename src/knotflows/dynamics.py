@@ -22,6 +22,8 @@ from scipy.integrate import solve_ivp
 
 from .charts import TubeChart, chart_columns
 
+CLOSURE_TOL = 1e-9    # max |shooting residual| required of a refined orbit
+
 
 class IntegrationError(RuntimeError):
     def __init__(self, msg, last_state=None):
@@ -96,7 +98,7 @@ class FloquetData:
 
 
 def refine_orbit(field, chart: TubeChart, rtol: float = 1e-10, atol: float = 1e-12,
-                 closure_tol: float = 1e-9, max_iter: int = 30,
+                 closure_tol: float = CLOSURE_TOL, max_iter: int = 30,
                  n_samples: int = 1024) -> PeriodicOrbit:
     """Newton-refine the periodic orbit of `field` near the core of `chart`.
 

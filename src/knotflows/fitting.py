@@ -4,10 +4,12 @@ The budget mirrors the inductive tolerance schedule: with sigma = number of
 multi-indices |alpha| <= s in three variables, the per-stage tolerances
 eps_m = (min eps~) / (7 sigma) * 3^{-m} satisfy eps_m < (1/(6 sigma)) min eps~
 and sum_{n>m} eps_n = eps_m / 2 < eps_m, both strictly. At finite scale a
-single least-squares solve over all tubes replaces the induction; it weights
-each tube by its own tolerance eps~, so the fit does not depend on the order
-in which the schedule lists the tubes. The solve streams the system through a
-blocked QR and so holds O(n^2) memory for n coefficients; see fit_global.
+single least-squares solve over all tubes replaces the induction, so the fit
+takes the per-tube tolerances eps~ themselves, not a schedule: it weights
+each tube by its own eps~ and does not depend on the order in which the tubes
+are listed. The schedule stays for the budget inequalities it certifies. The
+solve streams the system through a blocked QR and so holds O(n^2) memory for
+n coefficients; see fit_global.
 """
 
 from __future__ import annotations
@@ -111,28 +113,27 @@ def design_matrix(k: np.ndarray, e: np.ndarray, lam: float,
     return a
 
 
-def fit_global(datas: list[CauchyData], budget: ErrorBudget, k: np.ndarray,
-               e: np.ndarray, lam: float, ridge: float = RunConfig.ridge,
-               stride_s: int = RunConfig.fit_stride_s,
-               stride_t: int = RunConfig.fit_stride_t):
+def fit_global(datas: list[CauchyData], eps_tilde, k: np.ndarray,
+               e: np.ndarray, lam: float, ridge: float = RunConfig.ridge):
     """Weighted ridge least squares of the plane-wave basis against all tubes.
 
-    The ridge-stacked system [A | b] is folded, one block of about n+1 rows at
-    a time, into its (n+1) x (n+1) triangular factor R (LAPACK tpqrt, as in
-    TSQR), so A is never held whole and memory is O(n^2) for n coefficients.
-    The LAPACK SVD driver then solves the n x n factor, which has the singular
-    values of the stacked system; the normal equations are never formed.
-    Residuals are evaluated on the full strip grids; success means every tube
-    meets its own eps~ there.
+    eps_tilde lists one tolerance per tube; the rows of tube i carry weight
+    1/eps~_i. Every strip node is a collocation point. The ridge-stacked
+    system [A | b] is folded, one block of about n+1 rows at a time, into its
+    (n+1) x (n+1) triangular factor R (LAPACK tpqrt, as in TSQR), so A is
+    never held whole and memory is O(n^2) for n coefficients. The LAPACK SVD
+    driver then solves the n x n factor, which has the singular values of the
+    stacked system; the normal equations are never formed. Success means
+    every tube's residual on its strip grid is below its own eps~.
     """
-    if len(datas) != len(budget.eps_tilde):
-        raise ValueError("budget must list one tolerance per tube")
-    pts = np.vstack([d.points[::stride_s, ::stride_t].reshape(-1, 3) for d in datas])
-    targets = np.vstack([d.w[::stride_s, ::stride_t].reshape(-1, 3) for d in datas])
+    budgets = [float(b) for b in eps_tilde]
+    if len(budgets) != len(datas) or not all(b > 0 for b in budgets):
+        raise ValueError("eps_tilde must list one tolerance per tube, each > 0")
+    pts = np.vstack([d.points.reshape(-1, 3) for d in datas])
+    targets = np.vstack([d.w.reshape(-1, 3) for d in datas])
     # row weight 1/eps~_i, normalized so the largest row weight is 1
-    eps_min = min(budget.eps_tilde)
-    n_rows = [3 * d.points[::stride_s, ::stride_t, 0].size for d in datas]
-    weights = np.repeat(eps_min / np.asarray(budget.eps_tilde), n_rows)[:, None]
+    n_rows = [3 * d.points[..., 0].size for d in datas]
+    weights = np.repeat(min(budgets) / np.asarray(budgets), n_rows)[:, None]
 
     n_coef = 2 * k.shape[0]
     # R of the ridge rows [sqrt(ridge) I | 0]; the last column carries b
@@ -160,7 +161,6 @@ def fit_global(datas: list[CauchyData], budget: ErrorBudget, k: np.ndarray,
         err = [np.linalg.norm(expansion(x[lo:lo + step]) - w[lo:lo + step], axis=1).max()
                for lo in range(0, x.shape[0], step)]
         tube_res.append(float(max(err)))
-    budgets = [budget.eps_tilde[i] for i in range(len(datas))]
     success = all(res < b_ for res, b_ in zip(tube_res, budgets))
     advice = "" if success else (
         "strip residual exceeds the budget; enlarge the direction set, "

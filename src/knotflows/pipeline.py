@@ -1,12 +1,14 @@
 """Synthesis and verification orchestration.
 
-synthesize: link -> tube charts -> strip Cauchy data -> error budget -> basis
--> fitted global Beltrami expansion.
+synthesize: link -> tube charts -> strip Cauchy data -> basis -> global
+Beltrami expansion fitted with each tube weighted by its own eps~.
 
 verify: expansion + link -> strip residual recheck, eigen-relation spot check,
 orbit refinement with Floquet data, confinement and winding certificates,
 pairwise linking numbers, C0/C1 cross-validation against the marched local
-field. Emits a machine-readable report with per-criterion pass/fail.
+field. Emits a machine-readable report with per-criterion pass/fail. The
+gate tolerances are the constants below; the other fixed numerics are the
+defaults of the functions that apply them.
 """
 
 from __future__ import annotations
@@ -19,14 +21,21 @@ import numpy as np
 from .charts import build_charts
 from .config import RunConfig
 from .curves import LinkSpec
-from .dynamics import (IntegrationError, NewtonFailure, OrbitEscape, monodromy,
-                       refine_orbit)
+from .dynamics import (CLOSURE_TOL, IntegrationError, NewtonFailure, OrbitEscape,
+                       monodromy, refine_orbit)
 from .field import BeltramiExpansion, make_basis
 from .fileio import REPORT_SCHEMA
-from .fitting import ErrorBudget, FitReport, fit_global, make_error_budget
+from .fitting import FitReport, fit_global
 from .marcher import MarchError, cross_validate
 from .strip import build_cauchy_data, closedness_check
 from .topology import LinkingError, hausdorff_distance, linking_number, tube_confinement
+
+
+# max d(pullback gamma) residual on the strip: synthesize's gate and verify's criterion
+CLOSEDNESS_TOL = 1e-8
+CURL_CHECK_POINTS = 100   # random points for the eigen-relation spot check
+CURL_TOL = 1e-6           # relative FD curl error gate
+DIV_TOL = 1e-8            # FD divergence gate
 
 
 class PipelineError(RuntimeError):
@@ -90,7 +99,6 @@ class SynthesisResult:
     charts: list
     cauchy: list
     closedness: list
-    budget: ErrorBudget
     expansion: BeltramiExpansion
     fit: FitReport
     timings: dict
@@ -114,22 +122,19 @@ def synthesize(link: LinkSpec, config: RunConfig | None = None) -> SynthesisResu
     closedness = [closedness_check(d) for d in cauchy]
     timings["geometry_s"] = time.perf_counter() - t0
     worst = max(closedness)
-    if worst > config.closedness_tol:
+    if worst > CLOSEDNESS_TOL:
         raise PipelineError(
             f"Cauchy-data closedness residual {worst:.3e} exceeds "
-            f"{config.closedness_tol:g}; the pullback of gamma is not closed")
+            f"{CLOSEDNESS_TOL:g}; the pullback of gamma is not closed")
 
-    budget = make_error_budget([config.eps_tilde] * len(charts), config.budget_order)
     t0 = time.perf_counter()
     rng = np.random.default_rng(config.seed)
     k, e = make_basis(config.directions, rng)
-    expansion, fit = fit_global(cauchy, budget, k, e, link.lam,
-                                ridge=config.ridge,
-                                stride_s=config.fit_stride_s,
-                                stride_t=config.fit_stride_t)
+    expansion, fit = fit_global(cauchy, [config.eps_tilde] * len(charts), k, e,
+                                link.lam, ridge=config.ridge)
     timings["fit_s"] = time.perf_counter() - t0
-    return SynthesisResult(link, config, charts, cauchy, closedness, budget,
-                           expansion, fit, timings)
+    return SynthesisResult(link, config, charts, cauchy, closedness, expansion,
+                           fit, timings)
 
 
 def fit_report_dict(fit: FitReport) -> dict:
@@ -158,7 +163,6 @@ def _criterion(criteria: list, name: str, passed: bool, detail: str) -> bool:
 def _certify_orbit(expansion: BeltramiExpansion, chart, config: RunConfig):
     """Refine one component's orbit; return it with its report entries."""
     orbit = refine_orbit(expansion, chart, rtol=config.rtol, atol=config.atol,
-                         closure_tol=config.closure_tol,
                          n_samples=config.orbit_samples)
     flo = monodromy(expansion, orbit)
     cert = tube_confinement(orbit.points, chart)
@@ -202,7 +206,6 @@ def verify(link: LinkSpec, expansion: BeltramiExpansion,
     t0 = time.perf_counter()
     charts, cauchy = build_geometry(link, config)
     closedness = [closedness_check(d) for d in cauchy]
-    budget = make_error_budget([config.eps_tilde] * len(charts), config.budget_order)
     strip_residuals = []
     for data in cauchy:
         u = expansion(data.points.reshape(-1, 3))
@@ -211,22 +214,22 @@ def verify(link: LinkSpec, expansion: BeltramiExpansion,
     timings["geometry_s"] = time.perf_counter() - t0
 
     closed_ok = _criterion(
-        criteria, "cauchy_closedness", max(closedness) <= config.closedness_tol,
-        f"max residual {max(closedness):.3e} vs {config.closedness_tol:g}")
+        criteria, "cauchy_closedness", max(closedness) <= CLOSEDNESS_TOL,
+        f"max residual {max(closedness):.3e} vs {CLOSEDNESS_TOL:g}")
     budget_ok = _criterion(
         criteria, "strip_residual_budget",
-        all(r < b for r, b in zip(strip_residuals, budget.eps_tilde)),
+        all(r < config.eps_tilde for r in strip_residuals),
         "per-tube max |u - w| on the strip vs eps~")
 
     t0 = time.perf_counter()
-    pts = check_points(link, config.curl_check_points, config.seed)
+    pts = check_points(link, CURL_CHECK_POINTS, config.seed)
     curl_rel, div_max = fd_curl_divergence(expansion, pts)
     timings["eigen_check_s"] = time.perf_counter() - t0
     eigen_ok = _criterion(
         criteria, "eigen_relation",
-        curl_rel < config.curl_tol and div_max < config.div_tol,
-        f"FD curl rel {curl_rel:.3e} vs {config.curl_tol:g}, "
-        f"FD div {div_max:.3e} vs {config.div_tol:g}")
+        curl_rel < CURL_TOL and div_max < DIV_TOL,
+        f"FD curl rel {curl_rel:.3e} vs {CURL_TOL:g}, "
+        f"FD div {div_max:.3e} vs {DIV_TOL:g}")
 
     components = []
     orbits = []
@@ -234,13 +237,13 @@ def verify(link: LinkSpec, expansion: BeltramiExpansion,
     for i, chart in enumerate(charts):
         entry: dict = {"index": i,
                        "strip_residual": strip_residuals[i],
-                       "strip_budget": budget.eps_tilde[i],
+                       "strip_budget": config.eps_tilde,
                        "closedness": closedness[i],
                        "tube_radius": chart.radius,
                        "strip_half_width": chart.w_half,
                        "core_length": chart.length}
         orbit = None
-        if strip_residuals[i] >= budget.eps_tilde[i]:
+        if strip_residuals[i] >= config.eps_tilde:
             entry["status"] = "over_budget"
         else:
             try:
@@ -251,8 +254,7 @@ def verify(link: LinkSpec, expansion: BeltramiExpansion,
                               "error": f"{type(exc).__name__}: {exc}"})
         orbits.append(orbit)
         try:
-            entry["local_field_distance"] = cross_validate(
-                expansion, chart, link.lam, rho_frac=config.march_rho_frac)
+            entry["local_field_distance"] = cross_validate(expansion, chart, link.lam)
         except MarchError as exc:
             entry["local_field_distance"] = {"error": f"MarchError: {exc}"}
         components.append(entry)
@@ -262,7 +264,7 @@ def verify(link: LinkSpec, expansion: BeltramiExpansion,
     dynamics_ok = _criterion(
         criteria, "orbits_converged", all(converged),
         f"{sum(converged)}/{len(orbits)} orbits refined to closure "
-        f"{config.closure_tol:g}")
+        f"{CLOSURE_TOL:g}")
     hyper_ok = _criterion(
         criteria, "orbits_hyperbolic",
         all(c.get("classification") == "hyperbolic_saddle" and c.get("margin", 0) > 0
@@ -292,8 +294,7 @@ def verify(link: LinkSpec, expansion: BeltramiExpansion,
         for j in range(i + 1, len(charts)):
             pair: dict = {"a": i, "b": j}
             try:
-                target = linking_number(arcs[i].points, arcs[j].points,
-                                        defect_tol=config.defect_tol)
+                target = linking_number(arcs[i].points, arcs[j].points)
                 pair["target"] = target.link
                 pair["target_defect"] = target.defect
             except LinkingError as exc:
@@ -307,8 +308,7 @@ def verify(link: LinkSpec, expansion: BeltramiExpansion,
                 pairs.append(pair)
                 continue
             try:
-                got = linking_number(orbits[i].points, orbits[j].points,
-                                     defect_tol=config.defect_tol)
+                got = linking_number(orbits[i].points, orbits[j].points)
                 pair["linking"] = got.link
                 pair["defect"] = got.defect
                 pair["match"] = bool(got.link == target.link)
@@ -332,7 +332,7 @@ def verify(link: LinkSpec, expansion: BeltramiExpansion,
         "basis_size": expansion.n_members,
         "closedness": closedness,
         "strip_residuals": strip_residuals,
-        "strip_budgets": list(budget.eps_tilde),
+        "strip_budgets": [config.eps_tilde] * len(charts),
         "eigen_relation": {"curl_rel_max": curl_rel, "div_max": div_max,
                            "points": int(pts.shape[0])},
         "components": components,

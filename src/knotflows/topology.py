@@ -134,10 +134,16 @@ def _point_segment_distances(points: np.ndarray, poly: np.ndarray) -> np.ndarray
     b = np.vstack([poly[1:], poly[:1]])
     ab = b - a
     denom = np.sum(ab * ab, axis=1)
-    ap = points[:, None, :] - a[None, :, :]
-    tproj = np.clip(np.einsum("pik,ik->pi", ap, ab) / denom, 0.0, 1.0)
-    closest = a[None] + tproj[..., None] * ab[None]
-    return np.min(np.linalg.norm(points[:, None, :] - closest, axis=-1), axis=1)
+    out = np.empty(points.shape[0])
+    # blocks of 64 points bound the (64, segments, 3) temporaries; no row's
+    # arithmetic depends on the blocking
+    for lo in range(0, points.shape[0], 64):
+        p = points[lo:lo + 64]
+        ap = p[:, None, :] - a[None, :, :]
+        tproj = np.clip(np.einsum("pik,ik->pi", ap, ab) / denom, 0.0, 1.0)
+        closest = a[None] + tproj[..., None] * ab[None]
+        out[lo:lo + 64] = np.min(np.linalg.norm(p[:, None, :] - closest, axis=-1), axis=1)
+    return out
 
 
 def hausdorff_distance(curve_a, curve_b) -> float:

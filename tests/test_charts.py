@@ -218,7 +218,7 @@ def test_chart_jacobian_matches_finite_differences():
 
 
 def test_build_charts_uses_config_factors():
-    cfg = RunConfig(w_half_factor=0.1, safety=0.5, frame_samples=512)
+    cfg = RunConfig(w_half_factor=0.1, frame_samples=512)
     charts = build_charts(LinkSpec(1.0, tuple(presets.hopf())), cfg)
     assert len(charts) == 2
     assert [c.component_id for c in charts] == [0, 1]

@@ -37,6 +37,18 @@ def test_usage_errors_exit_2(tmp_path):
     assert cli.main(["sample", "--nope"]) == 2
 
 
+def test_flags_of_the_other_command_exit_2(tmp_path):
+    # each subcommand takes only the flags it reads
+    link = _circle_link(tmp_path)
+    _, field = _axis_field(tmp_path)
+    assert cli.main(["verify", "--field", str(field), "--link", str(link),
+                     "--directions", "5"]) == 2
+    out = tmp_path / "out.json"
+    assert cli.main(["synthesize", "--link", str(link), "--out", str(out),
+                     "--rtol", "1e-8"]) == 2
+    assert not out.exists()
+
+
 def test_missing_and_malformed_inputs_exit_2(tmp_path, capsys):
     _, field = _axis_field(tmp_path)
     assert cli.main(["sample", "--field", str(tmp_path / "absent.json"),

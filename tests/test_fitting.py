@@ -98,9 +98,7 @@ def test_fit_recovers_single_member_exactly():
     pts = rng.uniform(-1.0, 1.0, (12, 5, 3))
     w = target(pts.reshape(-1, 3)).reshape(pts.shape)
     data = _synthetic_data(pts, w)
-    budget = make_error_budget([1e-8], s=1)
-    fitted, report = fit_global([data], budget, k, e, 1.0, ridge=0.0,
-                                stride_s=1, stride_t=1)
+    fitted, report = fit_global([data], (1e-8,), k, e, 1.0, ridge=0.0)
     expect = np.zeros(k.shape[0])
     expect[2] = 1.0
     assert np.max(np.abs(fitted.alpha - expect)) < 1e-8
@@ -117,12 +115,12 @@ def test_single_basis_at_half_ridge_matches_twin_basis():
     # on the twin basis N2 = -i N1, so the minimum-norm ridge solution splits
     # each coefficient evenly across the twins: twin ridge rho is single rho/2
     datas = _three_tubes(np.random.default_rng(8))
-    budget = make_error_budget([1e-3, 3e-3, 2e-4], s=1)
+    eps = (1e-3, 3e-3, 2e-4)
     ridge = 1e-6
     k2, e2 = twin_basis(6, np.random.default_rng(5))
-    twin, twin_report = fit_global(datas, budget, k2, e2, 1.0, ridge=ridge)
+    twin, twin_report = fit_global(datas, eps, k2, e2, 1.0, ridge=ridge)
     k, e = make_basis(6, np.random.default_rng(5))
-    single, report = fit_global(datas, budget, k, e, 1.0, ridge=ridge / 2)
+    single, report = fit_global(datas, eps, k, e, 1.0, ridge=ridge / 2)
     assert np.array_equal(k, k2[0::2]) and np.array_equal(e, e2[0::2])
     probe = np.random.default_rng(1).uniform(-1.0, 2.5, (200, 3))
     ref = twin(probe)
@@ -143,8 +141,7 @@ def test_fit_reports_failure_with_advice():
     # a quadratic target is not in the span of two plane-wave directions
     w = pts**2
     data = _synthetic_data(pts, w)
-    budget = make_error_budget([1e-10], s=1)
-    _, report = fit_global([data], budget, k, e, 1.0, stride_s=1, stride_t=1)
+    _, report = fit_global([data], (1e-10,), k, e, 1.0)
     assert not report.success
     assert report.max_residual() > 1e-10
     assert "enlarge the direction set" in report.advice
@@ -155,11 +152,9 @@ def test_fit_residuals_follow_component_permutation():
     rng = np.random.default_rng(8)
     k, e = make_basis(6, rng)
     datas = _three_tubes(rng)
-    budget = make_error_budget([1e-3] * 3, s=1)
-    _, report = fit_global(datas, budget, k, e, 1.0, stride_s=1, stride_t=1)
+    _, report = fit_global(datas, (1e-3,) * 3, k, e, 1.0)
     perm = [2, 0, 1]
-    _, permuted = fit_global([datas[i] for i in perm], budget, k, e, 1.0,
-                             stride_s=1, stride_t=1)
+    _, permuted = fit_global([datas[i] for i in perm], (1e-3,) * 3, k, e, 1.0)
     expect = [report.tube_residuals[i] for i in perm]
     assert np.allclose(permuted.tube_residuals, expect, rtol=1e-6, atol=0.0)
 
@@ -168,13 +163,8 @@ def test_fit_defaults_are_the_run_config_defaults():
     rng = np.random.default_rng(8)
     k, e = make_basis(6, rng)
     datas = _three_tubes(rng)
-    budget = make_error_budget([1e-3] * 3, s=1)
-    default, report = fit_global(datas, budget, k, e, 1.0)
-    cfg = RunConfig()
-    explicit, _ = fit_global(datas, budget, k, e, 1.0, ridge=cfg.ridge,
-                             stride_s=cfg.fit_stride_s, stride_t=cfg.fit_stride_t)
-    assert default == explicit
-    assert report.ridge == cfg.ridge
+    _, report = fit_global(datas, (1e-3,) * 3, k, e, 1.0)
+    assert report.ridge == RunConfig().ridge
 
 
 def test_fit_requires_one_tolerance_per_tube():
@@ -182,9 +172,9 @@ def test_fit_requires_one_tolerance_per_tube():
     k, e = make_basis(2, rng)
     pts = rng.uniform(-1.0, 1.0, (4, 4, 3))
     data = _synthetic_data(pts, np.zeros_like(pts))
-    budget = make_error_budget([1e-3, 1e-3], s=1)
-    with pytest.raises(ValueError, match="one tolerance per tube"):
-        fit_global([data], budget, k, e, 1.0)
+    for eps in ((1e-3, 1e-3), (0.0,)):
+        with pytest.raises(ValueError, match="one tolerance per tube"):
+            fit_global([data], eps, k, e, 1.0)
 
 
 def test_streamed_fit_matches_dense_lstsq():
@@ -192,8 +182,7 @@ def test_streamed_fit_matches_dense_lstsq():
     k, e = make_basis(6, rng)
     datas = _three_tubes(rng)
     eps, ridge, lam = [1e-3, 3e-3, 2e-4], 1e-6, 1.0
-    fitted, report = fit_global(datas, make_error_budget(eps, s=1), k, e, lam,
-                                ridge=ridge, stride_s=1, stride_t=1)
+    fitted, report = fit_global(datas, eps, k, e, lam, ridge=ridge)
     # dense reference: the whole weighted, ridge-stacked system at once
     n = 2 * k.shape[0]
     row_w = np.concatenate([np.full(d.points[..., 0].size, min(eps) / ep)
@@ -226,10 +215,10 @@ def test_fit_streams_the_design_matrix_in_blocks(monkeypatch):
     rng = np.random.default_rng(8)
     k, e = make_basis(6, rng)
     datas = _three_tubes(rng)
-    _, report = fit_global(datas, make_error_budget([1e-3] * 3, s=1), k, e, 1.0)
+    _, report = fit_global(datas, (1e-3,) * 3, k, e, 1.0)
     n_coef = 2 * k.shape[0]
     assert len(rows) > 1
     assert max(rows) <= n_coef + 3
     assert sum(rows) == 3 * report.n_points
-    # the default strides fit every strip node, as RunConfig does
+    # the fit collocates every strip node
     assert report.n_points == sum(d.points[..., 0].size for d in datas)

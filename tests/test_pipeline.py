@@ -56,17 +56,17 @@ def test_fd_curl_divergence_flags_non_beltrami():
     assert div_max < 1e-10
 
 
-def test_synthesize_closedness_gate():
+def test_synthesize_closedness_gate(monkeypatch):
     link = LinkSpec(1.0, tuple(circle()))
-    cfg = RunConfig(lam=1.0, closedness_tol=1e-18)
+    monkeypatch.setattr(pipeline, "CLOSEDNESS_TOL", 1e-18)
     with pytest.raises(PipelineError, match="closedness"):
-        synthesize(link, cfg)
+        synthesize(link, RunConfig(lam=1.0))
 
 
 @pytest.mark.parametrize("bad", [
     {"rtol": float("nan")}, {"atol": 0.0}, {"rtol": -1.0}, {"ridge": -1.0},
     {"lam": float("inf")}, {"directions": 0}, {"orbit_samples": -4},
-    {"closure_tol": 0.0},
+    {"hausdorff_tol": 0.0},
 ])
 def test_run_config_rejects_bad_values(bad):
     name = next(iter(bad))
@@ -77,7 +77,7 @@ def test_run_config_rejects_bad_values(bad):
 
 
 def test_run_config_accepts_zero_ridge_order_and_seed():
-    assert RunConfig(ridge=0.0, budget_order=0, seed=0).ridge == 0.0
+    assert RunConfig(ridge=0.0, seed=0).ridge == 0.0
 
 
 def test_verify_rejects_lambda_mismatch():
@@ -119,7 +119,10 @@ def test_report_schema(unknot_run):
                 "margin_z", "hausdorff", "hausdorff_tol", "local_field_distance"):
         assert key in comp
     assert comp["status"] == "ok"
-    assert report["pairs"] == []  # a single component has no pairs
+    assert set(report["config"]) == {
+        "lam", "w_half_factor", "frame_samples", "strip_s_per_2pi", "strip_t_nodes",
+        "directions", "ridge", "eps_tilde", "rtol", "atol", "orbit_samples",
+        "hausdorff_tol", "seed"}  # a single component has no pairs
     for key in ("geometry_s", "eigen_check_s", "dynamics_s", "topology_s"):
         assert report["timings"][key] >= 0.0
 
@@ -127,9 +130,8 @@ def test_report_schema(unknot_run):
 def test_cross_validation_entry(unknot_run):
     cv = unknot_run["report"]["components"][0]["local_field_distance"]
     assert set(cv) >= {"c0", "c1", "rho_max"}
-    cfg = unknot_run["config"]
     chart = unknot_run["synthesis"].charts[0]
-    assert cv["rho_max"] == pytest.approx(cfg.march_rho_frac * chart.w_half)
+    assert cv["rho_max"] == pytest.approx(0.2 * chart.w_half)
     # values agree to the fit residual scale; the C1 distance also carries the
     # jacobian mismatch, which the minimal-norm fit does not control, so it is
     # reported as a diagnostic rather than gated

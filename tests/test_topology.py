@@ -134,6 +134,21 @@ def test_escaping_polyline_not_confined():
     assert cert.witness is not None
 
 
+def _brute_hausdorff(a, b):
+    """Symmetric Hausdorff distance, one point and one segment at a time."""
+    def one_sided(points, poly):
+        worst = 0.0
+        for p in points:
+            best = np.inf
+            for i in range(len(poly)):
+                s0, s1 = poly[i], poly[(i + 1) % len(poly)]
+                t = min(max(np.dot(p - s0, s1 - s0) / np.dot(s1 - s0, s1 - s0), 0.0), 1.0)
+                best = min(best, float(np.linalg.norm(p - (s0 + t * (s1 - s0)))))
+            worst = max(worst, best)
+        return worst
+    return max(one_sided(a, b), one_sided(b, a))
+
+
 def test_hausdorff_identical_and_concentric():
     a = _points(presets.circle(1.0)[0], 512)
     assert hausdorff_distance(a, a) == 0.0
@@ -141,6 +156,11 @@ def test_hausdorff_identical_and_concentric():
     assert abs(hausdorff_distance(a, b) - 0.1) < 1e-4
     # asymmetric construction still reports the symmetric maximum
     assert abs(hausdorff_distance(b, a) - 0.1) < 1e-4
+    # more points than one block of the distance computation
+    rng = np.random.default_rng(3)
+    c = _points(presets.circle(1.0)[0], 150) + rng.normal(0.0, 0.05, (150, 3))
+    d = _points(presets.circle(1.2)[0], 97)
+    assert hausdorff_distance(c, d) == pytest.approx(_brute_hausdorff(c, d), rel=1e-12)
 
 
 def test_hausdorff_detects_local_bump():
