@@ -119,10 +119,11 @@ def test_report_schema(unknot_run):
                 "margin_z", "hausdorff", "hausdorff_tol", "local_field_distance"):
         assert key in comp
     assert comp["status"] == "ok"
+    assert report["pairs"] == []  # a single component has no pairs
     assert set(report["config"]) == {
         "lam", "w_half_factor", "frame_samples", "strip_s_per_2pi", "strip_t_nodes",
         "directions", "ridge", "eps_tilde", "rtol", "atol", "orbit_samples",
-        "hausdorff_tol", "seed"}  # a single component has no pairs
+        "hausdorff_tol", "seed"}
     for key in ("geometry_s", "eigen_check_s", "dynamics_s", "topology_s"):
         assert report["timings"][key] >= 0.0
 
