@@ -6,7 +6,7 @@ eigenvalue here (u_sigma(x) = u(x / sigma) is Beltrami for lambda / sigma), so
 this is the unit Hopf link seen by a wavelength-14 field: the tubes sit many
 wavelengths apart, which keeps the plane-wave fit well conditioned.
 
-Runs in roughly 30 s.
+Runs in about 10 s on two CPUs.
 """
 
 from pathlib import Path

@@ -9,7 +9,7 @@ tube confinement, and the pairwise Gauss linking numbers.
 """
 
 from .charts import TubeChart, build_charts, tube_radius
-from .config import RunConfig, config_from_dict
+from .config import RunConfig
 from .curves import (ArcLengthCurve, EmbeddingError, FourierCurve, LinkSpec,
                      resample_arclength)
 from .dynamics import (FloquetData, IntegrationError, NewtonFailure, OrbitEscape,
@@ -47,7 +47,7 @@ __all__ = [
     "TubeChart", "TubeModelField", "VerificationOutcome",
     "beltrami_residual", "beltramize", "build_cauchy_data", "build_charts",
     "cauchy_field", "chi_from_constraint", "closedness_check",
-    "config_from_dict", "cross_validate", "design_matrix", "direction_set",
+    "cross_validate", "design_matrix", "direction_set",
     "divergence_residual", "fit_global", "frame_transport", "hausdorff_distance",
     "integrate", "linking_number", "load_field", "load_link", "load_seeds",
     "lyapunov_values", "make_basis", "make_error_budget", "march",

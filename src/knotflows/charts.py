@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.spatial.distance import cdist
 
 from .config import RunConfig
 from .curves import ArcLengthCurve, EmbeddingError, LinkSpec, resample_arclength
@@ -184,8 +185,7 @@ def component_gaps(arcs: list[ArcLengthCurve]):
     gaps = np.full((a, a), np.inf)
     for i in range(a):
         for j in range(i + 1, a):
-            d = np.sqrt(np.min(np.sum(
-                (arcs[i].points[:, None, :] - arcs[j].points[None, :, :]) ** 2, axis=-1)))
+            d = np.sqrt(np.min(cdist(arcs[i].points, arcs[j].points, "sqeuclidean")))
             gaps[i, j] = gaps[j, i] = d
     return gaps
 

@@ -51,11 +51,3 @@ class RunConfig:
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
-
-
-def config_from_dict(d: dict) -> RunConfig:
-    known = {f.name for f in dataclasses.fields(RunConfig)}
-    unknown = set(d) - known
-    if unknown:
-        raise ValueError(f"unknown config fields: {sorted(unknown)}")
-    return RunConfig(**d)

@@ -5,6 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.spatial.distance import cdist
 
 
 class EmbeddingError(ValueError):
@@ -132,7 +133,11 @@ class ArcLengthCurve:
         coeffs = np.fft.rfft(sp)
         self.length = float(2.0 * np.pi * coeffs[0].real / m)
         mm = np.arange(1, coeffs.shape[0], dtype=float)
-        self._anti = coeffs[1:] / (1j * mm)  # periodic part of the antiderivative
+        anti = coeffs[1:] / (1j * mm)  # periodic part of the antiderivative
+        # keep modes 1..K, K the least whose dropped tail bound
+        # 2 sum_{k>K} |anti_k| / m is <= 1e-16 L, about half an ulp of the length
+        tail = np.append(np.cumsum(np.abs(anti)[::-1])[::-1], 0.0)
+        self._anti = anti[:int(np.argmax(2.0 * tail / m <= 1e-16 * self.length))]
         self._anti_n = m
         self._mean_speed = coeffs[0].real / m
         self.s_nodes = self.length * np.arange(self.n) / self.n
@@ -144,11 +149,7 @@ class ArcLengthCurve:
         """Arc length from parameter 0 to t."""
         t = np.asarray(t, dtype=float)
         m = np.arange(1, self._anti.shape[0] + 1, dtype=float)
-        # exp(i t m) formed in place: its (t, m) temporaries set the peak
-        # memory of a geometry build, so hold one complex array, not three
-        phase = np.zeros(t.shape + m.shape, dtype=complex)
-        np.multiply.outer(t, m, out=phase.imag)
-        np.exp(phase, out=phase)
+        phase = np.exp(1j * np.multiply.outer(t, m))
         periodic = 2.0 * np.real(phase @ self._anti) / self._anti_n
         periodic0 = 2.0 * np.real(np.sum(self._anti)) / self._anti_n
         return self._mean_speed * t + periodic - periodic0
@@ -182,7 +183,7 @@ class ArcLengthCurve:
         kappa = self.curve.max_curvature()
         k_win = int(np.ceil(min(np.pi / kappa, self.length / 4.0) / (self.length / self.n)))
         p = self.points
-        d2 = np.sum((p[:, None, :] - p[None, :, :]) ** 2, axis=-1)
+        d2 = cdist(p, p, "sqeuclidean")
         idx = np.arange(self.n)
         sep = np.abs(idx[:, None] - idx[None, :])
         sep = np.minimum(sep, self.n - sep)

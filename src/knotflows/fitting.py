@@ -1,12 +1,12 @@
-"""Error budget bookkeeping and the global weighted least-squares fit.
+"""Error budget bookkeeping and the global least-squares fit.
 
 The budget mirrors the inductive tolerance schedule: with sigma = number of
 multi-indices |alpha| <= s in three variables, the per-stage tolerances
 eps_m = (min eps~) / (7 sigma) * 3^{-m} satisfy eps_m < (1/(6 sigma)) min eps~
 and sum_{n>m} eps_n = eps_m / 2 < eps_m, both strictly. At finite scale a
 single least-squares solve over all tubes replaces the induction, so the fit
-takes the per-tube tolerances eps~ themselves, not a schedule: it weights
-each tube by its own eps~ and does not depend on the order in which the tubes
+takes the one tolerance eps~ that every tube shares, not a schedule: all rows
+weigh the same, and the fit does not depend on the order in which the tubes
 are listed. The schedule stays for the budget inequalities it certifies. The
 solve streams the system through a blocked QR and so holds O(n^2) memory for
 n coefficients; see fit_global.
@@ -87,11 +87,11 @@ class FitReport:
     basis_members: int
     n_points: int
     tube_residuals: list        # max |u - w| per tube on the full strip grid
-    tube_budgets: list          # per-tube eps~
+    tube_budgets: list          # eps~, once per tube
     success: bool
     condition: float            # singular-value ratio of the stacked system
     rank: int
-    weighted_objective: float   # ||W^(1/2)(A c - b)||^2 + ridge ||c||^2
+    weighted_objective: float   # ||A c - b||^2 + ridge ||c||^2
     ridge: float
     advice: str = ""
 
@@ -115,25 +115,24 @@ def design_matrix(k: np.ndarray, e: np.ndarray, lam: float,
 
 def fit_global(datas: list[CauchyData], eps_tilde, k: np.ndarray,
                e: np.ndarray, lam: float, ridge: float = RunConfig.ridge):
-    """Weighted ridge least squares of the plane-wave basis against all tubes.
+    """Ridge least squares of the plane-wave basis against all tubes.
 
-    eps_tilde lists one tolerance per tube; the rows of tube i carry weight
-    1/eps~_i. Every strip node is a collocation point. The ridge-stacked
-    system [A | b] is folded, one block of about n+1 rows at a time, into its
-    (n+1) x (n+1) triangular factor R (LAPACK tpqrt, as in TSQR), so A is
-    never held whole and memory is O(n^2) for n coefficients. The LAPACK SVD
-    driver then solves the n x n factor, which has the singular values of the
-    stacked system; the normal equations are never formed. Success means
-    every tube's residual on its strip grid is below its own eps~.
+    eps_tilde is the one tolerance every tube shares (a sequence of equal
+    values is read as that value). Every strip node is a collocation point.
+    The ridge-stacked system [A | b] is folded, one block of about n+1 rows
+    at a time, into its (n+1) x (n+1) triangular factor R (LAPACK tpqrt, as
+    in TSQR), so A is never held whole and memory is O(n^2) for n
+    coefficients. The LAPACK SVD driver then solves the n x n factor, which
+    has the singular values of the stacked system; the normal equations are
+    never formed. Success means every tube's residual on its strip grid is
+    below eps~.
     """
-    budgets = [float(b) for b in eps_tilde]
-    if len(budgets) != len(datas) or not all(b > 0 for b in budgets):
-        raise ValueError("eps_tilde must list one tolerance per tube, each > 0")
+    eps = np.unique(np.asarray(eps_tilde, dtype=float))
+    if eps.size != 1 or not (np.isfinite(eps[0]) and eps[0] > 0):
+        raise ValueError(f"eps_tilde must be one finite tolerance > 0, got {eps_tilde!r}")
+    eps = float(eps[0])
     pts = np.vstack([d.points.reshape(-1, 3) for d in datas])
     targets = np.vstack([d.w.reshape(-1, 3) for d in datas])
-    # row weight 1/eps~_i, normalized so the largest row weight is 1
-    n_rows = [3 * d.points[..., 0].size for d in datas]
-    weights = np.repeat(min(budgets) / np.asarray(budgets), n_rows)[:, None]
 
     n_coef = 2 * k.shape[0]
     # R of the ridge rows [sqrt(ridge) I | 0]; the last column carries b
@@ -144,7 +143,6 @@ def fit_global(datas: list[CauchyData], eps_tilde, k: np.ndarray,
         block = np.empty((3 * len(pts[lo:lo + step]), n_coef + 1), order="F")
         block[:, :n_coef] = design_matrix(k, e, lam, pts[lo:lo + step])
         block[:, n_coef] = targets[lo:lo + step].reshape(-1)
-        block *= weights[3 * lo:3 * lo + block.shape[0]]
         r, _, _, info = scipy.linalg.lapack.dtpqrt(
             0, min(32, n_coef + 1), r, block, overwrite_a=1, overwrite_b=1)
         if info != 0:
@@ -161,12 +159,12 @@ def fit_global(datas: list[CauchyData], eps_tilde, k: np.ndarray,
         err = [np.linalg.norm(expansion(x[lo:lo + step]) - w[lo:lo + step], axis=1).max()
                for lo in range(0, x.shape[0], step)]
         tube_res.append(float(max(err)))
-    success = all(res < b_ for res, b_ in zip(tube_res, budgets))
+    success = all(res < eps for res in tube_res)
     advice = "" if success else (
         "strip residual exceeds the budget; enlarge the direction set, "
         "densify the fit grid, or relax eps~")
     report = FitReport(basis_members=k.shape[0], n_points=pts.shape[0],
-                       tube_residuals=tube_res, tube_budgets=budgets,
+                       tube_residuals=tube_res, tube_budgets=[eps] * len(datas),
                        success=success, condition=cond, rank=int(rank),
                        weighted_objective=objective, ridge=ridge, advice=advice)
     return expansion, report

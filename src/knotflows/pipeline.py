@@ -1,7 +1,7 @@
 """Synthesis and verification orchestration.
 
 synthesize: link -> tube charts -> strip Cauchy data -> basis -> global
-Beltrami expansion fitted with each tube weighted by its own eps~.
+Beltrami expansion fitted to every tube at once, against one tolerance eps~.
 
 verify: expansion + link -> strip residual recheck, eigen-relation spot check,
 orbit refinement with Floquet data, confinement and winding certificates,
@@ -130,8 +130,8 @@ def synthesize(link: LinkSpec, config: RunConfig | None = None) -> SynthesisResu
     t0 = time.perf_counter()
     rng = np.random.default_rng(config.seed)
     k, e = make_basis(config.directions, rng)
-    expansion, fit = fit_global(cauchy, [config.eps_tilde] * len(charts), k, e,
-                                link.lam, ridge=config.ridge)
+    expansion, fit = fit_global(cauchy, config.eps_tilde, k, e, link.lam,
+                                ridge=config.ridge)
     timings["fit_s"] = time.perf_counter() - t0
     return SynthesisResult(link, config, charts, cauchy, closedness, expansion,
                            fit, timings)

@@ -6,6 +6,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
+from scipy.spatial.distance import cdist
 
 from .charts import TubeChart
 
@@ -69,7 +70,7 @@ def linking_number(curve_a, curve_b, defect_tol: float = 0.1,
     b = _close_polyline(curve_b, closure_tol)
     seg_scale = max(np.max(np.linalg.norm(np.diff(np.vstack([a, a[:1]]), axis=0), axis=1)),
                     np.max(np.linalg.norm(np.diff(np.vstack([b, b[:1]]), axis=0), axis=1)))
-    gap = np.sqrt(np.min(np.sum((a[:, None, :] - b[None, :, :]) ** 2, axis=-1)))
+    gap = np.sqrt(np.min(cdist(a, b, "sqeuclidean")))
     if gap <= 10.0 * seg_scale:
         raise LinkingError(
             f"curves too close for a trustworthy quadrature: gap = {gap:.3e} "

@@ -72,6 +72,17 @@ def test_component_gaps_coaxial_circles():
     assert gaps[0, 1] == gaps[1, 0]
 
 
+def test_component_gaps_match_broadcast_sum_bitwise():
+    arcs = [ArcLengthCurve(c, 1024) for c in presets.borromean()]
+    gaps = component_gaps(arcs)
+    for i in range(3):
+        for j in range(3):
+            if i != j:
+                d2 = np.sum((arcs[i].points[:, None, :] - arcs[j].points[None, :, :]) ** 2,
+                            axis=-1)
+                assert gaps[i, j] == np.sqrt(np.min(d2))
+
+
 def test_chart_invariant_w_half_bounded_by_radius():
     arc = resample_arclength(presets.circle(1.0)[0], 256)
     frame = frame_transport(arc)

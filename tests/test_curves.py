@@ -118,6 +118,68 @@ def test_self_distance_brute_force_oracle():
     assert abs(dist - np.sqrt(d2.min())) < 1e-3
 
 
+def _broad_spectrum_curve():
+    """A random degree-12 curve whose speed spectrum decays slowly."""
+    rng = np.random.default_rng(0)
+    k = np.maximum(np.arange(13), 1)[:, None]
+    a, b = rng.normal(size=(13, 3)) / k, rng.normal(size=(13, 3)) / k
+    b[0] = 0.0
+    return FourierCurve(a, b)
+
+
+def _full_spectrum_arclen(curve, t):
+    """Arc length from every mode of the speed's FFT, as before truncation."""
+    m = max(4096, 8 * (curve.degree + 1))
+    coeffs = np.fft.rfft(curve.speed(np.linspace(0.0, 2.0 * np.pi, m, endpoint=False)))
+    modes = np.arange(1, coeffs.shape[0])
+    anti = coeffs[1:] / (1j * modes)
+    periodic = np.concatenate([np.real(np.exp(1j * np.multiply.outer(tb, modes)) @ anti)
+                               for tb in np.array_split(t, 8)])
+    return coeffs[0].real / m * t + 2.0 * (periodic - np.real(np.sum(anti))) / m
+
+
+def test_truncated_arclength_matches_full_spectrum():
+    t = np.random.default_rng(3).uniform(0.0, 2.0 * np.pi, 4096)
+    # (curve, bounds on the kept mode count); the broad spectrum guards
+    # against over-truncation
+    for curve, fewest, most in ((presets.borromean(major=8.0)[0], 1, 128),
+                                (presets.trefoil()[0], 1, 128),
+                                (presets.figure_eight()[0], 1, 128),
+                                (_broad_spectrum_curve(), 1000, 2048)):
+        arc = ArcLengthCurve(curve, 256)
+        err = np.max(np.abs(arc.arclen(t) - _full_spectrum_arclen(curve, t)))
+        assert err <= 1e-15 * arc.length
+        assert fewest <= arc._anti.size <= most
+    assert ArcLengthCurve(presets.circle(1.0)[0], 256)._anti.size == 0
+
+
+def _broadcast_chord_scan(arc):
+    """The chord scan of ArcLengthCurve with the chord matrix as a broadcast sum."""
+    kappa = arc.curve.max_curvature()
+    k_win = int(np.ceil(min(np.pi / kappa, arc.length / 4.0) / (arc.length / arc.n)))
+    p = arc.points
+    d2 = np.sum((p[:, None, :] - p[None, :, :]) ** 2, axis=-1)
+    idx = np.arange(arc.n)
+    sep = np.abs(idx[:, None] - idx[None, :])
+    sep = np.minimum(sep, arc.n - sep)
+    i, j = np.unravel_index(np.argmin(np.where(sep >= max(1, k_win), d2, np.inf)),
+                            d2.shape)
+    closest = (float(np.sqrt(d2[i, j])), float(arc.s_nodes[i]), float(arc.s_nodes[j]))
+    local = sep >= max(2, k_win)
+    for ax in (0, 1):
+        for shift in (1, -1):
+            local &= d2 <= np.roll(d2, shift, axis=ax)
+    return closest, min(1.0 / kappa, 0.5 * np.sqrt(np.min(d2[local], initial=np.inf)))
+
+
+def test_chord_scan_matches_broadcast_sum_bitwise():
+    for curve in (presets.trefoil()[0], presets.borromean()[1]):
+        arc = ArcLengthCurve(curve, 1024)
+        closest, reach = _broadcast_chord_scan(arc)
+        assert arc.self_distance() == closest
+        assert arc.reach() == reach
+
+
 def test_linkspec_validation():
     circle = presets.circle(1.0)[0]
     with pytest.raises(ValueError, match="nonzero"):
