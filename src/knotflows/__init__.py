@@ -23,8 +23,7 @@ from .fitting import (ErrorBudget, FitReport, design_matrix, fit_global,
                       make_error_budget, multi_index_count)
 from .framing import FrameModel, frame_transport
 from .marcher import (MarchError, MarchGrid, MarchResult, beltrami_residual,
-                      chi_from_constraint, cross_validate, divergence_residual,
-                      march, rho_step)
+                      chi_from_constraint, divergence_residual, march, rho_step)
 from .pipeline import (PipelineError, SynthesisResult, VerificationOutcome,
                        synthesize, verify)
 from .strip import (CauchyData, StripMetric, build_cauchy_data, cauchy_field,
@@ -47,7 +46,7 @@ __all__ = [
     "TubeChart", "TubeModelField", "VerificationOutcome",
     "beltrami_residual", "beltramize", "build_cauchy_data", "build_charts",
     "cauchy_field", "chi_from_constraint", "closedness_check",
-    "cross_validate", "design_matrix", "direction_set",
+    "design_matrix", "direction_set",
     "divergence_residual", "fit_global", "frame_transport", "hausdorff_distance",
     "integrate", "linking_number", "load_field", "load_link", "load_seeds",
     "lyapunov_values", "make_basis", "make_error_budget", "march",

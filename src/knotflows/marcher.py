@@ -5,10 +5,11 @@ h_ij dxi^i dxi^j, with (rho, z, theta) right-handed as TubeChart orients it,
 so the march solves curl u = lambda u in ambient terms. The d(rho) component
 of the equation is an algebraic constraint fixing chi from the in-level curl
 of (a_z, a_theta); the two tangential components yield d(a)/d(rho) through a
-2x2 metric solve. The transverse problem is ill posed (high theta modes grow
-like e^{|m| rho}), so the solver is a *validation* tool: spectral low-pass
-filtering in theta, a short trusted range in rho, and a growth cap that
-aborts the march.
+2x2 metric solve. This is the local-existence step: Cauchy data on a strip
+extend to a Beltrami field on a neighbourhood of it. The transverse problem
+is ill posed (high theta modes grow like e^{|m| rho}), so the march is
+short-range by construction: spectral low-pass filtering in theta, a short
+trusted range in rho, and a growth cap that aborts the march.
 """
 
 from __future__ import annotations
@@ -121,11 +122,6 @@ class ChartTubeMetric:
         return MetricLevel(np.sum(x_z * x_z, axis=-1),
                            np.sum(x_z * x_th, axis=-1),
                            np.sum(x_th * x_th, axis=-1))
-
-    def frame_at(self, rho: float):
-        """Ambient points and chart frame (X_rho, X_z, X_theta) at one level."""
-        x_rho, x_z, x_th = chart_columns(self._nj, rho)
-        return self._nj["S"] + rho * x_rho, x_rho, x_z, x_th
 
 
 def initial_level(grid: MarchGrid) -> np.ndarray:
@@ -274,57 +270,3 @@ def beltrami_residual(result: MarchResult, metric) -> float:
         worst = max(worst, float(np.max(r_rho)), float(np.max(r_z)),
                     float(np.max(r_th)))
     return worst
-
-
-def ambient_field(result: MarchResult, metric: ChartTubeMetric, level_index: int):
-    """Ambient points and vectors of the marched field at one rho level."""
-    rho = result.rhos[level_index]
-    level = metric.at(rho)
-    hi11, hi12, hi22 = level.inverse()
-    a1, a2 = result.a[level_index, 0], result.a[level_index, 1]
-    v1 = hi11 * a1 + hi12 * a2
-    v2 = hi12 * a1 + hi22 * a2
-    points, n, x_z, x_th = metric.frame_at(rho)
-    vectors = (result.chi[level_index][..., None] * n
-               + v1[..., None] * x_z + v2[..., None] * x_th)
-    return points, vectors
-
-
-def cross_validate(field, chart: TubeChart, lam: float, rho_frac: float = 0.2) -> dict:
-    """Measured C0/C1 distance between a fitted field and the marched local field.
-
-    Marches the exact Cauchy data both ways across the trusted range and
-    compares ambient values (C0) and first derivatives (C1, via the chart
-    differential) against the fitted field on the same grid. The trusted range
-    scales with the strip half-width (the marching error modes grow like
-    e^{rho/w}-ish, so the tube radius is the wrong yardstick when w << r).
-    """
-    w = chart.w_half
-    n_steps, z_nodes, n_theta = 8, 17, 64
-    grid = MarchGrid(np.linspace(-w, w, z_nodes), n_theta, chart.length)
-    metric = ChartTubeMetric(chart, grid)
-    rho_max = rho_frac * w
-    c0 = 0.0
-    grads = []
-    for sign in (+1.0, -1.0):
-        res = march(metric, lam, sign * rho_max, n_steps, grid=grid)
-        diffs = []
-        for i in range(len(res.rhos)):
-            pts, vec = ambient_field(res, metric, i)
-            u = field(pts.reshape(-1, 3)).reshape(pts.shape)
-            diffs.append(u - vec)
-        diffs = np.stack(diffs)  # (nlev, nz, nth, 3)
-        c0 = max(c0, float(np.max(np.linalg.norm(diffs, axis=-1))))
-        # chain rule: D_x(diff) = [d/drho, d/dz, d/dtheta](diff) @ J^{-1}
-        ddr = np.gradient(diffs, res.rhos, axis=0, edge_order=2)
-        ddz = np.gradient(diffs, grid.z_nodes, axis=1, edge_order=2)
-        dth = grid.theta_deriv(np.moveaxis(diffs, -1, -2))  # (nlev,nz,3,nth)
-        dth = np.moveaxis(dth, -1, -2)
-        for i, rho in enumerate(res.rhos):
-            jac = np.stack(metric.frame_at(rho)[1:], axis=-1)
-            g = np.stack([ddr[i], ddz[i], dth[i]], axis=-1)
-            dd = g @ np.linalg.inv(jac)
-            grads.append(np.max(np.sqrt(np.sum(dd**2, axis=(-2, -1)))))
-    c1 = c0 + float(np.max(grads))
-    return {"c0": c0, "c1": c1, "rho_max": rho_max,
-            "z_nodes": z_nodes, "n_theta": n_theta, "n_steps": n_steps}

@@ -5,10 +5,10 @@ Beltrami expansion fitted to every tube at once, against one tolerance eps~.
 
 verify: expansion + link -> strip residual recheck, eigen-relation spot check,
 orbit refinement with Floquet data, confinement and winding certificates,
-pairwise linking numbers, C0/C1 cross-validation against the marched local
-field. Emits a machine-readable report with per-criterion pass/fail. The
-gate tolerances are the constants below; the other fixed numerics are the
-defaults of the functions that apply them.
+pairwise linking numbers. Every certificate is read off the fitted global
+field itself. Emits a machine-readable report with per-criterion pass/fail.
+The gate tolerances are the constants below; the other fixed numerics are
+the defaults of the functions that apply them.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from .dynamics import (CLOSURE_TOL, IntegrationError, NewtonFailure, OrbitEscape
 from .field import BeltramiExpansion, make_basis
 from .fileio import REPORT_SCHEMA
 from .fitting import FitReport, fit_global
-from .marcher import MarchError, cross_validate
 from .strip import build_cauchy_data, closedness_check
 from .topology import LinkingError, hausdorff_distance, linking_number, tube_confinement
 
@@ -253,10 +252,6 @@ def verify(link: LinkSpec, expansion: BeltramiExpansion,
                 entry.update({"status": "dynamics_error",
                               "error": f"{type(exc).__name__}: {exc}"})
         orbits.append(orbit)
-        try:
-            entry["local_field_distance"] = cross_validate(expansion, chart, link.lam)
-        except MarchError as exc:
-            entry["local_field_distance"] = {"error": f"MarchError: {exc}"}
         components.append(entry)
     timings["dynamics_s"] = time.perf_counter() - t0
 

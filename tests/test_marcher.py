@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from knotflows import presets
-from knotflows.charts import TubeChart
+from knotflows.charts import TubeChart, chart_columns
 from knotflows.curves import resample_arclength
+from knotflows.field import BeltramiExpansion, make_basis
 from knotflows.framing import frame_transport
 from knotflows.marcher import (ChartTubeMetric, FlatMetric, MarchError,
                                MarchGrid, beltrami_residual, chi_from_constraint,
@@ -167,6 +168,34 @@ def test_chart_tube_metric_matches_strip_metric_on_strip():
     # the circle strip normal is constant, so the metric is rho-independent
     off = metric.at(0.05)
     assert np.max(np.abs(off.h22 - level.h22)) < 1e-8
-    pts, n, x_z, x_th = metric.frame_at(0.02)
-    expect = chart.strip_point(ss, tt) + 0.02 * chart.normal(ss, tt)
-    assert np.max(np.abs(pts - expect)) < 1e-10
+
+
+def test_march_reproduces_exact_expansion_on_circle_chart():
+    # the pullback (u.X_z, u.X_theta) of an exact Beltrami expansion is an
+    # exact solution of the marched system at every rho level; marching with
+    # the opposite sign of lambda (the wrong orientation) must not match it
+    arc = resample_arclength(presets.circle(1.0)[0], 512)
+    chart = TubeChart(frame_transport(arc), 0.5, 0.05)
+    w = chart.w_half
+    grid = MarchGrid(np.linspace(-w, w, 17), 64, chart.length)
+    metric = ChartTubeMetric(chart, grid)
+    rng = np.random.default_rng(3)
+    k, e = make_basis(6, rng)
+    u = BeltramiExpansion(1.0, k, e, rng.standard_normal(6), rng.standard_normal(6))
+    nj = chart.normal_jet(grid.theta_nodes[None, :], grid.z_nodes[:, None])
+
+    def forms(rho):
+        x_rho, x_z, x_th = chart_columns(nj, rho)
+        v = u((nj["S"] + rho * x_rho).reshape(-1, 3)).reshape(x_z.shape)
+        return np.stack([np.sum(v * x_z, axis=-1), np.sum(v * x_th, axis=-1)])
+
+    a0 = forms(0.0)
+    assert np.max(np.abs(a0)) > 1.0
+    for lam, n_steps in ((1.0, 4), (1.0, 16), (-1.0, 8)):
+        res = march(metric, lam, 0.2 * w, n_steps, grid=grid, a0=a0)
+        err = max(np.max(np.abs(res.a[i] - forms(rho)))
+                  for i, rho in enumerate(res.rhos))
+        if lam > 0:
+            assert err < 1e-7
+        else:
+            assert err > 1e-2
