@@ -19,6 +19,9 @@ from .config import RunConfig
 from .curves import ArcLengthCurve, EmbeddingError, LinkSpec, resample_arclength
 from .framing import FrameModel, frame_transport
 
+# points per core-distance block of a projection; bounds its (block, samples) temporaries
+_BLOCK = 256
+
 
 class TubeChart:
     """Adapted tube coordinates around one link component."""
@@ -71,92 +74,113 @@ class TubeChart:
         """Columns (X_rho, X_z, X_theta) of the chart differential."""
         return chart_columns(self.normal_jet(theta, z), rho)
 
-    def _project(self, x, s0, t0):
-        """Newton for the closest strip point; returns (s, t, jet at (s, t), ok)."""
-
-        def residual(s, t):
-            jet = self.strip_jet(s, np.array(t))
-            d = x - jet["S"]
-            return jet, d, np.array([np.dot(d, jet["S_s"]), np.dot(d, jet["e1"])])
-
-        s, t = float(s0), float(t0)
-        tol = 1e-13 * max(1.0, float(np.linalg.norm(x)))
-        jet, d, f = residual(s, t)
-        for it in range(40):
-            if np.linalg.norm(f) < tol:
-                return s % self.length, t, jet, True
-            j11 = -np.dot(jet["S_s"], jet["S_s"]) + np.dot(d, jet["S_ss"])
-            j12 = np.dot(d, jet["de1"])
-            jac = np.array([[j11, j12], [j12, -1.0]])
-            try:
-                step = np.linalg.solve(jac, -f)
-            except np.linalg.LinAlgError:
-                return s % self.length, t, jet, False
-            lam = 1.0
-            for _ in range(8):
-                s_new, t_new = s + lam * step[0], t + lam * step[1]
-                t_new = float(np.clip(t_new, -4.0 * self.w_half, 4.0 * self.w_half))
-                jet_new, d_new, f_new = residual(s_new, t_new)
-                # the first step is always taken; later ones must not increase |f|
-                if it == 0 or np.linalg.norm(f_new) <= np.linalg.norm(f):
-                    break
-                lam *= 0.5
-            s, t, jet, d, f = s_new, t_new, jet_new, d_new, f_new
-        return s % self.length, t, jet, bool(np.linalg.norm(f) < 1e3 * tol)
-
     def to_tube(self, x):
-        """Adapted coordinates (rho, z, theta) of an ambient point.
+        """Adapted coordinates (rho, z, theta) of an ambient point, or None out of chart."""
+        coords = self.to_tube_many(np.reshape(x, (1, 3)))[0]
+        return None if np.isnan(coords[0]) else tuple(float(c) for c in coords)
 
-        Returns None when the point is out of chart: the closest-point
-        projection leaves the declared strip, the normal offset exceeds the
+    def to_tube_many(self, xs):
+        """Adapted coordinates of (n, 3) points: (n, 3) rows (rho, z, theta).
+
+        A row is nan when its point is out of chart: the closest-point
+        projection leaves the declared strip, the normal offset reaches the
         tube radius, or two distant sheet candidates are equally near. Core
         samples farther than radius + 4 w_half (the t-clip) plus one sample
         step are not candidates.
         """
-        found = self._to_tube_jet(x)
-        return None if found is None else found[:3]
+        return self._to_tube_jet(xs)[0]
 
-    def _to_tube_jet(self, x):
-        """to_tube's (rho, z, theta) followed by the normal jet at (theta, z)."""
-        x = np.asarray(x, dtype=float)
-        pts = self.frame.arc.points
-        d2 = np.sum((pts - x) ** 2, axis=1)
+    def _to_tube_jet(self, xs):
+        """to_tube_many's (n, 3) coordinates and the normal jet at each row's (theta, z).
+
+        One batched projection: each point's candidates are the cyclic local
+        minima of its core distance within reach, at most the 4 nearest, and
+        one damped Newton runs on every (point, candidate) pair at once.
+        """
+        xs = np.asarray(xs, dtype=float).reshape(-1, 3)
+        pts, e1s = self.frame.arc.points, self.frame.e1_samples
         reach = self.radius + 4.0 * self.w_half + self.length / len(pts)
-        is_min = (d2 <= np.roll(d2, 1)) & (d2 <= np.roll(d2, -1)) & (d2 <= reach**2)
-        cand = np.flatnonzero(is_min)
-        cand = cand[np.argsort(d2[cand])][:4]
-        sols = []
-        for i in cand:
-            t0 = float(np.clip(np.dot(x - pts[i], self.frame.e1_samples[i]),
-                               -self.w_half, self.w_half))
-            s, t, jet, ok = self._project(x, self.frame.arc.s_nodes[i], t0)
-            if ok:
-                sols.append((float(np.linalg.norm(x - jet["S"])), s, t, jet))
-        if not sols:
-            return None
-        sols.sort(key=lambda sol: sol[:3])
-        dist, s, t, jet = sols[0]
-        for d2_, s2, t2, _ in sols[1:]:
-            same = (min(abs(s2 - s), self.length - abs(s2 - s)) < 1e-6 * self.length
-                    and abs(t2 - t) < 1e-6 * max(self.w_half, 1.0))
-            if not same and d2_ <= dist * (1.0 + 1e-9) + 1e-12:
-                return None  # ambiguous: two equally near sheets
-        if abs(t) > self.w_half:
-            return None
-        nj = _normal_jet(jet)
-        rho = float(np.dot(x - jet["S"], nj["n"]))
-        if abs(rho) >= self.radius:
-            return None
-        return rho, float(t), float(s), nj
+        rows, cols = [np.empty(0, int)], [np.empty(0, int)]
+        for lo in range(0, len(xs), _BLOCK):
+            d2 = cdist(xs[lo:lo + _BLOCK], pts, "sqeuclidean")
+            is_min = ((d2 <= np.roll(d2, 1, axis=1)) & (d2 <= np.roll(d2, -1, axis=1))
+                      & (d2 <= reach**2))
+            r, c = np.nonzero(is_min)
+            order = np.lexsort((d2[r, c], r))  # by point, then nearest first
+            r, c = r[order], c[order]
+            nearest = np.arange(len(r)) - np.searchsorted(r, r) < 4
+            rows.append(lo + r[nearest])
+            cols.append(c[nearest])
+        p, i = np.concatenate(rows), np.concatenate(cols)
+        x = xs[p]
+        t0 = np.clip(np.sum((x - pts[i]) * e1s[i], axis=1), -self.w_half, self.w_half)
+        s, t, dist, ok = self._newton(x, self.frame.arc.s_nodes[i], t0)
+        theta = s % self.length
+        order = np.lexsort((t, theta, dist, p))  # per point by (dist, theta, t)
+        order = order[ok[order]]
+        p, s, t, dist, theta = (v[order] for v in (p, s, t, dist, theta))
+        first = np.flatnonzero(np.diff(p, prepend=-1))
+        b = first[np.searchsorted(p[first], p)]  # each pair's best pair
+        ds = np.abs(theta - theta[b])
+        same = ((np.minimum(ds, self.length - ds) < 1e-6 * self.length)
+                & (np.abs(t - t[b]) < 1e-6 * max(self.w_half, 1.0)))
+        # ambiguous: a distinct sheet as near as the best one
+        rival = p[~same & (dist <= dist[b] * (1.0 + 1e-9) + 1e-12)]
+        found = np.isin(np.arange(len(xs)), np.setdiff1d(p[first], rival))
+        s_pt, t_pt = np.zeros(len(xs)), np.zeros(len(xs))
+        s_pt[p[first]], t_pt[p[first]] = s[first], t[first]
+        nj = _normal_jet(self.strip_jet(s_pt, t_pt))
+        rho = np.sum((xs - nj["S"]) * nj["n"], axis=1)
+        inside = found & (np.abs(t_pt) <= self.w_half) & (np.abs(rho) < self.radius)
+        coords = np.where(inside[:, None], np.column_stack([rho, t_pt, s_pt % self.length]),
+                          np.nan)
+        return coords, nj
 
-    def to_tube_many(self, xs):
-        """Vector version of to_tube: (n,3) -> (n,3) array with nan rows when out of chart."""
-        out = np.full((len(xs), 3), np.nan)
-        for i, x in enumerate(xs):
-            r = self.to_tube(x)
-            if r is not None:
-                out[i] = r
-        return out
+    def _newton(self, x, s, t):
+        """Damped Newton toward the closest strip point of each row of (x, s, t).
+
+        One strip_jet call per trial serves every pair still iterating.
+        Returns (s, t, |x - S(s, t)|, ok).
+        """
+
+        def residual(s, t, x):
+            # gradient f of |x - S|^2 / 2 in (s, t), its Jacobian's (1,1) and
+            # (1,2) entries (the (2,2) entry is -1), and |x - S|
+            jet = self.strip_jet(s, t)
+            d = x - jet["S"]
+            dot = {k: np.sum(d * jet[k], axis=1) for k in ("S_s", "e1", "S_ss", "de1")}
+            return (np.column_stack([dot["S_s"], dot["e1"]]),
+                    np.column_stack([dot["S_ss"] - np.sum(jet["S_s"] ** 2, axis=1),
+                                     dot["de1"]]),
+                    np.linalg.norm(d, axis=1))
+
+        tol = 1e-13 * np.maximum(1.0, np.linalg.norm(x, axis=1))
+        f, jac, dist = residual(s, t, x)
+        live, ok = np.ones(len(x), bool), np.zeros(len(x), bool)
+        for it in range(40):
+            norm_f = np.linalg.norm(f, axis=1)
+            ok |= live & (norm_f < tol)
+            det = -jac[:, 0] - jac[:, 1] ** 2
+            live &= ~ok & (det != 0.0)  # a singular Jacobian fails its pair
+            a = np.flatnonzero(live)
+            if not a.size:
+                break
+            # the step solves [[j11, j12], [j12, -1]] step = -f
+            step_s = (f[a, 0] + jac[a, 1] * f[a, 1]) / det[a]
+            step_t = (jac[a, 1] * f[a, 0] - jac[a, 0] * f[a, 1]) / det[a]
+            s0, t0, lam = s[a], t[a], 1.0
+            for _ in range(8):
+                s[a] = s0 + lam * step_s
+                t[a] = np.clip(t0 + lam * step_t, -4.0 * self.w_half, 4.0 * self.w_half)
+                f[a], jac[a], dist[a] = residual(s[a], t[a], x[a])
+                # the first step is always taken; later ones must not increase |f|
+                worse = ~(np.linalg.norm(f[a], axis=1) <= norm_f[a]) & (it > 0)
+                a, s0, t0, step_s, step_t = (v[worse] for v in (a, s0, t0, step_s, step_t))
+                if not a.size:
+                    break
+                lam *= 0.5
+        ok |= live & (np.linalg.norm(f, axis=1) < 1e3 * tol)
+        return s, t, dist, ok
 
 
 def _normal_jet(jet: dict) -> dict:

@@ -154,7 +154,7 @@ def refine_orbit(field, chart: TubeChart, rtol: float = 1e-10, atol: float = 1e-
             r = slice(3 * i, 3 * i + 3)
             jac[r, r] = mats[i]
             jac[r, 3 * ((i + 1) % m):3 * ((i + 1) % m) + 3] -= np.eye(3)
-            jac[r, 3 * m] = field(ys[i]) / m
+        jac[:3 * m, 3 * m] = (field(ys) / m).ravel()
         jac[3 * m, 0:3] = u_anchor
         try:
             step = np.linalg.solve(jac, -f)
@@ -183,7 +183,7 @@ def refine_orbit(field, chart: TubeChart, rtol: float = 1e-10, atol: float = 1e-
         nodes, period = new_nodes, new_period
         f, ys, mats, sols = shot
         res = res_new
-        if any(chart.to_tube(x) is None for x in nodes):
+        if np.isnan(chart.to_tube_many(nodes)).any():
             raise OrbitEscape(f"Newton iterate left the tube at iteration {it}")
         it += 1
 
@@ -282,20 +282,19 @@ class TubeModelField:
         self.chart = chart
 
     def _coords(self, x):
-        found = self.chart._to_tube_jet(np.asarray(x, dtype=float))
-        if found is None:
+        coords, nj = self.chart._to_tube_jet(x)
+        if np.isnan(coords).any():
             raise OrbitEscape("tube-model field evaluated outside its chart")
-        return found
+        return coords, nj
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
-        if x.ndim == 2:
-            return np.array([self(xi) for xi in x])
-        rho, z, _, nj = self._coords(x)
-        return _model_vector(nj, rho, z)
+        coords, nj = self._coords(x)
+        return _model_vector(nj, coords[:, 0], coords[:, 1]).reshape(x.shape)
 
     def jet(self, x):
-        rho, z, theta, nj = self._coords(x)
+        coords, nj = self._coords(x)
+        (rho, z, theta), nj = coords[0], {k: v[0] for k, v in nj.items()}
         h = 1e-6
         q = np.array([rho, z, theta]) + h * np.vstack([np.eye(3), -np.eye(3)])
         v = _model_vector(self.chart.normal_jet(q[:, 2], q[:, 1]), q[:, 0], q[:, 1])

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from knotflows import presets
+from knotflows import charts, presets
 from knotflows.charts import TubeChart, build_charts, component_gaps, tube_radius
 from knotflows.config import RunConfig
 from knotflows.curves import (ArcLengthCurve, EmbeddingError, FourierCurve,
@@ -26,6 +26,106 @@ def _circle_chart(radius=0.5, w_half=0.1, n=1024):
     arc = resample_arclength(presets.circle(1.0)[0], n)
     # radial seed makes the frame e1(s) = (cos s, sin s, 0) exactly
     return TubeChart(frame_transport(arc), radius, w_half)
+
+
+def _ellipse_chart():
+    return build_charts(LinkSpec(1.0, (presets.borromean(8.0)[0],)))[0]
+
+
+def _wide_ellipse_chart():
+    # e1 along the plane normal puts the strip across the plane; a radius of
+    # 4.5 > 4 puts the ellipse's centre in chart but for its two equally near
+    # sheets (the minor vertices), and points near it between two sheets
+    arc = resample_arclength(presets.borromean(8.0)[0], 1024)
+    return TubeChart(frame_transport(arc, seed_normal=np.array([1.0, 0.0, 0.0])), 4.5, 0.1)
+
+
+def _reference_project(chart, x, s0, t0):
+    """The one-point Newton projection that to_tube_many batches, kept as its oracle."""
+
+    def residual(s, t):
+        jet = chart.strip_jet(s, np.array(t))
+        d = x - jet["S"]
+        return jet, d, np.array([np.dot(d, jet["S_s"]), np.dot(d, jet["e1"])])
+
+    s, t = float(s0), float(t0)
+    tol = 1e-13 * max(1.0, float(np.linalg.norm(x)))
+    jet, d, f = residual(s, t)
+    for it in range(40):
+        if np.linalg.norm(f) < tol:
+            return s % chart.length, t, jet, True
+        j11 = -np.dot(jet["S_s"], jet["S_s"]) + np.dot(d, jet["S_ss"])
+        j12 = np.dot(d, jet["de1"])
+        jac = np.array([[j11, j12], [j12, -1.0]])
+        try:
+            step = np.linalg.solve(jac, -f)
+        except np.linalg.LinAlgError:
+            return s % chart.length, t, jet, False
+        lam = 1.0
+        for _ in range(8):
+            s_new, t_new = s + lam * step[0], t + lam * step[1]
+            t_new = float(np.clip(t_new, -4.0 * chart.w_half, 4.0 * chart.w_half))
+            jet_new, d_new, f_new = residual(s_new, t_new)
+            if it == 0 or np.linalg.norm(f_new) <= np.linalg.norm(f):
+                break
+            lam *= 0.5
+        s, t, jet, d, f = s_new, t_new, jet_new, d_new, f_new
+    return s % chart.length, t, jet, bool(np.linalg.norm(f) < 1e3 * tol)
+
+
+def _reference_to_tube(chart, x):
+    """(rho, z, theta) of one point by per-candidate Newton, nan when out of chart."""
+    pts = chart.frame.arc.points
+    d2 = np.sum((pts - x) ** 2, axis=1)
+    reach = chart.radius + 4.0 * chart.w_half + chart.length / len(pts)
+    is_min = (d2 <= np.roll(d2, 1)) & (d2 <= np.roll(d2, -1)) & (d2 <= reach**2)
+    cand = np.flatnonzero(is_min)
+    cand = cand[np.argsort(d2[cand])][:4]
+    sols = []
+    for i in cand:
+        t0 = float(np.clip(np.dot(x - pts[i], chart.frame.e1_samples[i]),
+                           -chart.w_half, chart.w_half))
+        s, t, jet, ok = _reference_project(chart, x, chart.frame.arc.s_nodes[i], t0)
+        if ok:
+            sols.append((float(np.linalg.norm(x - jet["S"])), s, t, jet))
+    out = np.full(3, np.nan)
+    if not sols:
+        return out
+    sols.sort(key=lambda sol: sol[:3])
+    dist, s, t, jet = sols[0]
+    for d2_, s2, t2, _ in sols[1:]:
+        same = (min(abs(s2 - s), chart.length - abs(s2 - s)) < 1e-6 * chart.length
+                and abs(t2 - t) < 1e-6 * max(chart.w_half, 1.0))
+        if not same and d2_ <= dist * (1.0 + 1e-9) + 1e-12:
+            return out
+    if abs(t) > chart.w_half:
+        return out
+    rho = float(np.dot(x - jet["S"], charts._normal_jet(jet)["n"]))
+    if abs(rho) < chart.radius:
+        out[:] = rho, t, s
+    return out
+
+
+def _oracle_points(chart, rng, k=50):
+    """k points each in chart, beyond the strip edge, beyond the tube wall,
+    beyond the candidate reach and near the core's centroid, then 10 far
+    away and the centroid itself."""
+    r, w, L = chart.radius, chart.w_half, chart.length
+    reach = r + 4.0 * w + L / len(chart.frame.arc.points)
+    sign = rng.choice([-1.0, 1.0], size=(3, k))
+
+    def around(rho, z):
+        return chart.from_tube(rho, z, rng.uniform(0.0, L, k))
+
+    far = rng.normal(size=(10, 3))
+    far *= 3.0 * L / np.linalg.norm(far, axis=1, keepdims=True)
+    centre = chart.frame.arc.points.mean(axis=0)
+    return np.vstack([
+        around(rng.uniform(-0.9 * r, 0.9 * r, k), rng.uniform(-0.9 * w, 0.9 * w, k)),
+        around(rng.uniform(-0.5 * r, 0.5 * r, k), sign[0] * rng.uniform(1.05 * w, 3.0 * w, k)),
+        around(sign[1] * rng.uniform(r, r + 2.0 * w, k), rng.uniform(-0.5 * w, 0.5 * w, k)),
+        around(sign[2] * rng.uniform(1.01 * reach, 1.5 * reach, k), np.zeros(k)),
+        centre + rng.normal(scale=0.5 * w, size=(k, 3)), centre + far, centre])
 
 
 def test_tube_radius_single_unit_circle():
@@ -166,6 +266,54 @@ def test_chart_round_trip_on_trefoil():
     assert np.max(np.minimum(dth, chart.length - dth)) < 1e-9
 
 
+def _assert_same_coords(chart, got, want):
+    """Same out-of-chart rows, and coordinates within 1e-12 max(1, length)."""
+    out = np.isnan(want[:, 0])
+    assert np.array_equal(np.isnan(got), np.isnan(want))
+    diff = np.abs(got[~out] - want[~out])
+    diff[:, 2] = np.minimum(diff[:, 2], chart.length - diff[:, 2])
+    assert np.max(diff) < 1e-12 * max(1.0, chart.length)
+
+
+@pytest.mark.parametrize("make_chart", [_trefoil_chart, _ellipse_chart, _circle_chart,
+                                        _wide_ellipse_chart])
+def test_to_tube_many_matches_the_one_point_reference(make_chart):
+    chart = make_chart()
+    pts = _oracle_points(chart, np.random.default_rng(11))
+    got = chart.to_tube_many(pts)
+    want = np.array([_reference_to_tube(chart, x) for x in pts])
+    out = np.isnan(want[:, 0])
+    # in-chart points stay in, strip-edge points leave, and so does the
+    # centroid: beyond reach, or equally near two sheets of the wide ellipse
+    assert not np.any(out[:50]) and np.all(out[50:100]) and out[-1]
+    _assert_same_coords(chart, got, want)
+
+
+def test_to_tube_many_across_blocks_equals_to_tube():
+    chart = _trefoil_chart()
+    pts = _oracle_points(chart, np.random.default_rng(12), k=80)
+    assert len(pts) > charts._BLOCK
+    one = np.array([chart.to_tube(x) or (np.nan,) * 3 for x in pts])
+    # not bitwise: the series matmul may round a batch row and a lone row apart
+    _assert_same_coords(chart, chart.to_tube_many(pts), one)
+
+
+def test_to_tube_many_strip_jet_calls_do_not_grow_with_points(monkeypatch):
+    chart = _trefoil_chart()
+    pts = _oracle_points(chart, np.random.default_rng(13), k=120)[:500]
+    calls = []
+    strip_jet = TubeChart.strip_jet
+
+    def counted(self, s, t):
+        calls.append(1)
+        return strip_jet(self, s, t)
+
+    monkeypatch.setattr(TubeChart, "strip_jet", counted)
+    chart.to_tube_many(pts)
+    # the first residual, at most 8 trials in each of 40 iterations, the final jet
+    assert len(calls) <= 1 + 40 * 8 + 1
+
+
 def test_to_tube_skips_sheets_beyond_the_tube(monkeypatch):
     # the trefoil's other strands are local minima of the core distance too;
     # Newton toward them cannot end in the chart, so it must not run
@@ -175,17 +323,17 @@ def test_to_tube_skips_sheets_beyond_the_tube(monkeypatch):
     pts = chart.from_tube(rng.uniform(-0.6 * r, 0.6 * r, 20),
                           rng.uniform(-0.25 * r, 0.25 * r, 20),
                           rng.uniform(0.0, chart.length, 20))
-    jets = []
+    values = []
     strip_jet = TubeChart.strip_jet
 
     def counted(self, s, t):
-        jets.append(1)
+        values.append(np.broadcast(s, t).size)
         return strip_jet(self, s, t)
 
     monkeypatch.setattr(TubeChart, "strip_jet", counted)
-    for x in pts:
-        assert chart.to_tube(x) is not None
-    assert len(jets) <= 20 * len(pts)
+    assert not np.any(np.isnan(chart.to_tube_many(pts)))
+    # (s, t) values, not calls: one call serves every pair of the batch
+    assert sum(values) <= 20 * len(pts)
 
 
 def test_chart_frame_is_right_handed_on_trefoil():
@@ -208,7 +356,8 @@ def test_points_outside_chart_return_none():
     assert chart.to_tube(x + 0.6 * chart.normal(1.0, np.array(0.0))) is None
     # far away
     assert chart.to_tube(np.array([10.0, 10.0, 10.0])) is None
-    # the circle's center is equidistant from every sheet
+    # the circle's center is beyond the candidate reach (ambiguity is
+    # checked against the reference on the wide ellipse)
     assert chart.to_tube(np.zeros(3)) is None
 
 
