@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +19,7 @@ from .config import RunConfig
 from .curves import EmbeddingError
 from .dynamics import IntegrationError, integrate
 from .fileio import FileFormatError
-from .pipeline import PipelineError, fit_report_dict, synthesize, verify
+from .pipeline import PipelineError, synthesize, verify
 
 EXIT_PASS = 0
 EXIT_UNEXPECTED = 1
@@ -26,6 +27,14 @@ EXIT_PARSE = 2
 EXIT_BUDGET = 3
 EXIT_DYNAMICS = 4
 EXIT_TOPOLOGY = 5
+
+# verify's exit code: the first row naming a failed criterion gives it
+VERIFY_EXIT_CODES = (
+    ({"cauchy_closedness", "strip_residual_budget"}, EXIT_BUDGET),
+    ({"orbits_converged", "orbits_hyperbolic", "unit_determinant"}, EXIT_DYNAMICS),
+    ({"orbits_confined", "hausdorff_distance", "linking_matrix"}, EXIT_TOPOLOGY),
+    ({"eigen_relation"}, EXIT_BUDGET),
+)
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -61,7 +70,7 @@ def cmd_synthesize(args) -> int:
     report = {"schema": fileio.REPORT_SCHEMA, "kind": "synthesis",
               "lambda": link.lam, "config": config.to_dict(),
               "closedness": result.closedness,
-              "fit": fit_report_dict(result.fit),
+              "fit": asdict(result.fit),
               "timings": result.timings}
     if args.report:
         fileio.write_report(report, args.report)
@@ -87,15 +96,8 @@ def cmd_verify(args) -> int:
     for crit in outcome.report["criteria"]:
         state = "pass" if crit["passed"] else "FAIL"
         print(f"[{state}] {crit['name']}: {crit['detail']}")
-    if outcome.passed:
-        return EXIT_PASS
-    if not outcome.budget_ok:
-        return EXIT_BUDGET
-    if not outcome.dynamics_ok:
-        return EXIT_DYNAMICS
-    if not outcome.topology_ok:
-        return EXIT_TOPOLOGY
-    return EXIT_BUDGET
+    failed = {c["name"] for c in outcome.report["criteria"] if not c["passed"]}
+    return next((code for names, code in VERIFY_EXIT_CODES if names & failed), EXIT_PASS)
 
 
 def cmd_trace(args) -> int:
@@ -103,6 +105,8 @@ def cmd_trace(args) -> int:
     seeds = fileio.load_seeds(args.seeds)
     if args.t_end < 0:
         raise FileFormatError("t-end must be >= 0")
+    if args.samples < 2:
+        raise FileFormatError("samples must be >= 2")
     tol = _config_from_args(args, RunConfig.lam)  # checks rtol and atol
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -196,7 +200,7 @@ def build_parser() -> argparse.ArgumentParser:
                       help="integration time per seed")
     p_tr.add_argument("--out", required=True, help="output directory")
     p_tr.add_argument("--samples", type=int, default=1024,
-                      help="polyline samples per trace")
+                      help="polyline samples per trace, at least 2")
     _add_tolerances(p_tr)
     p_tr.set_defaults(func=cmd_trace)
 

@@ -54,8 +54,11 @@ class Trajectory:
 
 
 def integrate(field, x0, t_end: float, rtol: float = 1e-10, atol: float = 1e-12,
-              n_samples: int = 0) -> Trajectory:
-    """Flow x' = u(x) from x0 over [0, t_end] with dense output."""
+              n_samples: int = 1024) -> Trajectory:
+    """Flow x' = u(x) from x0 over [0, t_end] with dense output, sampled at
+    n_samples >= 2 uniform times from 0 to t_end."""
+    if n_samples < 2:
+        raise ValueError(f"n_samples must be >= 2, got {n_samples}")
 
     def rhs(t, y):
         return field(y)
@@ -65,12 +68,8 @@ def integrate(field, x0, t_end: float, rtol: float = 1e-10, atol: float = 1e-12,
     if not sol.success:
         raise IntegrationError(f"integration failed: {sol.message}",
                                last_state=sol.y[:, -1] if sol.y.size else None)
-    if n_samples:
-        ts = np.linspace(0.0, t_end, n_samples)
-        xs = sol.sol(ts).T
-    else:
-        ts, xs = sol.t, sol.y.T
-    return Trajectory(ts, xs, sol=sol.sol, nfev=sol.nfev)
+    ts = np.linspace(0.0, t_end, n_samples)
+    return Trajectory(ts, sol.sol(ts).T, sol=sol.sol, nfev=sol.nfev)
 
 
 @dataclass

@@ -22,7 +22,7 @@ import scipy.linalg
 
 from .config import RunConfig
 from .field import BeltramiExpansion
-from .strip import CauchyData
+from .strip import CauchyData, strip_residual
 
 
 def multi_index_count(s: int, dim: int = 3) -> int:
@@ -124,8 +124,8 @@ def fit_global(datas: list[CauchyData], eps_tilde, k: np.ndarray,
     in TSQR), so A is never held whole and memory is O(n^2) for n
     coefficients. The LAPACK SVD driver then solves the n x n factor, which
     has the singular values of the stacked system; the normal equations are
-    never formed. Success means every tube's residual on its strip grid is
-    below eps~.
+    never formed. Success means every tube's residual on its strip grid
+    (strip.strip_residual) is below eps~.
     """
     eps = np.unique(np.asarray(eps_tilde, dtype=float))
     if eps.size != 1 or not (np.isfinite(eps[0]) and eps[0] > 0):
@@ -153,12 +153,7 @@ def fit_global(datas: list[CauchyData], eps_tilde, k: np.ndarray,
     objective = float(np.sum((r_coef @ coef - r_rhs) ** 2) + r[n_coef, n_coef] ** 2)
 
     expansion = BeltramiExpansion(lam, k, e, coef[0::2], coef[1::2])
-    tube_res = []
-    for data in datas:
-        x, w = data.points.reshape(-1, 3), data.w.reshape(-1, 3)
-        err = [np.linalg.norm(expansion(x[lo:lo + step]) - w[lo:lo + step], axis=1).max()
-               for lo in range(0, x.shape[0], step)]
-        tube_res.append(float(max(err)))
+    tube_res = [strip_residual(expansion, data) for data in datas]
     success = all(res < eps for res in tube_res)
     advice = "" if success else (
         "strip residual exceeds the budget; enlarge the direction set, "

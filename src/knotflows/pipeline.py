@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field as dc_field
+from itertools import combinations
 
 import numpy as np
 
@@ -26,7 +27,7 @@ from .dynamics import (CLOSURE_TOL, IntegrationError, NewtonFailure, OrbitEscape
 from .field import BeltramiExpansion, make_basis
 from .fileio import REPORT_SCHEMA
 from .fitting import FitReport, fit_global
-from .strip import build_cauchy_data, closedness_check
+from .strip import build_cauchy_data, closedness_check, strip_residual
 from .topology import LinkingError, hausdorff_distance, linking_number, tube_confinement
 
 
@@ -95,8 +96,6 @@ def check_points(link: LinkSpec, n: int, seed: int) -> np.ndarray:
 class SynthesisResult:
     link: LinkSpec
     config: RunConfig
-    charts: list
-    cauchy: list
     closedness: list
     expansion: BeltramiExpansion
     fit: FitReport
@@ -117,7 +116,7 @@ def synthesize(link: LinkSpec, config: RunConfig | None = None) -> SynthesisResu
     config = _reconcile(link, config)
     timings = {}
     t0 = time.perf_counter()
-    charts, cauchy = build_geometry(link, config)
+    _, cauchy = build_geometry(link, config)
     closedness = [closedness_check(d) for d in cauchy]
     timings["geometry_s"] = time.perf_counter() - t0
     worst = max(closedness)
@@ -132,31 +131,18 @@ def synthesize(link: LinkSpec, config: RunConfig | None = None) -> SynthesisResu
     expansion, fit = fit_global(cauchy, config.eps_tilde, k, e, link.lam,
                                 ridge=config.ridge)
     timings["fit_s"] = time.perf_counter() - t0
-    return SynthesisResult(link, config, charts, cauchy, closedness, expansion,
-                           fit, timings)
-
-
-def fit_report_dict(fit: FitReport) -> dict:
-    return {"basis_members": fit.basis_members, "n_points": fit.n_points,
-            "tube_residuals": fit.tube_residuals, "tube_budgets": fit.tube_budgets,
-            "success": fit.success, "condition": fit.condition, "rank": fit.rank,
-            "weighted_objective": fit.weighted_objective, "ridge": fit.ridge,
-            "advice": fit.advice}
+    return SynthesisResult(link, config, closedness, expansion, fit, timings)
 
 
 @dataclass
 class VerificationOutcome:
     report: dict
     passed: bool
-    budget_ok: bool
-    dynamics_ok: bool
-    topology_ok: bool
     orbits: list = dc_field(default_factory=list)  # PeriodicOrbit or None per component
 
 
-def _criterion(criteria: list, name: str, passed: bool, detail: str) -> bool:
+def _criterion(criteria: list, name: str, passed: bool, detail: str) -> None:
     criteria.append({"name": name, "passed": bool(passed), "detail": detail})
-    return bool(passed)
 
 
 def _certify_orbit(expansion: BeltramiExpansion, chart, config: RunConfig):
@@ -185,6 +171,28 @@ def _certify_orbit(expansion: BeltramiExpansion, chart, config: RunConfig):
     }
 
 
+def _linking_pair(arcs, orbits, i: int, j: int) -> dict:
+    """Report entry of components i < j: the cores' linking number and the
+    orbits', or the error that stopped either."""
+    pair: dict = {"a": i, "b": j}
+    try:
+        target = linking_number(arcs[i].points, arcs[j].points)
+    except LinkingError as exc:
+        pair["error"] = f"LinkingError(target): {exc}"
+        return pair
+    pair.update(target=target.link, target_defect=target.defect)
+    if orbits[i] is None or orbits[j] is None:
+        pair["error"] = "orbit missing; linking not computed"
+        return pair
+    try:
+        got = linking_number(orbits[i].points, orbits[j].points)
+    except LinkingError as exc:
+        pair["error"] = f"LinkingError(orbit): {exc}"
+        return pair
+    pair.update(linking=got.link, defect=got.defect, match=bool(got.link == target.link))
+    return pair
+
+
 def verify(link: LinkSpec, expansion: BeltramiExpansion,
            config: RunConfig | None = None) -> VerificationOutcome:
     """Check every claim the synthesized field makes about the link.
@@ -205,17 +213,13 @@ def verify(link: LinkSpec, expansion: BeltramiExpansion,
     t0 = time.perf_counter()
     charts, cauchy = build_geometry(link, config)
     closedness = [closedness_check(d) for d in cauchy]
-    strip_residuals = []
-    for data in cauchy:
-        u = expansion(data.points.reshape(-1, 3))
-        strip_residuals.append(
-            float(np.max(np.linalg.norm(u - data.w.reshape(-1, 3), axis=1))))
+    strip_residuals = [strip_residual(expansion, d) for d in cauchy]
     timings["geometry_s"] = time.perf_counter() - t0
 
-    closed_ok = _criterion(
+    _criterion(
         criteria, "cauchy_closedness", max(closedness) <= CLOSEDNESS_TOL,
         f"max residual {max(closedness):.3e} vs {CLOSEDNESS_TOL:g}")
-    budget_ok = _criterion(
+    _criterion(
         criteria, "strip_residual_budget",
         all(r < config.eps_tilde for r in strip_residuals),
         "per-tube max |u - w| on the strip vs eps~")
@@ -224,7 +228,7 @@ def verify(link: LinkSpec, expansion: BeltramiExpansion,
     pts = check_points(link, CURL_CHECK_POINTS, config.seed)
     curl_rel, div_max = fd_curl_divergence(expansion, pts)
     timings["eigen_check_s"] = time.perf_counter() - t0
-    eigen_ok = _criterion(
+    _criterion(
         criteria, "eigen_relation",
         curl_rel < CURL_TOL and div_max < DIV_TOL,
         f"FD curl rel {curl_rel:.3e} vs {CURL_TOL:g}, "
@@ -255,71 +259,41 @@ def verify(link: LinkSpec, expansion: BeltramiExpansion,
         components.append(entry)
     timings["dynamics_s"] = time.perf_counter() - t0
 
-    converged = [o is not None for o in orbits]
-    dynamics_ok = _criterion(
-        criteria, "orbits_converged", all(converged),
-        f"{sum(converged)}/{len(orbits)} orbits refined to closure "
-        f"{CLOSURE_TOL:g}")
-    hyper_ok = _criterion(
+    # an orbit exists exactly when its component's status is "ok", so once
+    # every component is refined each entry carries every orbit key
+    n_refined = sum(o is not None for o in orbits)
+    refined = n_refined == len(orbits)
+    _criterion(
+        criteria, "orbits_converged", refined,
+        f"{n_refined}/{len(orbits)} orbits refined to closure {CLOSURE_TOL:g}")
+    _criterion(
         criteria, "orbits_hyperbolic",
-        all(c.get("classification") == "hyperbolic_saddle" and c.get("margin", 0) > 0
-            for c in components if c["status"] == "ok") and all(converged),
+        refined and all(c["classification"] == "hyperbolic_saddle" and c["margin"] > 0
+                        for c in components),
         "Floquet multipliers off the unit circle with positive margin")
-    det_ok = _criterion(
+    _criterion(
         criteria, "unit_determinant",
-        all(abs(c["det_monodromy"] - 1.0) < 1e-4
-            for c in components if c["status"] == "ok") and all(converged),
+        refined and all(abs(c["det_monodromy"] - 1.0) < 1e-4 for c in components),
         "|det M(T) - 1| < 1e-4 (Liouville)")
-    confine_ok = _criterion(
+    _criterion(
         criteria, "orbits_confined",
-        all(c.get("confined") and c.get("winding") == 1
-            for c in components if c["status"] == "ok") and all(converged),
+        refined and all(c["confined"] and c["winding"] == 1 for c in components),
         "each orbit stays in its tube and winds once")
-    haus_ok = _criterion(
+    _criterion(
         criteria, "hausdorff_distance",
-        all(c.get("hausdorff", np.inf) < config.hausdorff_tol
-            for c in components if c["status"] == "ok") and all(converged),
+        refined and all(c["hausdorff"] < config.hausdorff_tol for c in components),
         f"orbit-to-core Hausdorff distance < {config.hausdorff_tol:g}")
 
     t0 = time.perf_counter()
-    pairs = []
-    linking_ok = True
     arcs = [ch.frame.arc for ch in charts]
-    for i in range(len(charts)):
-        for j in range(i + 1, len(charts)):
-            pair: dict = {"a": i, "b": j}
-            try:
-                target = linking_number(arcs[i].points, arcs[j].points)
-                pair["target"] = target.link
-                pair["target_defect"] = target.defect
-            except LinkingError as exc:
-                pair["error"] = f"LinkingError(target): {exc}"
-                linking_ok = False
-                pairs.append(pair)
-                continue
-            if orbits[i] is None or orbits[j] is None:
-                pair["error"] = "orbit missing; linking not computed"
-                linking_ok = False
-                pairs.append(pair)
-                continue
-            try:
-                got = linking_number(orbits[i].points, orbits[j].points)
-                pair["linking"] = got.link
-                pair["defect"] = got.defect
-                pair["match"] = bool(got.link == target.link)
-                linking_ok = linking_ok and pair["match"]
-            except LinkingError as exc:
-                pair["error"] = f"LinkingError(orbit): {exc}"
-                linking_ok = False
-            pairs.append(pair)
+    pairs = [_linking_pair(arcs, orbits, i, j)
+             for i, j in combinations(range(len(charts)), 2)]
     timings["topology_s"] = time.perf_counter() - t0
-    linking_ok = _criterion(
-        criteria, "linking_matrix", linking_ok,
+    _criterion(
+        criteria, "linking_matrix", all(p.get("match", False) for p in pairs),
         "orbit pairwise Gauss linking numbers equal the core link's")
 
-    topology_ok = bool(confine_ok and haus_ok and linking_ok)
-    passed = bool(closed_ok and budget_ok and eigen_ok and dynamics_ok
-                  and hyper_ok and det_ok and topology_ok)
+    passed = all(c["passed"] for c in criteria)
     report = {
         "schema": REPORT_SCHEMA,
         "lambda": link.lam,
@@ -336,6 +310,4 @@ def verify(link: LinkSpec, expansion: BeltramiExpansion,
         "passed": passed,
         "timings": timings,
     }
-    return VerificationOutcome(report, passed, bool(budget_ok and closed_ok),
-                               bool(dynamics_ok and hyper_ok and det_ok),
-                               topology_ok, orbits)
+    return VerificationOutcome(report, passed, orbits)

@@ -16,6 +16,8 @@ from scipy.integrate import solve_ivp
 from .charts import TubeChart
 from .config import RunConfig
 
+STRIP_BLOCK = 1024    # strip points per field call in strip_residual
+
 
 @dataclass(frozen=True)
 class StripMetric:
@@ -86,6 +88,18 @@ def build_cauchy_data(chart: TubeChart, config: RunConfig | None = None) -> Cauc
     gamma_s = np.sum(w * nj["S_s"], axis=-1)
     gamma_t = np.sum(w * nj["e1"], axis=-1)
     return CauchyData(chart, s, t, nj["S"], w, nj["n"], gamma_s, gamma_t)
+
+
+def strip_residual(field, data: CauchyData) -> float:
+    """max |u - w| over one tube's strip grid.
+
+    The field is called on STRIP_BLOCK points at a time, so its (points x
+    members) phase tables stay a fixed size however long the tube is.
+    """
+    x, w = data.points.reshape(-1, 3), data.w.reshape(-1, 3)
+    return float(max(
+        np.linalg.norm(field(x[lo:lo + STRIP_BLOCK]) - w[lo:lo + STRIP_BLOCK], axis=1).max()
+        for lo in range(0, x.shape[0], STRIP_BLOCK)))
 
 
 def closedness_residual(gamma_s: np.ndarray, gamma_t: np.ndarray,

@@ -17,6 +17,11 @@ from knotflows.curves import LinkSpec
 from knotflows.field import direction_set, polarization_pair
 from knotflows.pipeline import synthesize, verify
 
+# verify's criterion names, in report order
+CRITERIA = ["cauchy_closedness", "strip_residual_budget", "eigen_relation",
+            "orbits_converged", "orbits_hyperbolic", "unit_determinant",
+            "orbits_confined", "hausdorff_distance", "linking_matrix"]
+
 
 def _run(link: LinkSpec, cfg: RunConfig) -> dict:
     t0 = time.perf_counter()

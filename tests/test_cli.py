@@ -15,6 +15,8 @@ from knotflows.curves import LinkSpec
 from knotflows.pipeline import VerificationOutcome
 from knotflows.presets import circle
 
+from conftest import CRITERIA
+
 
 def _axis_field(tmp_path, lam=1.0, name="field.json"):
     u = BeltramiExpansion(lam, np.array([[0.0, 0.0, 1.0]]),
@@ -137,6 +139,12 @@ def test_trace_degenerate_and_empty(tmp_path):
 
     assert cli.main(["trace", "--field", str(field), "--seeds", str(seeds),
                      "--t-end", "-1.0", "--out", str(empty)]) == 2
+    # one sample would be the seed row alone; none once meant the solver's steps
+    fresh = tmp_path / "fresh"
+    for samples in ("1", "0"):
+        assert cli.main(["trace", "--field", str(field), "--seeds", str(seeds),
+                         "--t-end", "1.0", "--samples", samples, "--out", str(fresh)]) == 2
+    assert not fresh.exists()
 
 
 def test_verify_lambda_mismatch_exit_2(tmp_path, capsys):
@@ -146,26 +154,41 @@ def test_verify_lambda_mismatch_exit_2(tmp_path, capsys):
     assert "lambda mismatch" in capsys.readouterr().err
 
 
-def test_verify_exit_code_mapping(tmp_path, monkeypatch):
+@pytest.mark.parametrize("failed, code", [
+    pytest.param(set(), 0, id="none"),
+    pytest.param({"cauchy_closedness"}, 3, id="cauchy_closedness"),
+    pytest.param({"strip_residual_budget", "orbits_converged", "linking_matrix"}, 3,
+                 id="strip_residual_budget-orbits_converged-linking_matrix"),
+    pytest.param({"orbits_converged"}, 4, id="orbits_converged"),
+    pytest.param({"orbits_hyperbolic", "orbits_confined"}, 4,
+                 id="orbits_hyperbolic-orbits_confined"),
+    pytest.param({"unit_determinant"}, 4, id="unit_determinant"),
+    pytest.param({"orbits_confined"}, 5, id="orbits_confined"),
+    pytest.param({"hausdorff_distance"}, 5, id="hausdorff_distance"),
+    pytest.param({"linking_matrix"}, 5, id="linking_matrix"),
+    pytest.param({"eigen_relation"}, 3, id="eigen_relation"),
+    pytest.param({"eigen_relation", "orbits_converged"}, 4,
+                 id="eigen_relation-orbits_converged"),
+    pytest.param({"eigen_relation", "hausdorff_distance"}, 5,
+                 id="eigen_relation-hausdorff_distance"),
+])
+def test_verify_exit_code_mapping(tmp_path, monkeypatch, failed, code):
     link = _circle_link(tmp_path)
     _, field = _axis_field(tmp_path)
 
-    def fake(passed, dyn, topo):
-        def _verify(link, expansion, config=None):
-            return VerificationOutcome(report={"criteria": []}, passed=passed,
-                                       budget_ok=True, dynamics_ok=dyn,
-                                       topology_ok=topo)
-        return _verify
+    def fake(link, expansion, config=None):
+        criteria = [{"name": name, "passed": name not in failed, "detail": "-"}
+                    for name in CRITERIA]
+        return VerificationOutcome(report={"criteria": criteria}, passed=not failed)
 
-    argv = ["verify", "--field", str(field), "--link", str(link)]
-    monkeypatch.setattr(cli, "verify", fake(True, True, True))
-    assert cli.main(argv) == 0
-    monkeypatch.setattr(cli, "verify", fake(False, False, True))
-    assert cli.main(argv) == 4
-    monkeypatch.setattr(cli, "verify", fake(False, True, False))
-    assert cli.main(argv) == 5
-    monkeypatch.setattr(cli, "verify", fake(False, True, True))
-    assert cli.main(argv) == 3
+    monkeypatch.setattr(cli, "verify", fake)
+    assert cli.main(["verify", "--field", str(field), "--link", str(link)]) == code
+
+
+def test_exit_code_table_names_every_criterion():
+    # a criterion with no row would fail with exit code 0; test_report_schema
+    # pins CRITERIA to verify's report
+    assert sorted(n for row, _ in cli.VERIFY_EXIT_CODES for n in row) == sorted(CRITERIA)
 
 
 def test_verify_junk_field_exits_3(tmp_path, capsys):

@@ -1,4 +1,8 @@
-"""Strip metric, Cauchy data, closedness, and the in-strip core multiplier."""
+"""Strip metric, Cauchy data, closedness, the strip residual, and the in-strip
+core multiplier."""
+
+import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -6,10 +10,11 @@ from knotflows import presets
 from knotflows.charts import TubeChart
 from knotflows.config import RunConfig
 from knotflows.curves import resample_arclength
+from knotflows.field import BeltramiExpansion, make_basis
 from knotflows.framing import frame_transport
 from knotflows.strip import (build_cauchy_data, cauchy_field, closedness_check,
                              closedness_residual, lyapunov_values, strip_metric,
-                             strip_monodromy)
+                             strip_monodromy, strip_residual)
 
 
 def _chart(curve, radius=0.5, w_half=0.1, n=1024):
@@ -102,3 +107,25 @@ def test_strip_monodromy_scales_with_length():
     mu, period = strip_monodromy(chart)
     assert abs(period - 1.0) < 1e-8
     assert abs(mu - np.exp(-1.0)) < 1e-8
+
+
+def test_strip_residual_memory_is_bounded_by_its_block():
+    # a trefoil-fixture tube: 325 x 33 strip nodes (10,725 points) against 600
+    # members; one field call on the whole grid peaks near 100 MiB
+    rng = np.random.default_rng(5)
+    k, e = make_basis(600, rng)
+    u = BeltramiExpansion(1.0, k, e, rng.standard_normal(600), rng.standard_normal(600))
+    points = rng.uniform(-40.0, 40.0, (325, 33, 3))
+    w = rng.standard_normal((325, 33, 3))
+    data = SimpleNamespace(points=points, w=w)
+    tracemalloc.start()
+    try:
+        got = strip_residual(u, data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+    x, w = points.reshape(-1, 3), w.reshape(-1, 3)
+    expect = max(np.linalg.norm(u(x[lo:lo + 100]) - w[lo:lo + 100], axis=1).max()
+                 for lo in range(0, x.shape[0], 100))
+    assert abs(got - expect) <= 1e-12 * expect
