@@ -103,8 +103,8 @@ def cmd_verify(args) -> int:
 def cmd_trace(args) -> int:
     expansion = fileio.load_field(args.field)
     seeds = fileio.load_seeds(args.seeds)
-    if args.t_end < 0:
-        raise FileFormatError("t-end must be >= 0")
+    if not (np.isfinite(args.t_end) and args.t_end >= 0):
+        raise FileFormatError("t-end must be finite and >= 0")
     if args.samples < 2:
         raise FileFormatError("samples must be >= 2")
     tol = _config_from_args(args, RunConfig.lam)  # checks rtol and atol
@@ -113,19 +113,14 @@ def cmd_trace(args) -> int:
     failures = 0
     for i, seed in enumerate(seeds):
         path = out_dir / f"trace_{i:03d}.csv"
-        if args.t_end == 0.0:
-            ts, xs = np.array([0.0]), seed[None, :]
-        else:
-            try:
-                traj = integrate(expansion, seed, args.t_end, rtol=tol.rtol,
-                                 atol=tol.atol, n_samples=args.samples)
-                ts, xs = traj.t, traj.x
-            except IntegrationError as exc:
-                print(f"seed {i}: integration failed: {exc}", file=sys.stderr)
-                failures += 1
-                continue
-        fileio.write_table(path, ["t", "x", "y", "z"],
-                           [ts, xs[:, 0], xs[:, 1], xs[:, 2]])
+        try:
+            traj = integrate(expansion, seed, args.t_end, rtol=tol.rtol,
+                             atol=tol.atol, n_samples=args.samples)
+        except IntegrationError as exc:
+            print(f"seed {i}: integration failed: {exc}", file=sys.stderr)
+            failures += 1
+            continue
+        fileio.write_table(path, ["t", "x", "y", "z"], [traj.t, *traj.x.T])
         print(f"seed {i}: wrote {path}")
     return EXIT_DYNAMICS if failures else EXIT_PASS
 
@@ -197,7 +192,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_tr.add_argument("--field", required=True, help="field file")
     p_tr.add_argument("--seeds", required=True, help="seeds file")
     p_tr.add_argument("--t-end", type=float, required=True,
-                      help="integration time per seed")
+                      help="integration time per seed, finite and >= 0")
     p_tr.add_argument("--out", required=True, help="output directory")
     p_tr.add_argument("--samples", type=int, default=1024,
                       help="polyline samples per trace, at least 2")

@@ -73,8 +73,8 @@ class FourierCurve:
         """Coefficient-based size estimate of the curve."""
         return float(np.sum(np.abs(self.cos_coeffs)) + np.sum(np.abs(self.sin_coeffs)))
 
-    def max_curvature(self, n: int = 4096) -> float:
-        t = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
+    def max_curvature(self) -> float:
+        t = np.linspace(0.0, 2.0 * np.pi, 4096, endpoint=False)
         v, a = self.velocity(t), self.acceleration(t)
         num = np.linalg.norm(np.cross(v, a), axis=-1)
         den = np.linalg.norm(v, axis=-1) ** 3
@@ -209,17 +209,15 @@ class ArcLengthCurve:
         return self._reach
 
 
-def resample_arclength(curve: FourierCurve, n: int, min_gap: float | None = None) -> ArcLengthCurve:
+def resample_arclength(curve: FourierCurve, n: int) -> ArcLengthCurve:
     """Arc-length parametrization with n uniform samples; rejects non-embedded curves.
 
     The returned model satisfies |dc/ds| = 1 at the samples to the accuracy of
     the Newton inversion (~1e-12 relative).
     """
     arc = ArcLengthCurve(curve, n)
-    if min_gap is None:
-        min_gap = 1e-6 * max(arc.length, 1.0)
     dmin, si, sj = arc.self_distance()
-    if dmin < min_gap:
+    if dmin < 1e-6 * max(arc.length, 1.0):
         ti, tj = arc.t_at(np.array([si, sj]))
         raise EmbeddingError(
             f"curve nearly self-intersects: |c(t1)-c(t2)| = {dmin:.3e} "

@@ -15,7 +15,7 @@ point: each of its right-hand sides is one jet call and no other field call.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -26,9 +26,7 @@ CLOSURE_TOL = 1e-9    # max |shooting residual| required of a refined orbit
 
 
 class IntegrationError(RuntimeError):
-    def __init__(self, msg, last_state=None):
-        super().__init__(msg)
-        self.last_state = last_state
+    """The ODE solver stopped before the end of its interval."""
 
 
 class OrbitEscape(RuntimeError):
@@ -36,21 +34,13 @@ class OrbitEscape(RuntimeError):
 
 
 class NewtonFailure(RuntimeError):
-    def __init__(self, msg, residual: float, iterate=None):
-        super().__init__(msg)
-        self.residual = residual
-        self.iterate = iterate
+    """The shooting Newton did not close the orbit."""
 
 
 @dataclass(frozen=True)
 class Trajectory:
     t: np.ndarray
     x: np.ndarray
-    sol: object = dc_field(repr=False, default=None)  # dense-output interpolant
-    nfev: int = 0
-
-    def at(self, t):
-        return np.asarray(self.sol(t)).T
 
 
 def integrate(field, x0, t_end: float, rtol: float = 1e-10, atol: float = 1e-12,
@@ -66,10 +56,9 @@ def integrate(field, x0, t_end: float, rtol: float = 1e-10, atol: float = 1e-12,
     sol = solve_ivp(rhs, (0.0, t_end), np.asarray(x0, dtype=float), method="DOP853",
                     rtol=rtol, atol=atol, dense_output=True)
     if not sol.success:
-        raise IntegrationError(f"integration failed: {sol.message}",
-                               last_state=sol.y[:, -1] if sol.y.size else None)
+        raise IntegrationError(f"integration failed: {sol.message}")
     ts = np.linspace(0.0, t_end, n_samples)
-    return Trajectory(ts, sol.sol(ts).T, sol=sol.sol, nfev=sol.nfev)
+    return Trajectory(ts, sol.sol(ts).T)
 
 
 @dataclass
@@ -145,9 +134,7 @@ def refine_orbit(field, chart: TubeChart, rtol: float = 1e-10, atol: float = 1e-
     it = 0
     while not res < closure_tol:
         if it == max_iter:
-            raise NewtonFailure(
-                f"shooting system not closed after {max_iter} iterations", res,
-                iterate=nodes[0])
+            raise NewtonFailure(f"shooting system not closed after {max_iter} iterations")
         jac = np.zeros((n_unk, n_unk))
         for i in range(m):
             r = slice(3 * i, 3 * i + 3)
@@ -158,8 +145,7 @@ def refine_orbit(field, chart: TubeChart, rtol: float = 1e-10, atol: float = 1e-
         try:
             step = np.linalg.solve(jac, -f)
         except np.linalg.LinAlgError as exc:
-            raise NewtonFailure(f"singular shooting Jacobian: {exc}", res,
-                                iterate=nodes[0])
+            raise NewtonFailure(f"singular shooting Jacobian: {exc}")
         # clip oversized steps to a fraction of the tube radius
         biggest = np.max(np.linalg.norm(step[:3 * m].reshape(m, 3), axis=1))
         if biggest > 0.25 * chart.radius:
@@ -177,8 +163,7 @@ def refine_orbit(field, chart: TubeChart, rtol: float = 1e-10, atol: float = 1e-
                 break
             scale *= 0.5
         else:
-            raise NewtonFailure(
-                f"shooting Newton stalled at iteration {it}", res, iterate=nodes[0])
+            raise NewtonFailure(f"shooting Newton stalled at iteration {it}")
         nodes, period = new_nodes, new_period
         f, ys, mats, sols = shot
         res = res_new

@@ -76,8 +76,8 @@ class BeltramiExpansion:
     sin_table: np.ndarray = dc_field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.lam == 0.0:
-            raise ValueError("lambda must be nonzero")
+        if not np.isfinite(self.lam) or self.lam == 0.0:
+            raise ValueError("lambda must be finite and nonzero")
         k, e, alpha, beta = (np.asarray(v, dtype=float)
                              for v in (self.k, self.e, self.alpha, self.beta))
         m = k.shape[0] if k.ndim == 2 else -1
@@ -85,6 +85,8 @@ class BeltramiExpansion:
         if shapes != ((m, 3), (m, 3), (m,), (m,)):
             raise ValueError("k, e, alpha, beta need shapes (m, 3), (m, 3), (m,), (m,); "
                              f"got {shapes}")
+        if not all(np.isfinite(v).all() for v in (k, e, alpha, beta)):
+            raise ValueError("k, e, alpha and beta must be finite")
         _check_members(k, e)
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "e", e)

@@ -67,9 +67,6 @@ def load_link(path, lam_override: float | None = None) -> LinkSpec:
              f"{path}: expected schema {LINK_SCHEMA!r}, got {doc.get('schema')!r}")
     lam = doc.get("lambda") if lam_override is None else lam_override
     _require(isinstance(lam, (int, float)), f"{path}: field 'lambda' must be a number")
-    _require(lam != 0.0, f"{path}: lambda = 0 is excluded (lambda must be nonzero)")
-    _require(lam > 0.0, f"{path}: lambda must be positive (negative lambda reduces "
-                        "to positive under x -> -x)")
     comps_doc = doc.get("components")
     _require(isinstance(comps_doc, list) and comps_doc,
              f"{path}: 'components' must be a non-empty list")
@@ -155,6 +152,7 @@ def load_seeds(path) -> np.ndarray:
         else np.array(seeds, dtype=float)
     _require(arr.ndim == 2 and arr.shape[1] == 3,
              f"{path}: seeds must be a list of [x, y, z] triples")
+    _require(np.isfinite(arr).all(), f"{path}: seeds must be finite")
     return arr
 
 
@@ -170,15 +168,6 @@ def write_table(path, header: list[str], columns: list[np.ndarray]) -> None:
         fh.write(",".join(header) + "\n")
         for row in rows:
             fh.write(",".join(repr(float(v)) for v in row) + "\n")
-
-
-def dump_cauchy(data, path) -> None:
-    """CauchyData as a delimited table (s, t, x, y, z, wx, wy, wz)."""
-    ss, tt = np.meshgrid(data.s_nodes, data.t_nodes, indexing="ij")
-    cols = [ss.ravel(), tt.ravel()]
-    cols += [data.points[..., i].ravel() for i in range(3)]
-    cols += [data.w[..., i].ravel() for i in range(3)]
-    write_table(path, ["s", "t", "x", "y", "z", "wx", "wy", "wz"], cols)
 
 
 def write_report(report: dict, path) -> None:

@@ -113,12 +113,12 @@ def design_matrix(k: np.ndarray, e: np.ndarray, lam: float,
     return a
 
 
-def fit_global(datas: list[CauchyData], eps_tilde, k: np.ndarray,
+def fit_global(datas: list[CauchyData], eps_tilde: float, k: np.ndarray,
                e: np.ndarray, lam: float, ridge: float = RunConfig.ridge):
     """Ridge least squares of the plane-wave basis against all tubes.
 
-    eps_tilde is the one tolerance every tube shares (a sequence of equal
-    values is read as that value). Every strip node is a collocation point.
+    eps_tilde is the one tolerance every tube shares. Every strip node is a
+    collocation point.
     The ridge-stacked system [A | b] is folded, one block of about n+1 rows
     at a time, into its (n+1) x (n+1) triangular factor R (LAPACK tpqrt, as
     in TSQR), so A is never held whole and memory is O(n^2) for n
@@ -127,10 +127,10 @@ def fit_global(datas: list[CauchyData], eps_tilde, k: np.ndarray,
     never formed. Success means every tube's residual on its strip grid
     (strip.strip_residual) is below eps~.
     """
-    eps = np.unique(np.asarray(eps_tilde, dtype=float))
-    if eps.size != 1 or not (np.isfinite(eps[0]) and eps[0] > 0):
+    eps = np.asarray(eps_tilde, dtype=float)
+    if eps.ndim != 0 or not (np.isfinite(eps) and eps > 0):
         raise ValueError(f"eps_tilde must be one finite tolerance > 0, got {eps_tilde!r}")
-    eps = float(eps[0])
+    eps = float(eps)
     pts = np.vstack([d.points.reshape(-1, 3) for d in datas])
     targets = np.vstack([d.w.reshape(-1, 3) for d in datas])
 

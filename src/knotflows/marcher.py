@@ -202,10 +202,10 @@ def march(metric, lam: float, rho_max: float, n_steps: int,
     return MarchResult(grid, np.array(rhos), np.stack(levels), np.stack(chis), lam)
 
 
-def divergence_residual(result: MarchResult, metric, trusted_frac: float = 0.8):
+def divergence_residual(result: MarchResult, metric):
     """Divergence |h|^{-1/2} d_mu(|h|^{1/2} v^mu) on the marched levels.
 
-    Returns (max over trusted z-range, max over full grid, per-level field).
+    Returns (max over the central 80 % of z, max over full grid, per-level field).
     The rho derivative uses second-order differences across levels, so at
     least three levels are required.
     """
@@ -231,7 +231,7 @@ def divergence_residual(result: MarchResult, metric, trusted_frac: float = 0.8):
     for i in range(len(result.rhos)):
         div[i] = (drho_term[i] + dz @ f_z[i] + grid.theta_deriv(f_th[i])) / sdets[i]
     nz = len(grid.z_nodes)
-    pad = max(1, int(round(0.5 * (1.0 - trusted_frac) * nz)))
+    pad = max(1, int(round(0.5 * (1.0 - 0.8) * nz)))
     trusted = float(np.max(np.abs(div[:, pad:nz - pad, :])))
     return trusted, float(np.max(np.abs(div))), div
 

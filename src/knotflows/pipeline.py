@@ -57,16 +57,18 @@ def build_geometry(link: LinkSpec, config: RunConfig):
     return charts, cauchy
 
 
-def fd_curl_divergence(field, points: np.ndarray, h: float = 5e-3):
+def fd_curl_divergence(field, points: np.ndarray):
     """Finite-difference curl and divergence checks at the given points.
 
-    Five-point central stencils, truncation O(h^4). The step default balances
-    h^4 truncation against round-off from summing the expansion; for coefficient
-    totals up to ~1e5 and lam near 1 the divergence error stays below 1e-8.
+    Five-point central stencils of step h = 5e-3, truncation O(h^4). That step
+    balances h^4 truncation against round-off from summing the expansion; for
+    coefficient totals up to ~1e5 and lam near 1 the divergence error stays
+    below 1e-8.
     Returns (max relative |curl u - lam u| error, max |div u|). The relative
     error is measured against max(|lam u|, 1e-12) pointwise.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
+    h = 5e-3
     jac = np.empty((pts.shape[0], 3, 3))
     for j in range(3):
         dx = np.zeros(3)
@@ -100,10 +102,6 @@ class SynthesisResult:
     expansion: BeltramiExpansion
     fit: FitReport
     timings: dict
-
-    @property
-    def success(self) -> bool:
-        return self.fit.success
 
 
 def synthesize(link: LinkSpec, config: RunConfig | None = None) -> SynthesisResult:

@@ -78,8 +78,7 @@ class CauchyData:
     gamma_t: np.ndarray   # (ns, nt)
 
 
-def build_cauchy_data(chart: TubeChart, config: RunConfig | None = None) -> CauchyData:
-    config = config or RunConfig()
+def build_cauchy_data(chart: TubeChart, config: RunConfig) -> CauchyData:
     ns = max(64, int(round(config.strip_s_per_2pi * chart.length / (2.0 * np.pi))))
     s = chart.length * np.arange(ns) / ns
     t = np.linspace(-chart.w_half, chart.w_half, config.strip_t_nodes)

@@ -15,13 +15,14 @@ class LinkingError(ValueError):
     """Linking number refused: curves too close or quadrature defect too large."""
 
 
-def _close_polyline(points: np.ndarray, tol: float = 1e-9) -> np.ndarray:
-    """Validate a closed polyline; returns vertices without the repeated endpoint."""
+def _close_polyline(points: np.ndarray) -> np.ndarray:
+    """Validate a closed polyline; returns vertices without the repeated endpoint
+    (an endpoint within 1e-9 of the size of the polyline counts as repeated)."""
     p = np.asarray(points, dtype=float)
     if p.ndim != 2 or p.shape[1] != 3 or p.shape[0] < 3:
         raise ValueError("polyline must be an (n, 3) array with n >= 3")
     scale = max(1.0, float(np.max(np.abs(p))))
-    if np.linalg.norm(p[0] - p[-1]) <= tol * scale:
+    if np.linalg.norm(p[0] - p[-1]) <= 1e-9 * scale:
         p = p[:-1]
     seg = np.linalg.norm(np.diff(np.vstack([p, p[:1]]), axis=0), axis=1)
     if np.any(seg == 0.0):
@@ -33,7 +34,6 @@ class LinkingResult(NamedTuple):
     link: int
     raw: float
     defect: float
-    refinements: int
 
 
 def _gauss_midpoint(a: np.ndarray, b: np.ndarray) -> float:
@@ -59,15 +59,15 @@ def _refine(p: np.ndarray) -> np.ndarray:
 
 
 def linking_number(curve_a, curve_b, defect_tol: float = 0.1,
-                   max_refinements: int = 4, closure_tol: float = 1e-9) -> LinkingResult:
+                   max_refinements: int = 4) -> LinkingResult:
     """Gauss linking number of two disjoint closed polylines.
 
     The double integral is evaluated by the segment-pair midpoint rule and the
     polygons are refined until consecutive estimates agree and the value sits
     within defect_tol of an integer; a larger defect raises LinkingError.
     """
-    a = _close_polyline(curve_a, closure_tol)
-    b = _close_polyline(curve_b, closure_tol)
+    a = _close_polyline(curve_a)
+    b = _close_polyline(curve_b)
     seg_scale = max(np.max(np.linalg.norm(np.diff(np.vstack([a, a[:1]]), axis=0), axis=1)),
                     np.max(np.linalg.norm(np.diff(np.vstack([b, b[:1]]), axis=0), axis=1)))
     gap = np.sqrt(np.min(cdist(a, b, "sqeuclidean")))
@@ -76,20 +76,18 @@ def linking_number(curve_a, curve_b, defect_tol: float = 0.1,
             f"curves too close for a trustworthy quadrature: gap = {gap:.3e} "
             f"<= 10 x segment scale {seg_scale:.3e}")
     val = _gauss_midpoint(a, b)
-    refinements = 0
     for _ in range(max_refinements):
         defect = abs(val - round(val))
         if defect < 0.25 * defect_tol:
             break
         a, b = _refine(a), _refine(b)
-        refinements += 1
         val = _gauss_midpoint(a, b)
     defect = abs(val - round(val))
     if defect >= defect_tol:
         raise LinkingError(
             f"linking quadrature defect {defect:.3g} >= {defect_tol:g}; "
             "refine the input curves")
-    return LinkingResult(int(round(val)), val, defect, refinements)
+    return LinkingResult(int(round(val)), val, defect)
 
 
 @dataclass(frozen=True)
@@ -102,19 +100,17 @@ class ConfinementCertificate:
 
 
 def tube_confinement(points: np.ndarray, chart: TubeChart,
-                     r_max: float | None = None,
-                     w_max: float | None = None) -> ConfinementCertificate:
+                     r_max: float | None = None) -> ConfinementCertificate:
     """Certify that a closed polyline stays inside the tube and count its winding.
 
-    The certificate is monotone: shrinking the declared tube (r_max, w_max)
-    can only turn confined into not-confined.
+    The strip half-width is the chart's. The certificate is monotone: shrinking
+    the declared radius r_max can only turn confined into not-confined.
     """
     p = _close_polyline(points)
     r_max = chart.radius if r_max is None else float(r_max)
-    w_max = chart.w_half if w_max is None else float(w_max)
     coords = chart.to_tube_many(p)
     bad = np.isnan(coords[:, 0])
-    inside = (~bad) & (np.abs(coords[:, 0]) < r_max) & (np.abs(coords[:, 1]) <= w_max)
+    inside = (~bad) & (np.abs(coords[:, 0]) < r_max) & (np.abs(coords[:, 1]) <= chart.w_half)
     if not np.all(inside):
         witness = p[int(np.argmin(inside))]
         return ConfinementCertificate(False, 0, 0.0, 0.0, witness)
@@ -125,7 +121,7 @@ def tube_confinement(points: np.ndarray, chart: TubeChart,
     return ConfinementCertificate(
         True, winding,
         float(r_max - np.max(np.abs(coords[:, 0]))),
-        float(w_max - np.max(np.abs(coords[:, 1]))),
+        float(chart.w_half - np.max(np.abs(coords[:, 1]))),
         None)
 
 

@@ -126,10 +126,11 @@ def test_trace_degenerate_and_empty(tmp_path):
     seeds = tmp_path / "seeds.json"
     save_seeds(np.array([[0.25, 0.0, 0.125]]), seeds)
     out = tmp_path / "single"
+    # t-end 0 writes --samples rows, like any other t-end: copies of the seed
     assert cli.main(["trace", "--field", str(field), "--seeds", str(seeds),
-                     "--t-end", "0", "--out", str(out)]) == 0
+                     "--t-end", "0", "--samples", "4", "--out", str(out)]) == 0
     table = np.loadtxt(out / "trace_000.csv", delimiter=",", skiprows=1)
-    assert np.array_equal(table, np.array([0.0, 0.25, 0.0, 0.125]))
+    assert np.array_equal(table, np.tile([0.0, 0.25, 0.0, 0.125], (4, 1)))
 
     save_seeds(np.zeros((0, 3)), seeds)
     empty = tmp_path / "none"
@@ -144,6 +145,10 @@ def test_trace_degenerate_and_empty(tmp_path):
     for samples in ("1", "0"):
         assert cli.main(["trace", "--field", str(field), "--seeds", str(seeds),
                          "--t-end", "1.0", "--samples", samples, "--out", str(fresh)]) == 2
+    # a non-finite t-end would make the solver spin
+    for t_end in ("nan", "inf"):
+        assert cli.main(["trace", "--field", str(field), "--seeds", str(seeds),
+                         "--t-end", t_end, "--out", str(fresh)]) == 2
     assert not fresh.exists()
 
 

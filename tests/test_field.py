@@ -122,6 +122,9 @@ def test_member_validation():
         BeltramiExpansion(1.0, [[0.0, 0.0, 1.0]], [[0.0, 0.0, 1.0]], [1.0], [0.0])
     with pytest.raises(ValueError, match="nonzero"):
         BeltramiExpansion(0.0, [[0.0, 0.0, 1.0]], [[1.0, 0.0, 0.0]], [1.0], [0.0])
+    for lam, alpha in ((np.nan, 1.0), (np.inf, 1.0), (1.0, np.nan)):
+        with pytest.raises(ValueError, match="finite"):
+            BeltramiExpansion(lam, [[0.0, 0.0, 1.0]], [[1.0, 0.0, 0.0]], [alpha], [0.0])
     # shapes: k and e must be (m, 3), alpha and beta (m,); nothing broadcasts
     k3 = [[0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]
     e3 = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]

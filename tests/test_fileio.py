@@ -8,10 +8,9 @@ import pytest
 from knotflows import presets
 from knotflows.curves import LinkSpec
 from knotflows.field import BeltramiExpansion, make_basis
-from knotflows.fileio import (FileFormatError, dump_cauchy, load_field,
-                              load_link, load_seeds, save_field, save_link,
-                              save_seeds, write_report, write_table)
-from knotflows.strip import CauchyData
+from knotflows.fileio import (FileFormatError, load_field, load_link, load_seeds,
+                              save_field, save_link, save_seeds, write_report,
+                              write_table)
 
 from conftest import twin_basis
 
@@ -150,6 +149,20 @@ def test_field_malformed_documents(tmp_path):
             load_field(path)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+@pytest.mark.parametrize("key", ["k", "e", "alpha", "beta"])
+def test_field_non_finite_member_is_format_error(tmp_path, key, value):
+    # json writes and reads NaN and Infinity; a field built on them would make
+    # every solver downstream spin or write NaN rows, so loading must refuse it
+    member = {"k": [0.0, 0.0, 1.0], "e": [1.0, 0.0, 0.0], "alpha": 1.0, "beta": 0.0}
+    member[key] = [0.0, 0.0, value] if key in ("k", "e") else value
+    path = tmp_path / "field.json"
+    path.write_text(json.dumps({"schema": "knotflows.field/1", "lambda": 1.0,
+                                "members": [member]}))
+    with pytest.raises(FileFormatError, match="finite"):
+        load_field(path)
+
+
 def test_seeds_round_trip_including_empty(tmp_path):
     path = tmp_path / "seeds.json"
     seeds = np.array([[0.1, -0.2, 0.3], [1.0 / 3.0, np.pi, 1e-17]])
@@ -171,6 +184,10 @@ def test_seeds_malformed(tmp_path):
     path.write_text(json.dumps({"schema": "knotflows.seeds/1", "seeds": 5}))
     with pytest.raises(FileFormatError, match="list"):
         load_seeds(path)
+    path.write_text(json.dumps({"schema": "knotflows.seeds/1",
+                                "seeds": [[0.0, np.inf, 0.0]]}))
+    with pytest.raises(FileFormatError, match="finite"):
+        load_seeds(path)
 
 
 def test_write_table_full_precision(tmp_path):
@@ -183,25 +200,6 @@ def test_write_table_full_precision(tmp_path):
     back = np.loadtxt(path, delimiter=",", skiprows=1)
     assert np.array_equal(back[:, 0], x)
     assert np.array_equal(back[:, 1], y)
-
-
-def test_dump_cauchy_table(tmp_path):
-    s = np.array([0.0, 1.0])
-    t = np.array([-0.1, 0.0, 0.1])
-    rng = np.random.default_rng(3)
-    points = rng.standard_normal((2, 3, 3))
-    w = rng.standard_normal((2, 3, 3))
-    data = CauchyData(chart=None, s_nodes=s, t_nodes=t, points=points, w=w,
-                      normals=np.zeros_like(points),
-                      gamma_s=np.zeros((2, 3)), gamma_t=np.zeros((2, 3)))
-    path = tmp_path / "cauchy.csv"
-    dump_cauchy(data, path)
-    back = np.loadtxt(path, delimiter=",", skiprows=1)
-    assert back.shape == (6, 8)
-    assert np.array_equal(back[:, 2:5], points.reshape(-1, 3))
-    assert np.array_equal(back[:, 5:8], w.reshape(-1, 3))
-    assert np.array_equal(back[:, 0], np.repeat(s, 3))
-    assert np.array_equal(back[:, 1], np.tile(t, 2))
 
 
 def test_write_report_is_plain_json(tmp_path):

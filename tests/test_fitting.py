@@ -98,7 +98,7 @@ def test_fit_recovers_single_member_exactly():
     pts = rng.uniform(-1.0, 1.0, (12, 5, 3))
     w = target(pts.reshape(-1, 3)).reshape(pts.shape)
     data = _synthetic_data(pts, w)
-    fitted, report = fit_global([data], (1e-8,), k, e, 1.0, ridge=0.0)
+    fitted, report = fit_global([data], 1e-8, k, e, 1.0, ridge=0.0)
     expect = np.zeros(k.shape[0])
     expect[2] = 1.0
     assert np.max(np.abs(fitted.alpha - expect)) < 1e-8
@@ -141,7 +141,7 @@ def test_fit_reports_failure_with_advice():
     # a quadratic target is not in the span of two plane-wave directions
     w = pts**2
     data = _synthetic_data(pts, w)
-    _, report = fit_global([data], (1e-10,), k, e, 1.0)
+    _, report = fit_global([data], 1e-10, k, e, 1.0)
     assert not report.success
     assert report.max_residual() > 1e-10
     assert "enlarge the direction set" in report.advice
@@ -152,9 +152,9 @@ def test_fit_residuals_follow_component_permutation():
     rng = np.random.default_rng(8)
     k, e = make_basis(6, rng)
     datas = _three_tubes(rng)
-    _, report = fit_global(datas, (1e-3,) * 3, k, e, 1.0)
+    _, report = fit_global(datas, 1e-3, k, e, 1.0)
     perm = [2, 0, 1]
-    _, permuted = fit_global([datas[i] for i in perm], (1e-3,) * 3, k, e, 1.0)
+    _, permuted = fit_global([datas[i] for i in perm], 1e-3, k, e, 1.0)
     expect = [report.tube_residuals[i] for i in perm]
     assert np.allclose(permuted.tube_residuals, expect, rtol=1e-6, atol=0.0)
 
@@ -163,7 +163,7 @@ def test_fit_defaults_are_the_run_config_defaults():
     rng = np.random.default_rng(8)
     k, e = make_basis(6, rng)
     datas = _three_tubes(rng)
-    _, report = fit_global(datas, (1e-3,) * 3, k, e, 1.0)
+    _, report = fit_global(datas, 1e-3, k, e, 1.0)
     assert report.ridge == RunConfig().ridge
 
 
@@ -212,7 +212,7 @@ def test_fit_streams_the_design_matrix_in_blocks(monkeypatch):
     rng = np.random.default_rng(8)
     k, e = make_basis(6, rng)
     datas = _three_tubes(rng)
-    _, report = fit_global(datas, (1e-3,) * 3, k, e, 1.0)
+    _, report = fit_global(datas, 1e-3, k, e, 1.0)
     n_coef = 2 * k.shape[0]
     assert len(rows) > 1
     assert max(rows) <= n_coef + 3

@@ -5,9 +5,9 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from knotflows import pipeline
+from knotflows import pipeline, presets
 from knotflows.config import RunConfig
-from knotflows.curves import LinkSpec
+from knotflows.curves import FourierCurve, LinkSpec
 from knotflows.field import BeltramiExpansion
 from knotflows.pipeline import (PipelineError, check_points, fd_curl_divergence,
                                 synthesize, verify)
@@ -165,6 +165,54 @@ def test_verify_is_exact_under_relabeling(hopf_run):
     for key in ("target", "linking", "defect", "target_defect"):
         assert pair_other[key] == pair[key], key
     assert other["passed"] == report["passed"]
+
+
+def _coarse_hopf_report(components) -> dict:
+    # the benchmark's hopf run: the Hopf fixture on a coarser strip and orbit
+    link = LinkSpec(1.0, tuple(components))
+    cfg = RunConfig(lam=1.0, directions=400, w_half_factor=0.01, strip_s_per_2pi=18,
+                    strip_t_nodes=9, orbit_samples=256)
+    return verify(link, synthesize(link, cfg).expansion, cfg).report
+
+
+@pytest.fixture(scope="module")
+def coarse_hopf_report():
+    return _coarse_hopf_report(presets.hopf(radius=14.0))
+
+
+def _rel(a, b):
+    return abs(a - b) / abs(b)
+
+
+# change -> (component order, sign of the linking numbers, relative tolerances
+# on residual, period and multiplier moduli)
+END_TO_END_CHANGES = {
+    "swap": ([1, 0], 1, (1e-7, 1e-10, 1e-8)),
+    "reverse": ([0, 1], -1, (0.2, 1e-5, 1e-2)),
+}
+
+
+@pytest.mark.parametrize("change", sorted(END_TO_END_CHANGES))
+def test_end_to_end_under_relabeling_and_orientation(coarse_hopf_report, change):
+    # synthesize and verify again with the components swapped, or with
+    # component 1 traversed backwards (c(-t): negated sin coefficients). A
+    # swap permutes every per-component number up to the rounding of the
+    # refit; a reversal flips the linking numbers and refits a mirror problem
+    a, b = presets.hopf(radius=14.0)
+    comps = (b, a) if change == "swap" else (a, FourierCurve(b.cos_coeffs, -b.sin_coeffs))
+    order, sign, (tol_res, tol_period, tol_mu) = END_TO_END_CHANGES[change]
+    base, other = coarse_hopf_report, _coarse_hopf_report(comps)
+    for comp, j in zip(base["components"], order):
+        partner = other["components"][j]
+        assert _rel(partner["strip_residual"], comp["strip_residual"]) < tol_res
+        assert _rel(partner["period"], comp["period"]) < tol_period
+        for mu, mu_partner in zip(comp["multipliers"], partner["multipliers"]):
+            assert _rel(abs(mu_partner), abs(mu)) < tol_mu
+    (pair,), (pair_other,) = base["pairs"], other["pairs"]
+    assert pair["target"] == pair["linking"] == -1
+    assert pair_other["target"] == pair_other["linking"] == sign * pair["target"]
+    verdicts = [[(c["name"], c["passed"]) for c in r["criteria"]] for r in (base, other)]
+    assert verdicts[0] == verdicts[1]
 
 
 @pytest.mark.parametrize("run", ["unknot_run", "hopf_run", "trefoil_run", "borromean_run"])
