@@ -3,14 +3,16 @@
 The periodic orbits of interest are saddles: one Floquet multiplier inside the
 unit circle, one outside, product one. Orbits are located by damped Newton on
 a multiple-shooting system (segment closures plus a phase condition on the
-first node). The shoot that closes the system is the orbit's one integration:
-its dense interpolants give the orbit samples, and its segment transfer
-matrices give a segmented monodromy product whose determinant and stable
-multiplier stay resolvable even when e^{T} is large.
+first node). Each shoot integrates all m segments as one ODE. The shoot that
+closes the system is the orbit's one integration: its dense interpolant gives
+the orbit samples, and its segment transfer matrices give a segmented
+monodromy product whose determinant and stable multiplier stay resolvable
+even when e^{T} is large.
 
-Fields are callables x -> u(x) on (3,) or (n, 3) points. The variational flow
-of refine_orbit's shoots also needs field.jet(x) -> (u(x), Du(x)) for a (3,)
-point: each of its right-hand sides is one jet call and no other field call.
+Fields are callables x -> u(x) on (3,) or (n, 3) points. A shoot's variational
+flow also needs field.jet_near(nodes) -> (x -> (u(x), Du(x))) for (m, 3)
+points whose row i stays near nodes[i]: each right-hand side is one call of it
+on all m rows and no other field call.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import solve_ivp
+from scipy.linalg import block_diag
 
 from .charts import TubeChart, chart_columns
 
@@ -100,7 +103,7 @@ def refine_orbit(field, chart: TubeChart, rtol: float = 1e-10, atol: float = 1e-
 
     The closing shoot is the orbit's only integration: its nodes and transfer
     matrices are returned for `monodromy`, and the n_samples points at times
-    kT/n are read from its segments' dense interpolants.
+    kT/n are read from its dense interpolant.
     """
     arc = chart.frame.arc
     speeds = np.linalg.norm(field(arc.points), axis=1)
@@ -119,27 +122,20 @@ def refine_orbit(field, chart: TubeChart, rtol: float = 1e-10, atol: float = 1e-
     period = float(np.sum(seg_arc / speeds[idx]))
     t_cap = 4.0 * chart.length / max(np.min(speeds), 1e-12)
 
-    n_unk = 3 * m + 1
-
     def shoot(nodes, period):
-        ends, mats, sols = zip(*(_fundamental_segment(field, x, 0.0, period / m, rtol, atol)
-                                 for x in nodes))
-        ys = np.array(ends)
+        ys, mats, sol = _shoot(field, nodes, period / m, rtol, atol)
         f = np.append((ys - np.roll(nodes, -1, axis=0)).ravel(),
                       np.dot(u_anchor, nodes[0] - anchor))
-        return f, ys, np.array(mats), sols
+        return f, ys, mats, sol
 
-    f, ys, mats, sols = shoot(nodes, period)
+    f, ys, mats, sol = shoot(nodes, period)
     res = float(np.max(np.abs(f)))
     it = 0
     while not res < closure_tol:
         if it == max_iter:
             raise NewtonFailure(f"shooting system not closed after {max_iter} iterations")
-        jac = np.zeros((n_unk, n_unk))
-        for i in range(m):
-            r = slice(3 * i, 3 * i + 3)
-            jac[r, r] = mats[i]
-            jac[r, 3 * ((i + 1) % m):3 * ((i + 1) % m) + 3] -= np.eye(3)
+        jac = np.zeros((3 * m + 1, 3 * m + 1))
+        jac[:3 * m, :3 * m] = block_diag(*mats) - np.roll(np.eye(3 * m), 3, axis=1)
         jac[:3 * m, 3 * m] = (field(ys) / m).ravel()
         jac[3 * m, 0:3] = u_anchor
         try:
@@ -165,7 +161,7 @@ def refine_orbit(field, chart: TubeChart, rtol: float = 1e-10, atol: float = 1e-
         else:
             raise NewtonFailure(f"shooting Newton stalled at iteration {it}")
         nodes, period = new_nodes, new_period
-        f, ys, mats, sols = shot
+        f, ys, mats, sol = shot
         res = res_new
         if np.isnan(chart.to_tube_many(nodes)).any():
             raise OrbitEscape(f"Newton iterate left the tube at iteration {it}")
@@ -173,33 +169,34 @@ def refine_orbit(field, chart: TubeChart, rtol: float = 1e-10, atol: float = 1e-
 
     # sample k lies on segment k*m // n at local time kT/n - seg T/m; sampling
     # segment by segment keeps the e^{T} growth of a full-period flow out
-    k = np.arange(n_samples)
-    seg = k * m // n_samples
-    pts = np.empty((n_samples, 3))
-    for i in np.unique(seg):
-        ki = k[seg == i]
-        pts[ki] = sols[i](period * (ki * m - i * n_samples) / (m * n_samples))[:3].T
+    seg, local = np.divmod(np.arange(n_samples) * m, n_samples)
+    times, inverse = np.unique(local, return_inverse=True)
+    pts = sol(period * times / (m * n_samples)).reshape(m, 12, -1)[seg, :3, inverse]
     return PeriodicOrbit(points=pts, period=period, closure_residual=res,
                          newton_iterations=it, nodes=nodes, transfers=mats)
 
 
-def _fundamental_segment(field, x0, t0, t1, rtol, atol):
-    """Integrate state + 3x3 variational matrix over [t0, t1] from (x0, I).
-
-    Returns the end state, the transfer matrix and the dense interpolant.
-    Each right-hand side makes exactly one field.jet call.
+def _shoot(field, nodes, tau, rtol, atol):
+    """Integrate state + variational matrix over [0, tau] from (nodes[i], I),
+    all m segments as one ODE; returns the (m, 3) ends, the (m, 3, 3) transfer
+    matrices and the dense interpolant. Tolerances scaled by 1/sqrt(m) make
+    the batch's RMS error norm bound each segment's own norm.
     """
+    m = len(nodes)
+    jet = field.jet_near(nodes)
 
     def rhs(t, y):
-        u, du = field.jet(y[:3])
-        return np.concatenate([u, (du @ y[3:].reshape(3, 3)).ravel()])
+        y = y.reshape(m, 12)
+        u, du = jet(y[:, :3])
+        return np.hstack([u, (du @ y[:, 3:].reshape(m, 3, 3)).reshape(m, 9)]).ravel()
 
-    y0 = np.concatenate([np.asarray(x0, dtype=float), np.eye(3).ravel()])
-    sol = solve_ivp(rhs, (t0, t1), y0, method="DOP853", rtol=rtol, atol=atol,
-                    dense_output=True)
+    y0 = np.hstack([nodes, np.tile(np.eye(3).ravel(), (m, 1))]).ravel()
+    sol = solve_ivp(rhs, (0.0, tau), y0, method="DOP853", rtol=rtol / np.sqrt(m),
+                    atol=atol / np.sqrt(m), dense_output=True)
     if not sol.success:
         raise IntegrationError(f"variational integration failed: {sol.message}")
-    return sol.y[:3, -1], sol.y[3:, -1].reshape(3, 3), sol.sol
+    y = sol.y[:, -1].reshape(m, 12)
+    return y[:, :3], y[:, 3:].reshape(m, 3, 3), sol.sol
 
 
 def monodromy(field, orbit: PeriodicOrbit) -> FloquetData:
@@ -257,9 +254,10 @@ class TubeModelField:
 
     Exact saddle dynamics around the core: period = core length, multipliers
     {e^{-T}, e^{+T}}. Serves as the closed-form oracle for the orbit pipeline.
-    jet makes one chart projection: Du is the chart-coordinate derivative of
-    the pushforward, by central differences of step 1e-6 in (rho, z, theta),
-    which need no projection, times the inverse chart Jacobian.
+    jet makes one chart projection for (3,) or (n, 3) points: Du is the
+    chart-coordinate derivative of the pushforward, by central differences of
+    step 1e-6 in (rho, z, theta), which need no projection, times the inverse
+    chart Jacobian. jet_near ignores its centers and returns jet.
     """
 
     def __init__(self, chart: TubeChart):
@@ -277,17 +275,21 @@ class TubeModelField:
         return _model_vector(nj, coords[:, 0], coords[:, 1]).reshape(x.shape)
 
     def jet(self, x):
+        x = np.asarray(x, dtype=float)
         coords, nj = self._coords(x)
-        (rho, z, theta), nj = coords[0], {k: v[0] for k, v in nj.items()}
+        rho, z = coords[:, 0], coords[:, 1]
         h = 1e-6
-        q = np.array([rho, z, theta]) + h * np.vstack([np.eye(3), -np.eye(3)])
-        v = _model_vector(self.chart.normal_jet(q[:, 2], q[:, 1]), q[:, 0], q[:, 1])
-        dv_dq = (v[:3] - v[3:]).T / (2.0 * h)
-        cols = np.column_stack(chart_columns(nj, rho))
-        return _model_vector(nj, rho, z), np.linalg.solve(cols.T, dv_dq.T).T
+        q = coords[:, None, :] + h * np.vstack([np.eye(3), -np.eye(3)])
+        v = _model_vector(self.chart.normal_jet(q[..., 2], q[..., 1]), q[..., 0], q[..., 1])
+        # row i of dv_dq and of cols is the derivative along coordinate i
+        dv_dq = (v[:, :3] - v[:, 3:]) / (2.0 * h)
+        cols = np.stack(chart_columns(nj, rho), axis=1)
+        du = np.linalg.solve(cols, dv_dq).transpose(0, 2, 1)
+        return (_model_vector(nj, rho, z).reshape(x.shape),
+                du.reshape(x.shape[:-1] + (3, 3)))
 
-    def jacobian(self, x):
-        return self.jet(x)[1]
+    def jet_near(self, centers):
+        return self.jet
 
 
 def _model_vector(nj: dict, rho, z):

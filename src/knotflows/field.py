@@ -137,6 +137,23 @@ class BeltramiExpansion:
         o = np.cos(phase) @ self.cos_table + np.sin(phase) @ self.sin_table
         return o[..., :3], o[..., 3:].reshape(o.shape[:-1] + (3, 3))
 
+    def jet_near(self, centers):
+        """jet for (m, 3) points whose row i stays near centers[i]: cos and sin
+        of lam k.centers are taken once here, then only of the small offset
+        phases lam k.(x - centers), and the angles added. float64 cos and sin
+        cost more per element as the phase range grows."""
+        phase = centers @ self.lk
+        cos_c, sin_c = np.cos(phase), np.sin(phase)
+
+        def jet(x):
+            d = (x - centers) @ self.lk
+            cos_d, sin_d = np.cos(d), np.sin(d)
+            o = ((cos_c * cos_d - sin_c * sin_d) @ self.cos_table
+                 + (sin_c * cos_d + cos_c * sin_d) @ self.sin_table)
+            return o[:, :3], o[:, 3:].reshape(-1, 3, 3)
+
+        return jet
+
     def jacobian(self, x) -> np.ndarray:
         """Analytic Jacobian d u_i / d x_j; traceless (div u = 0 exactly)."""
         return self.jet(x)[1]

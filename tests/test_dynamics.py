@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
 from knotflows import dynamics, presets
 from knotflows.charts import TubeChart
@@ -22,11 +23,11 @@ class _ConstantField:
         x = np.asarray(x, dtype=float)
         return np.broadcast_to(self.v, x.shape).copy()
 
-    def jacobian(self, x):
-        return np.zeros((3, 3))
-
     def jet(self, x):
-        return self(x), self.jacobian(x)
+        return self(x), np.zeros(np.shape(x) + (3,))
+
+    def jet_near(self, centers):
+        return self.jet
 
 
 class _DoubledField:
@@ -38,19 +39,22 @@ class _DoubledField:
     def __call__(self, x):
         return 2.0 * self.base(x)
 
-    def jacobian(self, x):
-        return 2.0 * self.base.jacobian(x)
-
     def jet(self, x):
-        return self(x), self.jacobian(x)
+        u, du = self.base.jet(x)
+        return 2.0 * u, 2.0 * du
+
+    def jet_near(self, centers):
+        return self.jet
 
 
 class _CountingField:
-    """Counts the calls a consumer makes into each method of a base field."""
+    """Counts the calls a consumer makes into each method of a base field, and
+    the rows passed to each call of jet_near's function."""
 
     def __init__(self, base):
         self.base = base
-        self.calls = {"__call__": 0, "jacobian": 0, "jet": 0}
+        self.calls = {"__call__": 0, "jacobian": 0, "jet": 0, "jet_near": 0}
+        self.near_rows = []
 
     def __call__(self, x):
         self.calls["__call__"] += 1
@@ -63,6 +67,16 @@ class _CountingField:
     def jet(self, x):
         self.calls["jet"] += 1
         return self.base.jet(x)
+
+    def jet_near(self, centers):
+        self.calls["jet_near"] += 1
+        jet = self.base.jet_near(centers)
+
+        def counted(x):
+            self.near_rows.append(len(x))
+            return jet(x)
+
+        return counted
 
 
 def _circle_chart(n=96, radius=0.5, w_half=0.1):
@@ -162,8 +176,8 @@ def test_refine_orbit_needs_no_step_on_a_closed_seed(model):
 
 
 def test_orbit_is_integrated_once(model, monkeypatch):
-    # the closing shoot's 8 segments are the only integrations: the samples
-    # and the Floquet factors both come from it
+    # the closing shoot is the only integration, of all 8 segments at once:
+    # the samples and the Floquet factors both come from it
     chart, field = model
     calls = []
     solve_ivp = dynamics.solve_ivp
@@ -176,7 +190,7 @@ def test_orbit_is_integrated_once(model, monkeypatch):
     orbit = refine_orbit(field, chart, rtol=1e-9, atol=1e-11)
     monodromy(field, orbit)
     assert orbit.newton_iterations == 0
-    assert len(calls) == 8
+    assert len(calls) == 1
 
 
 def test_monodromy_multipliers_of_tube_model(model):
@@ -215,11 +229,12 @@ def test_monodromy_of_rigid_rotation_is_identity():
             return np.stack([-x[..., 1], x[..., 0], np.zeros_like(x[..., 0])],
                             axis=-1)
 
-        def jacobian(self, x):
-            return np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
-
         def jet(self, x):
-            return self(x), self.jacobian(x)
+            rot = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+            return self(x), np.broadcast_to(rot, np.shape(x) + (3,))
+
+        def jet_near(self, centers):
+            return self.jet
 
     orbit = refine_orbit(Rotation(), _circle_chart())
     assert abs(orbit.period - 2.0 * np.pi) < 1e-9
@@ -230,11 +245,16 @@ def test_monodromy_of_rigid_rotation_is_identity():
     assert flo.margin < 1e-8
 
 
-def test_variational_rhs_makes_one_jet_call(monkeypatch):
-    rng = np.random.default_rng(3)
-    k, e = make_basis(6, rng)
-    field = _CountingField(BeltramiExpansion(1.0, k, e, rng.standard_normal(len(k)),
-                                             rng.standard_normal(len(k))))
+def _random_expansion(n_dirs, seed):
+    rng = np.random.default_rng(seed)
+    k, e = make_basis(n_dirs, rng)
+    return BeltramiExpansion(1.0, k, e, rng.standard_normal(len(k)),
+                             rng.standard_normal(len(k)))
+
+
+def test_shoot_makes_one_jet_near_call_per_rhs(monkeypatch):
+    field = _CountingField(_random_expansion(6, 3))
+    nodes = np.random.default_rng(4).uniform(-2.0, 2.0, (5, 3))
     nfev = []
     solve_ivp = dynamics.solve_ivp
 
@@ -244,8 +264,63 @@ def test_variational_rhs_makes_one_jet_call(monkeypatch):
         return sol
 
     monkeypatch.setattr(dynamics, "solve_ivp", counted_solve_ivp)
-    dynamics._fundamental_segment(field, np.zeros(3), 0.0, 2.0, 1e-10, 1e-12)
-    assert nfev and field.calls == {"__call__": 0, "jacobian": 0, "jet": nfev[0]}
+    dynamics._shoot(field, nodes, 2.0, 1e-10, 1e-12)
+    assert len(nfev) == 1
+    assert field.calls == {"__call__": 0, "jacobian": 0, "jet": 0, "jet_near": 1}
+    assert field.near_rows == [5] * nfev[0]
+
+
+def _segment(field, x0, tau, rtol, atol):
+    """Reference: one segment's state and transfer matrix, integrated alone."""
+
+    def rhs(t, y):
+        u, du = field.jet(y[:3])
+        return np.concatenate([u, (du @ y[3:].reshape(3, 3)).ravel()])
+
+    sol = solve_ivp(rhs, (0.0, tau), np.concatenate([x0, np.eye(3).ravel()]),
+                    method="DOP853", rtol=rtol, atol=atol)
+    return sol.y[:3, -1], sol.y[3:, -1].reshape(3, 3)
+
+
+@pytest.mark.parametrize("seed", [5, 6, 7])
+def test_batched_shoot_is_no_less_accurate_than_single_segments(seed):
+    # nodes 10 away from the origin put the phases lam k.x at up to ~12, where
+    # the centred phases of jet_near matter; tolerances scaled by 1/sqrt(m)
+    # keep every segment at least as tight as a solve of its own
+    field = _random_expansion(24, seed)
+    nodes = np.array([10.0, 4.0, -3.0]) + np.random.default_rng(seed).uniform(-1.0, 1.0, (8, 3))
+    assert np.max(np.abs(nodes @ field.lk)) > 10.0
+    tau = 0.5
+    ref_ends, ref_mats = map(np.array, zip(*(_segment(field, x, tau, 1e-13, 1e-15)
+                                             for x in nodes)))
+    one_ends, one_mats = map(np.array, zip(*(_segment(field, x, tau, 1e-10, 1e-12)
+                                             for x in nodes)))
+    ends, mats, _ = dynamics._shoot(field, nodes, tau, 1e-10, 1e-12)
+
+    def errors(e, mm):
+        rel = np.linalg.norm(mm - ref_mats, axis=(1, 2)) / np.linalg.norm(ref_mats, axis=(1, 2))
+        return np.max(np.abs(e - ref_ends)), np.max(rel)
+
+    batched, single = errors(ends, mats), errors(one_ends, one_mats)
+    assert batched[0] <= single[0] and batched[1] <= single[1], (batched, single)
+
+
+def test_jet_near_matches_jet():
+    # angle addition against cos and sin of the whole phase: both round at
+    # about eps (1 + |phase|) per member, weighted by its amplitude |c_j|
+    # (value) and lam |c_j| (Jacobian)
+    field = _random_expansion(24, 8)
+    rng = np.random.default_rng(9)
+    centers = np.array([10.0, 4.0, -3.0]) + rng.uniform(-1.0, 1.0, (8, 3))
+    x = centers + rng.uniform(-0.5, 0.5, centers.shape)
+    u, du = field.jet_near(centers)(x)
+    u_ref, du_ref = field.jet(x)
+    phase = np.max(np.abs(x @ field.lk))
+    assert phase > 10.0
+    bound = 8.0 * np.finfo(float).eps * (1.0 + phase) * np.sum(np.hypot(field.alpha, field.beta))
+    assert u.shape == (8, 3) and du.shape == (8, 3, 3)
+    assert np.max(np.abs(u - u_ref)) < bound
+    assert np.max(np.abs(du - du_ref)) < abs(field.lam) * bound
 
 
 def test_tube_model_field_projects_once(monkeypatch):
@@ -287,3 +362,29 @@ def test_tube_model_jet_projects_once_and_matches_differences(monkeypatch):
         assert np.array_equal(u, value)
         assert np.max(np.abs(du - jacobian)) < 1e-6
     assert len(projections) == len(points)
+
+
+def test_tube_model_jet_batches_rows_in_one_projection(monkeypatch):
+    chart = _circle_chart()
+    field = TubeModelField(chart)
+    points = np.array([chart.from_tube(*(np.array(c) for c in q))
+                       for q in ((0.2, 0.05, 1.0), (-0.3, -0.08, 4.0), (0.0, 0.0, 0.0),
+                                 (0.1, 0.02, 5.5))])
+    single = [field.jet(x) for x in points]
+    projections = []
+    to_tube_jet = chart._to_tube_jet
+
+    def counted_to_tube_jet(x):
+        projections.append(1)
+        return to_tube_jet(x)
+
+    monkeypatch.setattr(chart, "_to_tube_jet", counted_to_tube_jet)
+    u, du = field.jet(points)
+    assert len(projections) == 1
+    assert u.shape == (4, 3) and du.shape == (4, 3, 3)
+    assert field.jet_near(points) == field.jet
+    # the batched projection rounds the chart coordinates in the last bits;
+    # the 1e-6 central differences of Du magnify that by about 1/(2e-6)
+    for (u1, du1), row, drow in zip(single, u, du):
+        assert np.max(np.abs(u1 - row)) < 1e-14
+        assert np.max(np.abs(du1 - drow)) < 1e-9

@@ -167,11 +167,11 @@ def test_verify_is_exact_under_relabeling(hopf_run):
     assert other["passed"] == report["passed"]
 
 
-def _coarse_hopf_report(components) -> dict:
+def _coarse_hopf_report(components, seed=0) -> dict:
     # the benchmark's hopf run: the Hopf fixture on a coarser strip and orbit
     link = LinkSpec(1.0, tuple(components))
     cfg = RunConfig(lam=1.0, directions=400, w_half_factor=0.01, strip_s_per_2pi=18,
-                    strip_t_nodes=9, orbit_samples=256)
+                    strip_t_nodes=9, orbit_samples=256, seed=seed)
     return verify(link, synthesize(link, cfg).expansion, cfg).report
 
 
@@ -185,23 +185,28 @@ def _rel(a, b):
 
 
 # change -> (component order, sign of the linking numbers, relative tolerances
-# on residual, period and multiplier moduli)
+# on residual, period and multiplier moduli). Direction seed 7 moved them by
+# up to 11 %, 3.9e-7 and 2.8e-3 when measured
 END_TO_END_CHANGES = {
     "swap": ([1, 0], 1, (1e-7, 1e-10, 1e-8)),
     "reverse": ([0, 1], -1, (0.2, 1e-5, 1e-2)),
+    "seed": ([0, 1], 1, (0.2, 1e-6, 1e-2)),
 }
 
 
 @pytest.mark.parametrize("change", sorted(END_TO_END_CHANGES))
 def test_end_to_end_under_relabeling_and_orientation(coarse_hopf_report, change):
-    # synthesize and verify again with the components swapped, or with
-    # component 1 traversed backwards (c(-t): negated sin coefficients). A
-    # swap permutes every per-component number up to the rounding of the
-    # refit; a reversal flips the linking numbers and refits a mirror problem
+    # synthesize and verify again with the components swapped, with
+    # component 1 traversed backwards (c(-t): negated sin coefficients), or
+    # with another direction seed. A swap permutes every per-component number
+    # up to the rounding of the refit; a reversal flips the linking numbers
+    # and refits a mirror problem; a seed rotates the basis and refits
     a, b = presets.hopf(radius=14.0)
-    comps = (b, a) if change == "swap" else (a, FourierCurve(b.cos_coeffs, -b.sin_coeffs))
+    comps = {"swap": (b, a), "reverse": (a, FourierCurve(b.cos_coeffs, -b.sin_coeffs)),
+             "seed": (a, b)}[change]
     order, sign, (tol_res, tol_period, tol_mu) = END_TO_END_CHANGES[change]
-    base, other = coarse_hopf_report, _coarse_hopf_report(comps)
+    base = coarse_hopf_report
+    other = _coarse_hopf_report(comps, seed=7 if change == "seed" else 0)
     for comp, j in zip(base["components"], order):
         partner = other["components"][j]
         assert _rel(partner["strip_residual"], comp["strip_residual"]) < tol_res
