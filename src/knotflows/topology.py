@@ -10,6 +10,8 @@ from scipy.spatial.distance import cdist
 
 from .charts import TubeChart
 
+_BLOCK = 256   # rows of every (rows, N) table in the linking and distance kernels
+
 
 class LinkingError(ValueError):
     """Linking number refused: curves too close or quadrature defect too large."""
@@ -24,8 +26,7 @@ def _close_polyline(points: np.ndarray) -> np.ndarray:
     scale = max(1.0, float(np.max(np.abs(p))))
     if np.linalg.norm(p[0] - p[-1]) <= 1e-9 * scale:
         p = p[:-1]
-    seg = np.linalg.norm(np.diff(np.vstack([p, p[:1]]), axis=0), axis=1)
-    if np.any(seg == 0.0):
+    if np.any(np.linalg.norm(_tangents(p), axis=1) == 0.0):
         raise ValueError("polyline has consecutive duplicate vertices")
     return p
 
@@ -36,17 +37,26 @@ class LinkingResult(NamedTuple):
     defect: float
 
 
+def _tangents(p: np.ndarray) -> np.ndarray:
+    """Segment vectors p[i+1] - p[i] of a closed polyline (the last wraps to p[0])."""
+    return np.diff(p, axis=0, append=p[:1])
+
+
 def _gauss_midpoint(a: np.ndarray, b: np.ndarray) -> float:
-    """Midpoint-rule Gauss double integral over all segment pairs."""
-    ta = np.diff(np.vstack([a, a[:1]]), axis=0)
-    tb = np.diff(np.vstack([b, b[:1]]), axis=0)
-    ma = a + 0.5 * ta
-    mb = b + 0.5 * tb
-    r = ma[:, None, :] - mb[None, :, :]
-    dist3 = np.sum(r * r, axis=-1) ** 1.5
-    cross = np.cross(ta[:, None, :], tb[None, :, :])
-    triple = np.sum(cross * r, axis=-1)
-    return float(np.sum(triple / dist3) / (4.0 * np.pi))
+    """Midpoint-rule Gauss double integral over all segment pairs, in row blocks:
+    with tangents t and midpoints m, (m_a - m_b).(t_a x t_b) equals
+    (m_a x t_a).t_b - t_a.(t_b x m_b), two rank-3 products per block."""
+    ta, tb = _tangents(a), _tangents(b)
+    ma, mb = a + 0.5 * ta, b + 0.5 * tb
+    ca, cb = np.cross(ma, ta), np.cross(tb, mb)
+    total = 0.0
+    for lo in range(0, a.shape[0], _BLOCK):
+        d2 = cdist(ma[lo:lo + _BLOCK], mb, "sqeuclidean")
+        num = ca[lo:lo + _BLOCK] @ tb.T
+        num -= ta[lo:lo + _BLOCK] @ cb.T
+        d2 *= np.sqrt(d2)
+        total += float(np.sum(num / d2))
+    return total / (4.0 * np.pi)
 
 
 def _refine(p: np.ndarray) -> np.ndarray:
@@ -66,11 +76,10 @@ def linking_number(curve_a, curve_b, defect_tol: float = 0.1,
     polygons are refined until consecutive estimates agree and the value sits
     within defect_tol of an integer; a larger defect raises LinkingError.
     """
-    a = _close_polyline(curve_a)
-    b = _close_polyline(curve_b)
-    seg_scale = max(np.max(np.linalg.norm(np.diff(np.vstack([a, a[:1]]), axis=0), axis=1)),
-                    np.max(np.linalg.norm(np.diff(np.vstack([b, b[:1]]), axis=0), axis=1)))
-    gap = np.sqrt(np.min(cdist(a, b, "sqeuclidean")))
+    a, b = _close_polyline(curve_a), _close_polyline(curve_b)
+    seg_scale = max(np.max(np.linalg.norm(_tangents(p), axis=1)) for p in (a, b))
+    gap = np.sqrt(min(np.min(cdist(a[lo:lo + _BLOCK], b, "sqeuclidean"))
+                      for lo in range(0, a.shape[0], _BLOCK)))
     if gap <= 10.0 * seg_scale:
         raise LinkingError(
             f"curves too close for a trustworthy quadrature: gap = {gap:.3e} "
@@ -126,27 +135,31 @@ def tube_confinement(points: np.ndarray, chart: TubeChart,
 
 
 def _point_segment_distances(points: np.ndarray, poly: np.ndarray) -> np.ndarray:
-    """Distance from each point to the closed polyline (vertex-to-segment)."""
-    a = poly
-    b = np.vstack([poly[1:], poly[:1]])
-    ab = b - a
+    """Exact distance from each point to the closed polyline (vertex-to-segment).
+
+    A segment lies within half its length of an endpoint, so its nearer vertex
+    distance minus that half bounds it below; the nearest vertex bounds the
+    answer above. Only segments passing both bounds (always the minimiser and
+    one next to the nearest vertex) are projected onto."""
+    ab = _tangents(poly)
     denom = np.sum(ab * ab, axis=1)
+    half = 0.5 * np.sqrt(denom)
+    closed = np.vstack([poly, poly[:1]])
     out = np.empty(points.shape[0])
-    # blocks of 64 points bound the (64, segments, 3) temporaries; no row's
-    # arithmetic depends on the blocking
-    for lo in range(0, points.shape[0], 64):
-        p = points[lo:lo + 64]
-        ap = p[:, None, :] - a[None, :, :]
-        tproj = np.clip(np.einsum("pik,ik->pi", ap, ab) / denom, 0.0, 1.0)
-        closest = a[None] + tproj[..., None] * ab[None]
-        out[lo:lo + 64] = np.min(np.linalg.norm(p[:, None, :] - closest, axis=-1), axis=1)
+    for lo in range(0, points.shape[0], _BLOCK):
+        p = points[lo:lo + _BLOCK]
+        dv = cdist(p, closed)
+        lower = np.minimum(dv[:, :-1], dv[:, 1:])
+        lower -= half
+        i, j = np.nonzero(lower <= np.min(dv, axis=1)[:, None])
+        tproj = np.clip(np.einsum("pk,pk->p", p[i] - poly[j], ab[j]) / denom[j], 0.0, 1.0)
+        d = np.linalg.norm(p[i] - (poly[j] + tproj[:, None] * ab[j]), axis=1)
+        out[lo:lo + _BLOCK] = np.minimum.reduceat(d, np.flatnonzero(np.diff(i, prepend=-1)))
     return out
 
 
 def hausdorff_distance(curve_a, curve_b) -> float:
     """Symmetric point-to-polyline Hausdorff distance between closed polylines."""
-    a = _close_polyline(curve_a)
-    b = _close_polyline(curve_b)
-    d_ab = np.max(_point_segment_distances(a, b))
-    d_ba = np.max(_point_segment_distances(b, a))
-    return float(max(d_ab, d_ba))
+    a, b = _close_polyline(curve_a), _close_polyline(curve_b)
+    return float(max(np.max(_point_segment_distances(a, b)),
+                     np.max(_point_segment_distances(b, a))))

@@ -7,6 +7,7 @@ outcome, and the wall-clock times of both stages.
 """
 
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -122,6 +123,17 @@ def crossing_count_linking(a: np.ndarray, b: np.ndarray,
         if ok and total % 2 == 0:
             return total // 2
     raise RuntimeError("no generic projection found")
+
+
+def traced_peak(fn, *args, **kwargs):
+    """fn(*args, **kwargs) and the peak bytes tracemalloc saw during the call."""
+    tracemalloc.start()
+    try:
+        result = fn(*args, **kwargs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, peak
 
 
 def fd_jacobian(field, x: np.ndarray, h: float = 1e-6) -> np.ndarray:

@@ -1,7 +1,6 @@
 """Strip metric, Cauchy data, closedness, the strip residual, and the in-strip
 core multiplier."""
 
-import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -15,6 +14,8 @@ from knotflows.framing import frame_transport
 from knotflows.strip import (build_cauchy_data, cauchy_field, closedness_check,
                              closedness_residual, lyapunov_values, strip_metric,
                              strip_monodromy, strip_residual)
+
+from conftest import traced_peak
 
 
 def _chart(curve, radius=0.5, w_half=0.1, n=1024):
@@ -118,12 +119,7 @@ def test_strip_residual_memory_is_bounded_by_its_block():
     points = rng.uniform(-40.0, 40.0, (325, 33, 3))
     w = rng.standard_normal((325, 33, 3))
     data = SimpleNamespace(points=points, w=w)
-    tracemalloc.start()
-    try:
-        got = strip_residual(u, data)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    got, peak = traced_peak(strip_residual, u, data)
     assert peak < 16 * 2**20
     x, w = points.reshape(-1, 3), w.reshape(-1, 3)
     expect = max(np.linalg.norm(u(x[lo:lo + 100]) - w[lo:lo + 100], axis=1).max()

@@ -1,20 +1,58 @@
 """Linking numbers, confinement certificates, and Hausdorff distances."""
 
+from functools import lru_cache
+
 import numpy as np
 import pytest
 
-from knotflows import presets
+from knotflows import presets, topology
 from knotflows.charts import TubeChart
 from knotflows.curves import resample_arclength
 from knotflows.framing import frame_transport
 from knotflows.topology import (LinkingError, hausdorff_distance,
                                 linking_number, tube_confinement)
 
-from conftest import crossing_count_linking
+from conftest import crossing_count_linking, traced_peak
 
 
 def _points(curve, n=256):
     return resample_arclength(curve, n).points
+
+
+@lru_cache(maxsize=None)
+def _hopf_cores():
+    """The two 1,024-vertex cores of the radius-14 Hopf link that verify reads."""
+    return tuple(_points(c, 1024) for c in presets.hopf(radius=14.0))
+
+
+def _reference_gauss_midpoint(a, b):
+    """The whole-table broadcast of the midpoint Gauss sum, kept as its oracle."""
+    ta = np.diff(np.vstack([a, a[:1]]), axis=0)
+    tb = np.diff(np.vstack([b, b[:1]]), axis=0)
+    ma = a + 0.5 * ta
+    mb = b + 0.5 * tb
+    r = ma[:, None, :] - mb[None, :, :]
+    dist3 = np.sum(r * r, axis=-1) ** 1.5
+    cross = np.cross(ta[:, None, :], tb[None, :, :])
+    triple = np.sum(cross * r, axis=-1)
+    return float(np.sum(triple / dist3) / (4.0 * np.pi))
+
+
+def _reference_point_segment_distances(points, poly):
+    """Every point against every segment, in blocks of 64 points, kept as the
+    oracle of the pruned distance."""
+    a = poly
+    b = np.vstack([poly[1:], poly[:1]])
+    ab = b - a
+    denom = np.sum(ab * ab, axis=1)
+    out = np.empty(points.shape[0])
+    for lo in range(0, points.shape[0], 64):
+        p = points[lo:lo + 64]
+        ap = p[:, None, :] - a[None, :, :]
+        tproj = np.clip(np.einsum("pik,ik->pi", ap, ab) / denom, 0.0, 1.0)
+        closest = a[None] + tproj[..., None] * ab[None]
+        out[lo:lo + 64] = np.min(np.linalg.norm(p[:, None, :] - closest, axis=-1), axis=1)
+    return out
 
 
 def _circle_chart(w_half=0.1):
@@ -168,3 +206,97 @@ def test_hausdorff_detects_local_bump():
     b = a.copy()
     b[17] = b[17] * 1.05
     assert abs(hausdorff_distance(a, b) - 0.05) < 1e-3
+
+
+def test_gauss_kernel_matches_broadcast_reference():
+    a, b = _hopf_cores()
+    assert abs(topology._gauss_midpoint(a, b) - _reference_gauss_midpoint(a, b)) < 1e-12
+    ring = [_points(c) for c in presets.borromean()]
+    assert abs(topology._gauss_midpoint(ring[0], ring[1])
+               - _reference_gauss_midpoint(ring[0], ring[1])) < 1e-12
+
+
+def test_gauss_kernel_matches_reference_on_refined_polygons(monkeypatch):
+    # the 96-vertex unit Hopf link has defect 7.1e-4, then 1.8e-4 and 4.5e-5
+    # after each refinement, so a 4e-4 tolerance refines twice
+    seen = []
+    kernel = topology._gauss_midpoint
+
+    def record(a, b):
+        seen.append((a, b))
+        return kernel(a, b)
+
+    monkeypatch.setattr(topology, "_gauss_midpoint", record)
+    c1, c2 = presets.hopf()
+    linking_number(_points(c1, 96), _points(c2, 96), defect_tol=4e-4)
+    assert [len(a) for a, _ in seen] == [96, 192, 384]
+    for a, b in seen:
+        assert abs(kernel(a, b) - _reference_gauss_midpoint(a, b)) < 1e-12
+
+
+def _assert_distances_match(points, poly):
+    got = topology._point_segment_distances(points, poly)
+    ref = _reference_point_segment_distances(points, poly)
+    np.testing.assert_allclose(got, ref, rtol=1e-13, atol=0.0)
+
+
+@pytest.mark.parametrize("n_points", [257, 513])
+def test_pruned_distances_match_reference(n_points):
+    rng = np.random.default_rng(11)
+    poly = _points(presets.trefoil()[0], 300)
+    ab = np.roll(poly, -1, axis=0) - poly
+    seg = rng.integers(0, len(poly), n_points)
+    on_vertices = poly[rng.integers(0, len(poly), n_points)]
+    on_segments = poly[seg] + rng.random((n_points, 1)) * ab[seg]
+    near = on_segments + rng.normal(0.0, 0.05, (n_points, 3))
+    far = rng.normal(0.0, 1.0, (n_points, 3)) * 1e3
+    for points in (on_vertices, on_segments, near, far):
+        _assert_distances_match(points, poly)
+    assert np.all(topology._point_segment_distances(on_vertices, poly) == 0.0)
+
+
+def test_pruned_distances_with_one_long_segment():
+    # one segment 100 times the others stresses the half-length lower bound:
+    # points near its middle are far from every vertex
+    short = np.column_stack([np.linspace(0.0, 1.0, 101), np.zeros(101), np.zeros(101)])
+    poly = np.vstack([short, [[0.5, 100.0, 0.0]]])
+    rng = np.random.default_rng(12)
+    points = np.vstack([
+        rng.uniform([-5.0, -5.0, -5.0], [5.0, 105.0, 5.0], (257, 3)),
+        poly[100] + rng.random((64, 1)) * (poly[101] - poly[100]),
+        poly[101] + rng.normal(0.0, 0.5, (64, 3))])
+    _assert_distances_match(points, poly)
+
+
+def test_pruned_distances_on_a_triangle():
+    poly = np.array([[0.0, 0.0, 0.0], [3.0, 0.0, 0.0], [0.0, 4.0, 1.0]])
+    rng = np.random.default_rng(13)
+    _assert_distances_match(rng.normal(0.0, 3.0, (513, 3)), poly)
+
+
+def test_linking_memory_is_bounded_by_its_block():
+    # the whole-table broadcast built (1024, 1024, 3) temporaries: 88 MiB
+    a, b = _hopf_cores()
+    got, peak = traced_peak(linking_number, a, b)
+    assert abs(got.link) == 1
+    assert peak < 16 * 2**20
+
+
+def test_hausdorff_memory_is_bounded_by_its_block():
+    a, _ = _hopf_cores()
+    orbit = _points(presets.hopf(radius=14.0)[0], 512) + np.array([0.0, 0.0, 1e-3])
+    got, peak = traced_peak(hausdorff_distance, orbit, a)
+    expect = max(_reference_point_segment_distances(orbit, a).max(),
+                 _reference_point_segment_distances(a, orbit).max())
+    assert abs(got - expect) <= 1e-13 * expect
+    assert peak < 16 * 2**20
+
+
+def test_linking_is_translation_and_swap_invariant():
+    a, b = _hopf_cores()
+    base = linking_number(a, b)
+    shift = np.array([1e4, -1e4, 1e4])
+    moved = linking_number(a + shift, b + shift)
+    assert moved.link == base.link
+    assert abs(moved.raw - base.raw) < 1e-9
+    assert abs(linking_number(b, a).raw - base.raw) < 1e-12
