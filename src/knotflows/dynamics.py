@@ -93,33 +93,31 @@ def refine_orbit(field, chart: TubeChart, rtol: float = 1e-10, atol: float = 1e-
                  n_samples: int = 1024) -> PeriodicOrbit:
     """Newton-refine the periodic orbit of `field` near the core of `chart`.
 
-    Newton acts on m segment closures plus the phase condition
-    u(anchor) . (x_0 - anchor) = 0, with the period unknown. Segments are short
-    enough that each transfer matrix stays O(e), which keeps the system
-    solvable when e^{T} dwarfs the closure tolerance (a single return map
-    amplifies seed error by the unstable multiplier, kicking the first return
-    out of the fitted neighborhood). Segment Jacobians come from the analytic
-    variational equation. Iterates that leave the tube raise OrbitEscape.
+    The seed is m core points at exact arc steps L/m, rolled so that the
+    fastest is node 0, and the period guess sum (L/m)/|u(node_i)|: one frame
+    call and one field call on the m nodes. Newton acts on m segment closures
+    plus the phase condition u(anchor) . (x_0 - anchor) = 0 at that fastest
+    node, with the period unknown. Segments are short enough that each
+    transfer matrix stays O(e), which keeps the system solvable when e^{T}
+    dwarfs the closure tolerance (a single return map amplifies seed error by
+    the unstable multiplier, kicking the first return out of the fitted
+    neighborhood). Segment Jacobians come from the analytic variational
+    equation. Iterates that leave the tube raise OrbitEscape.
 
     The closing shoot is the orbit's only integration: its nodes and transfer
     matrices are returned for `monodromy`, and the n_samples points at times
     kT/n are read from its dense interpolant.
     """
-    arc = chart.frame.arc
-    speeds = np.linalg.norm(field(arc.points), axis=1)
-    anchor_idx = int(np.argmax(speeds))
-    anchor = arc.points[anchor_idx]
-    u_anchor = field(anchor)
-
     # keep per-segment stretching e^{T/m} modest even for cores hundreds long
     m = int(np.clip(np.ceil(0.5 * chart.length), 8, 64))
-    # shooting nodes: core points at equal arc distances starting at the anchor
-    n_core = arc.points.shape[0]
-    idx = (anchor_idx + (np.arange(m) * n_core) // m) % n_core
-    nodes = arc.points[idx].copy()
-    d = (arc.s_nodes[idx] - arc.s_nodes[anchor_idx]) % chart.length
-    seg_arc = np.diff(np.append(d, chart.length))
-    period = float(np.sum(seg_arc / speeds[idx]))
+    # nodes at s_i = i L / m exactly: equal segments, so a seed on the orbit closes
+    nodes = chart.frame.position(chart.length * np.arange(m) / m)
+    us = field(nodes)
+    speeds = np.linalg.norm(us, axis=1)
+    first = int(np.argmax(speeds))
+    nodes = np.roll(nodes, -first, axis=0)
+    anchor, u_anchor = nodes[0], us[first]
+    period = float(np.sum(chart.length / m / speeds))
     t_cap = 4.0 * chart.length / max(np.min(speeds), 1e-12)
 
     def shoot(nodes, period):

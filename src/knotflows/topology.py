@@ -72,11 +72,15 @@ def linking_number(curve_a, curve_b, defect_tol: float = 0.1,
                    max_refinements: int = 4) -> LinkingResult:
     """Gauss linking number of two disjoint closed polylines.
 
-    The double integral is evaluated by the segment-pair midpoint rule and the
-    polygons are refined until consecutive estimates agree and the value sits
-    within defect_tol of an integer; a larger defect raises LinkingError.
+    The double integral is evaluated by the segment-pair midpoint rule over
+    the polylines in (vertex count, first vertex) order, so swapping the
+    arguments changes no bit, and the polygons are refined until consecutive
+    estimates agree and the value sits within defect_tol of an integer; a
+    larger defect raises LinkingError.
     """
     a, b = _close_polyline(curve_a), _close_polyline(curve_b)
+    if (len(b), *b[0]) < (len(a), *a[0]):
+        a, b = b, a
     seg_scale = max(np.max(np.linalg.norm(_tangents(p), axis=1)) for p in (a, b))
     gap = np.sqrt(min(np.min(cdist(a[lo:lo + _BLOCK], b, "sqeuclidean"))
                       for lo in range(0, a.shape[0], _BLOCK)))

@@ -175,6 +175,18 @@ def test_refine_orbit_needs_no_step_on_a_closed_seed(model):
     assert orbit.closure_residual < 1e-9
 
 
+@pytest.mark.parametrize("n", [100, 250])
+def test_closed_seed_needs_no_step_when_nodes_fall_between_samples(n):
+    # 8 shooting nodes on 100 or 250 arc samples: nodes at exact arc steps
+    # L/8 make every segment the same length, so the seed on the model's
+    # orbit already closes; nodes snapped to samples would not
+    chart = _circle_chart(n)
+    orbit = refine_orbit(TubeModelField(chart), chart, max_iter=0)
+    assert len(orbit.nodes) == 8 and n % 8 != 0
+    assert orbit.newton_iterations == 0
+    assert orbit.closure_residual < 1e-9
+
+
 def test_orbit_is_integrated_once(model, monkeypatch):
     # the closing shoot is the only integration, of all 8 segments at once:
     # the samples and the Floquet factors both come from it

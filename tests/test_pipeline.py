@@ -184,6 +184,13 @@ def _rel(a, b):
     return abs(a - b) / abs(b)
 
 
+def test_benchmark_hopf_orbits_close_in_two_newton_steps(coarse_hopf_report):
+    # 44 shooting nodes at exact arc steps of the 88-long cores: the seed
+    # residual is the 2e-4 orbit-core offset, not a segment-length mismatch
+    for comp in coarse_hopf_report["components"]:
+        assert comp["newton_iterations"] <= 2
+
+
 # change -> (component order, sign of the linking numbers, relative tolerances
 # on residual, period and multiplier moduli). Direction seed 7 moved them by
 # up to 11 %, 3.9e-7 and 2.8e-3 when measured

@@ -300,3 +300,20 @@ def test_linking_is_translation_and_swap_invariant():
     assert moved.link == base.link
     assert abs(moved.raw - base.raw) < 1e-9
     assert abs(linking_number(b, a).raw - base.raw) < 1e-12
+
+
+def _noisy_pair(seed):
+    """The unit Hopf link as 300- and 257-vertex polylines with 1e-3 noise."""
+    rng = np.random.default_rng(seed)
+    c1, c2 = presets.hopf()
+    return tuple(p + rng.normal(0.0, 1e-3, p.shape)
+                 for p in (_points(c1, 300), _points(c2, 257)))
+
+
+def test_linking_is_bitwise_symmetric():
+    # rounding in the midpoint sum depends on which polyline is summed along
+    # the rows; one canonical order makes lk(a, b) and lk(b, a) the same float
+    pairs = [_noisy_pair(seed) for seed in range(20)]
+    pairs.append(_hopf_cores())
+    for a, b in pairs:
+        assert linking_number(a, b) == linking_number(b, a)
