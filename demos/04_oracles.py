@@ -17,8 +17,8 @@ from knotflows.charts import TubeChart
 from knotflows.curves import resample_arclength
 from knotflows.dynamics import TubeModelField, monodromy, refine_orbit
 from knotflows.framing import frame_transport
+from knotflows.paper import strip_monodromy
 from knotflows.presets import circle, figure_eight, trefoil
-from knotflows.strip import strip_monodromy
 
 print("strip monodromy mu vs e^{-L}:")
 for name, curve, radius, w_half in (

@@ -10,10 +10,9 @@ and zero on anti-Beltrami input, exactly, coefficient by coefficient.
 
 import numpy as np
 
-from knotflows.field import (BeltramiExpansion, HelmholtzScalarExpansion,
-                             beltramize, direction_set, polarization_pair,
-                             to_scalar_components)
-from knotflows.fitting import make_error_budget
+from knotflows.field import BeltramiExpansion, direction_set, polarization_pair
+from knotflows.paper import (HelmholtzScalarExpansion, beltramize,
+                             make_error_budget, to_scalar_components)
 
 for s in (0, 1, 2):
     budget = make_error_budget([1e-3, 2e-3], s=s)

@@ -10,8 +10,6 @@ right-handed. TubeChart is the only place that builds n or those columns.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy.spatial.distance import cdist
 
@@ -38,10 +36,6 @@ class TubeChart:
 
     # strip embedding and derivatives -------------------------------------
 
-    def strip_point(self, s, t):
-        c, e = self.frame.jet(s)
-        return c[..., 0, :] + np.asarray(t, dtype=float)[..., None] * e[..., 0, :]
-
     def strip_jet(self, s, t):
         """First and second derivatives of the strip embedding at (s, t).
 
@@ -56,9 +50,6 @@ class TubeChart:
         return {"S": S, "S_s": S_s, "S_ss": S_ss, "S_t": e1, "S_st": de1,
                 "e1": e1, "de1": de1, "d2e1": d2e1}
 
-    def normal(self, s, t):
-        return _normal_jet(self.strip_jet(s, t))["n"]
-
     def normal_jet(self, s, t):
         """Unit strip normal n with its s- and t-derivatives, and the strip jet."""
         return _normal_jet(self.strip_jet(s, t))
@@ -69,15 +60,6 @@ class TubeChart:
         """Ambient point of adapted coordinates (rho, z, theta)."""
         nj = self.normal_jet(theta, z)
         return nj["S"] + np.asarray(rho, dtype=float)[..., None] * nj["n"]
-
-    def chart_jacobian(self, rho, z, theta):
-        """Columns (X_rho, X_z, X_theta) of the chart differential."""
-        return chart_columns(self.normal_jet(theta, z), rho)
-
-    def to_tube(self, x):
-        """Adapted coordinates (rho, z, theta) of an ambient point, or None out of chart."""
-        coords = self.to_tube_many(np.reshape(x, (1, 3)))[0]
-        return None if np.isnan(coords[0]) else tuple(float(c) for c in coords)
 
     def to_tube_many(self, xs):
         """Adapted coordinates of (n, 3) points: (n, 3) rows (rho, z, theta).

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import numbers
 from dataclasses import dataclass
 
 
@@ -38,9 +39,15 @@ class RunConfig:
 
     def __post_init__(self):
         # fail before any geometry runs: a NaN or zero integrator tolerance
-        # makes the integrator's step loop spin instead of failing
+        # makes the integrator's step loop spin instead of failing, and a
+        # fractional count would be rounded somewhere downstream
         for f in dataclasses.fields(self):
             value = getattr(self, f.name)
+            if f.type == "int" and not isinstance(value, numbers.Integral):
+                raise ValueError(f"config {f.name} must be an int, got {value!r}")
+            # the strip's t-derivative and an orbit polyline need 3 nodes
+            if f.name in ("strip_t_nodes", "orbit_samples") and value < 3:
+                raise ValueError(f"config {f.name} must be >= 3, got {value!r}")
             zero_ok = f.name in ("ridge", "seed")
             if not (math.isfinite(value) and (value > 0 or zero_ok and value == 0)):
                 raise ValueError(f"config {f.name} must be finite and "

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial.distance import cdist
@@ -31,6 +31,8 @@ class FourierCurve:
         k = max(a.shape[0], b.shape[0])
         a = np.vstack([a, np.zeros((k - a.shape[0], 3))])
         b = np.vstack([b, np.zeros((k - b.shape[0], 3))])
+        if not (np.isfinite(a).all() and np.isfinite(b).all()):
+            raise ValueError("Fourier coefficients must be finite")
         if np.any(b[0] != 0.0):
             raise ValueError("sin_coeffs[0] (the sin(0*t) row) must be zero")
         object.__setattr__(self, "cos_coeffs", a)
@@ -234,6 +236,8 @@ class LinkSpec:
     components: tuple
 
     def __post_init__(self):
+        if not np.isfinite(self.lam):
+            raise ValueError(f"lambda must be finite, got {self.lam!r}")
         if not self.lam > 0.0:
             if self.lam == 0.0:
                 raise ValueError("lambda must be nonzero (lambda > 0 required)")

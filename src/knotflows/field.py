@@ -153,68 +153,3 @@ class BeltramiExpansion:
             return o[:, :3], o[:, 3:].reshape(-1, 3, 3)
 
         return jet
-
-    def jacobian(self, x) -> np.ndarray:
-        """Analytic Jacobian d u_i / d x_j; traceless (div u = 0 exactly)."""
-        return self.jet(x)[1]
-
-
-@dataclass(frozen=True)
-class HelmholtzScalarExpansion:
-    """Scalar w(x) = sum_j Re(c_j exp(i lam k_j.x)); solves (Laplace + lam^2) w = 0."""
-
-    lam: float
-    k: np.ndarray            # (m, 3) unit directions
-    c: np.ndarray            # (m,) complex amplitudes
-
-    def __post_init__(self):
-        k = np.atleast_2d(np.asarray(self.k, dtype=float))
-        if np.max(np.abs(np.linalg.norm(k, axis=1) - 1.0)) > 1e-12:
-            raise ValueError("wave vectors k must be unit")
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "c", np.asarray(self.c, dtype=complex))
-
-    def __call__(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        single = x.ndim == 1
-        pts = np.atleast_2d(x)
-        ph = np.exp(1j * self.lam * (pts @ self.k.T))
-        out = np.real(ph @ self.c)
-        return out[0] if single else out
-
-
-def beltramize(w1: HelmholtzScalarExpansion, w2: HelmholtzScalarExpansion,
-               w3: HelmholtzScalarExpansion) -> BeltramiExpansion:
-    """The lift v = (curl + lam)(curl w) / (2 lam^2) as exact amplitude algebra.
-
-    The input components must share lam and direction set. On amplitudes the
-    lift acts as p -> (-k x (k x p) + i k x p) / 2, a projection: Beltrami
-    inputs are fixed, anti-Beltrami inputs are annihilated.
-    """
-    if not (w1.lam == w2.lam == w3.lam):
-        raise ValueError("components must share lambda")
-    if w1.k.shape != w2.k.shape or w1.k.shape != w3.k.shape \
-            or np.max(np.abs(w1.k - w2.k)) > 0 or np.max(np.abs(w1.k - w3.k)) > 0:
-        raise ValueError("components must share the direction set")
-    lam = w1.lam
-    k = w1.k
-    p = np.stack([w1.c, w2.c, w3.c], axis=1)       # (m, 3) complex amplitudes
-    kxp = np.cross(np.broadcast_to(k, p.shape).astype(complex), p)
-    q = 0.5 * (-np.cross(k.astype(complex), kxp) + 1j * kxp)
-    # q satisfies i k x q = q; decompose q = (alpha - i beta)(e + i k x e)
-    ks, es, alphas, betas = [], [], [], []
-    for j in range(k.shape[0]):
-        e1, f1 = polarization_pair(k[j])
-        qr = q[j].real
-        alphas.append(np.dot(qr, e1))
-        betas.append(np.dot(qr, f1))
-        ks.append(k[j])
-        es.append(e1)
-    return BeltramiExpansion(lam, np.array(ks), np.array(es),
-                             np.array(alphas), np.array(betas))
-
-
-def to_scalar_components(u: BeltramiExpansion):
-    """Cartesian components of a BeltramiExpansion as three scalar expansions."""
-    p = (u.alpha - 1j * u.beta)[:, None] * (u.e + 1j * u.f)
-    return tuple(HelmholtzScalarExpansion(u.lam, u.k, p[:, i]) for i in range(3))

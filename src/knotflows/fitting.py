@@ -1,21 +1,16 @@
-"""Error budget bookkeeping and the global least-squares fit.
+"""The global least-squares fit of the plane-wave basis to every tube's Cauchy data.
 
-The budget mirrors the inductive tolerance schedule: with sigma = number of
-multi-indices |alpha| <= s in three variables, the per-stage tolerances
-eps_m = (min eps~) / (7 sigma) * 3^{-m} satisfy eps_m < (1/(6 sigma)) min eps~
-and sum_{n>m} eps_n = eps_m / 2 < eps_m, both strictly. At finite scale a
-single least-squares solve over all tubes replaces the induction, so the fit
-takes the one tolerance eps~ that every tube shares, not a schedule: all rows
-weigh the same, and the fit does not depend on the order in which the tubes
-are listed. The schedule stays for the budget inequalities it certifies. The
-solve streams the system through a blocked QR and so holds O(n^2) memory for
-n coefficients; see fit_global.
+At finite scale one least-squares solve over all tubes replaces the paper's
+inductive tolerance schedule (paper.ErrorBudget), so the fit takes the one
+tolerance eps~ that every tube shares: all rows weigh the same, and the fit
+does not depend on the order in which the tubes are listed. The solve
+streams the system through a blocked QR and so holds O(n^2) memory for n
+coefficients; see fit_global.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
 
 import numpy as np
 import scipy.linalg
@@ -23,61 +18,6 @@ import scipy.linalg
 from .config import RunConfig
 from .field import BeltramiExpansion
 from .strip import CauchyData, strip_residual
-
-
-def multi_index_count(s: int, dim: int = 3) -> int:
-    """Number of multi-indices alpha with |alpha| <= s in `dim` variables."""
-    if s < 0:
-        raise ValueError("order s must be >= 0")
-    return comb(s + dim, dim)
-
-
-@dataclass(frozen=True)
-class ErrorBudget:
-    """Geometric tolerance schedule over an ordering of the tubes."""
-
-    sigma: int
-    eps_tilde: tuple          # per-tube tolerances, in tube order
-    ordering: tuple           # tube indices, position m-1 gets eps_m
-
-    @property
-    def base(self) -> float:
-        return min(self.eps_tilde) / (7.0 * self.sigma)
-
-    def epsilon(self, m: int) -> float:
-        """Stage tolerance eps_m, m >= 1."""
-        if m < 1:
-            raise ValueError("stages are 1-based")
-        return self.base * 3.0**(-m)
-
-    def tail(self, m: int) -> float:
-        """Closed-form geometric tail sum_{n > m} eps_n = eps_m / 2."""
-        return 0.5 * self.epsilon(m)
-
-    def epsilon_for_tube(self, tube: int) -> float:
-        return self.epsilon(self.ordering.index(tube) + 1)
-
-    def verify(self, n_terms: int = 50) -> bool:
-        """Both budget inequalities, strictly, for the first n_terms stages."""
-        bound = min(self.eps_tilde) / (6.0 * self.sigma)
-        for m in range(1, n_terms + 1):
-            if not self.epsilon(m) < bound:
-                return False
-            if not self.tail(m) < self.epsilon(m):
-                return False
-        return True
-
-
-def make_error_budget(eps_tilde, s: int, ordering=None) -> ErrorBudget:
-    eps_tilde = tuple(float(e) for e in np.atleast_1d(eps_tilde))
-    if any(e <= 0 for e in eps_tilde):
-        raise ValueError("tolerances must be positive")
-    if ordering is None:
-        ordering = tuple(range(len(eps_tilde)))
-    ordering = tuple(int(i) for i in ordering)
-    if sorted(ordering) != list(range(len(eps_tilde))):
-        raise ValueError("ordering must be a permutation of the tube indices")
-    return ErrorBudget(multi_index_count(s), eps_tilde, ordering)
 
 
 @dataclass

@@ -95,20 +95,6 @@ class FrameModel:
     def position(self, s, deriv: int = 0) -> np.ndarray:
         return self.jet(s)[0][..., deriv, :]
 
-    def tangent(self, s) -> np.ndarray:
-        return _unit(self.position(s, 1))
-
-    def e1(self, s, deriv: int = 0) -> np.ndarray:
-        return self.jet(s)[1][..., deriv, :]
-
-    def e2(self, s) -> np.ndarray:
-        return np.cross(self.tangent(s), self.e1(s))
-
-    def twist_rate(self, s) -> np.ndarray:
-        """Tangential angular velocity e1' . e2; constant (= -holonomy/L) for a
-        rotation-minimizing frame after the uniform closure correction."""
-        return np.sum(self.e1(s, 1) * self.e2(s), axis=-1)
-
 
 def frame_transport(arc: ArcLengthCurve, seed_normal: np.ndarray | None = None) -> FrameModel:
     """Build the closed rotation-minimizing frame of a component."""

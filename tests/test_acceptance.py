@@ -13,14 +13,13 @@ from knotflows import presets
 from knotflows.charts import TubeChart
 from knotflows.curves import resample_arclength
 from knotflows.dynamics import TubeModelField, monodromy, refine_orbit
-from knotflows.field import (BeltramiExpansion, HelmholtzScalarExpansion,
-                             beltramize, direction_set, polarization_pair,
-                             to_scalar_components)
-from knotflows.fitting import make_error_budget
+from knotflows.field import BeltramiExpansion, direction_set, polarization_pair
 from knotflows.framing import frame_transport
 from knotflows.marcher import FlatMetric, MarchGrid, march
+from knotflows.paper import (HelmholtzScalarExpansion, beltramize,
+                             make_error_budget, strip_monodromy,
+                             to_scalar_components)
 from knotflows.pipeline import check_points, fd_curl_divergence
-from knotflows.strip import strip_monodromy
 
 
 def _line(num: int, name: str, ok: bool, detail: str) -> None:

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from knotflows import charts, presets
-from knotflows.charts import TubeChart, build_charts, component_gaps, tube_radius
+from knotflows.charts import (TubeChart, build_charts, chart_columns, component_gaps,
+                              tube_radius)
 from knotflows.config import RunConfig
 from knotflows.curves import (ArcLengthCurve, EmbeddingError, FourierCurve,
                               LinkSpec, SpectralSeries, resample_arclength)
@@ -199,13 +200,13 @@ def test_strip_embedding_of_radially_framed_circle():
     # S(s, t) = (1 + t)(cos s, sin s, 0) with the radial frame
     expect = (1.0 + t)[:, None] * np.column_stack(
         [np.cos(s), np.sin(s), np.zeros_like(s)])
-    assert np.max(np.abs(chart.strip_point(s, t) - expect)) < 1e-8
     jet = chart.strip_jet(s, t)
+    assert np.max(np.abs(jet["S"] - expect)) < 1e-8
     ss = (1.0 + t)[:, None] * np.column_stack(
         [-np.sin(s), np.cos(s), np.zeros_like(s)])
     assert np.max(np.abs(jet["S_s"] - ss)) < 1e-6
-    assert np.max(np.abs(jet["S_t"] - chart.frame.e1(s))) < 1e-12
-    n = chart.normal(s, t)
+    assert np.max(np.abs(jet["S_t"] - chart.frame.jet(s)[1][:, 0])) < 1e-12
+    n = chart.normal_jet(s, t)["n"]
     assert np.max(np.abs(np.abs(n[:, 2]) - 1.0)) < 1e-8
 
 
@@ -230,8 +231,8 @@ def test_strip_jet_makes_one_series_evaluation(monkeypatch):
 def test_core_point_maps_to_origin_coordinates():
     chart = _circle_chart()
     s0 = 1.234
-    got = chart.to_tube(np.array([np.cos(s0), np.sin(s0), 0.0]))
-    assert got is not None
+    got = chart.to_tube_many(np.array([[np.cos(s0), np.sin(s0), 0.0]]))[0]
+    assert not np.any(np.isnan(got))
     rho, z, theta = got
     assert abs(rho) < 1e-9
     assert abs(z) < 1e-9
@@ -241,11 +242,11 @@ def test_core_point_maps_to_origin_coordinates():
 def test_strip_and_normal_offsets_recovered():
     chart = _circle_chart()
     s0 = 2.5
-    x = chart.strip_point(s0, np.array(0.06))
-    rho, z, theta = chart.to_tube(x)
+    x = chart.strip_jet(s0, np.array(0.06))["S"]
+    rho, z, theta = chart.to_tube_many(x[None])[0]
     assert abs(rho) < 1e-9 and abs(z - 0.06) < 1e-9 and abs(theta - s0) < 1e-9
-    x = x + 0.2 * chart.normal(s0, np.array(0.06))
-    rho, z, theta = chart.to_tube(x)
+    x = x + 0.2 * chart.normal_jet(s0, np.array(0.06))["n"]
+    rho, z, theta = chart.to_tube_many(x[None])[0]
     assert abs(rho - 0.2) < 1e-9 and abs(z - 0.06) < 1e-9
 
 
@@ -293,7 +294,7 @@ def test_to_tube_many_across_blocks_equals_to_tube():
     chart = _trefoil_chart()
     pts = _oracle_points(chart, np.random.default_rng(12), k=80)
     assert len(pts) > charts._BLOCK
-    one = np.array([chart.to_tube(x) or (np.nan,) * 3 for x in pts])
+    one = np.array([chart.to_tube_many(x[None])[0] for x in pts])
     # not bitwise: the series matmul may round a batch row and a lone row apart
     _assert_same_coords(chart, chart.to_tube_many(pts), one)
 
@@ -340,32 +341,37 @@ def test_chart_frame_is_right_handed_on_trefoil():
     chart = _trefoil_chart()
     rng = np.random.default_rng(5)
     r = chart.radius
-    cols = chart.chart_jacobian(rng.uniform(-0.6 * r, 0.6 * r, 50),
-                                rng.uniform(-chart.w_half, chart.w_half, 50),
-                                rng.uniform(0.0, chart.length, 50))
+    rho = rng.uniform(-0.6 * r, 0.6 * r, 50)
+    z = rng.uniform(-chart.w_half, chart.w_half, 50)
+    theta = rng.uniform(0.0, chart.length, 50)
+    cols = chart_columns(chart.normal_jet(theta, z), rho)
     det = np.linalg.det(np.stack(cols, axis=-1))
     assert np.all(det > 0.0)
 
 
 def test_points_outside_chart_return_none():
     chart = _circle_chart(radius=0.5, w_half=0.1)
+
+    def out(x):
+        return np.all(np.isnan(chart.to_tube_many(np.reshape(x, (1, 3)))))
+
     # ruling coordinate beyond the strip half-width
-    assert chart.to_tube(chart.strip_point(1.0, np.array(0.15))) is None
+    assert out(chart.strip_jet(1.0, np.array(0.15))["S"])
     # normal offset at the tube boundary
     x = chart.from_tube(np.array(0.0), np.array(0.0), np.array(1.0))
-    assert chart.to_tube(x + 0.6 * chart.normal(1.0, np.array(0.0))) is None
+    assert out(x + 0.6 * chart.normal_jet(1.0, np.array(0.0))["n"])
     # far away
-    assert chart.to_tube(np.array([10.0, 10.0, 10.0])) is None
+    assert out(np.array([10.0, 10.0, 10.0]))
     # the circle's center is beyond the candidate reach (ambiguity is
     # checked against the reference on the wide ellipse)
-    assert chart.to_tube(np.zeros(3)) is None
+    assert out(np.zeros(3))
 
 
 def test_chart_jacobian_matches_finite_differences():
     arc = resample_arclength(presets.trefoil()[0], 1024)
     chart = TubeChart(frame_transport(arc), 0.1, 0.03)
     rho, z, theta = 0.04, -0.01, 2.2
-    cols = chart.chart_jacobian(np.array(rho), np.array(z), np.array(theta))
+    cols = chart_columns(chart.normal_jet(np.array(theta), np.array(z)), np.array(rho))
     h = 1e-6
     args = np.array([rho, z, theta])
     for i in range(3):

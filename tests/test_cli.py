@@ -102,6 +102,19 @@ def test_sample_as_subprocess(tmp_path):
     assert out.exists()
 
 
+def test_certifier_imports_neither_paper_nor_marcher():
+    # the paper's scaffolding and the local marcher stay outside what
+    # synthesize and verify load
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, knotflows.cli, knotflows.pipeline; "
+         "print(sorted(m for m in ('knotflows.paper', 'knotflows.marcher') "
+         "if m in sys.modules))"],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_trace_writes_polylines(tmp_path):
     _, field = _axis_field(tmp_path)
     seeds = tmp_path / "seeds.json"

@@ -53,16 +53,12 @@ class _CountingField:
 
     def __init__(self, base):
         self.base = base
-        self.calls = {"__call__": 0, "jacobian": 0, "jet": 0, "jet_near": 0}
+        self.calls = {"__call__": 0, "jet": 0, "jet_near": 0}
         self.near_rows = []
 
     def __call__(self, x):
         self.calls["__call__"] += 1
         return self.base(x)
-
-    def jacobian(self, x):
-        self.calls["jacobian"] += 1
-        return self.base.jacobian(x)
 
     def jet(self, x):
         self.calls["jet"] += 1
@@ -278,7 +274,7 @@ def test_shoot_makes_one_jet_near_call_per_rhs(monkeypatch):
     monkeypatch.setattr(dynamics, "solve_ivp", counted_solve_ivp)
     dynamics._shoot(field, nodes, 2.0, 1e-10, 1e-12)
     assert len(nfev) == 1
-    assert field.calls == {"__call__": 0, "jacobian": 0, "jet": 0, "jet_near": 1}
+    assert field.calls == {"__call__": 0, "jet": 0, "jet_near": 1}
     assert field.near_rows == [5] * nfev[0]
 
 
@@ -347,7 +343,7 @@ def test_tube_model_field_projects_once(monkeypatch):
         return strip_jet(s, t)
 
     monkeypatch.setattr(chart, "strip_jet", counted_strip_jet)
-    chart.to_tube(x)
+    chart.to_tube_many(x[None])
     projection = len(jets)
     jets.clear()
     field(x)

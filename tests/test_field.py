@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from knotflows.field import (BeltramiExpansion, HelmholtzScalarExpansion,
-                             beltramize, direction_set, make_basis,
-                             polarization_pair, to_scalar_components)
+from knotflows.field import (BeltramiExpansion, direction_set, make_basis,
+                             polarization_pair)
+from knotflows.paper import (HelmholtzScalarExpansion, beltramize,
+                             to_scalar_components)
 
 from conftest import fd_jacobian
 
@@ -57,14 +58,14 @@ def test_analytic_jacobian_matches_finite_differences():
     u = _random_expansion(lam=0.8, seed=5)
     rng = np.random.default_rng(2)
     for x in rng.uniform(-2.0, 2.0, (10, 3)):
-        assert np.max(np.abs(u.jacobian(x) - fd_jacobian(u, x))) < 1e-6
+        assert np.max(np.abs(u.jet(x)[1] - fd_jacobian(u, x))) < 1e-6
 
 
 def test_analytic_curl_residual_and_trace():
     u = _random_expansion(n_dirs=12, lam=3.0)
     rng = np.random.default_rng(9)
     pts = rng.uniform(-1.0, 1.0, (50, 3))
-    jac = u.jacobian(pts)
+    jac = u.jet(pts)[1]
     curl = np.stack([jac[:, 2, 1] - jac[:, 1, 2],
                      jac[:, 0, 2] - jac[:, 2, 0],
                      jac[:, 1, 0] - jac[:, 0, 1]], axis=-1)

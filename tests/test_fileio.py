@@ -68,6 +68,15 @@ def test_link_lambda_override(tmp_path):
       "components": [{"fourier": {"cos": [[0.0], [0.0], [0.0]]}}]}, "cos.*sin"),
     ({"schema": "knotflows.link/1", "lambda": 1.0,
       "components": [{"preset": "nonesuch"}]}, "nonesuch"),
+    ({"schema": "knotflows.link/1", "lambda": 1.0,
+      "components": [{"fourier": {"cos": [[0.0, 1.0], [0.0, float("nan")], [0.0, 0.0]],
+                                  "sin": [[0.0, 0.0], [0.0, 1.0], [0.0, 0.0]]}}]},
+     "component 0.*finite"),
+    ({"schema": "knotflows.link/1", "lambda": 1.0,
+      "components": [{"preset": "circle", "params": {"radius": float("nan")}}]},
+     "component 0.*finite"),
+    ({"schema": "knotflows.link/1", "lambda": float("inf"),
+      "components": [{"preset": "circle"}]}, "finite"),
 ])
 def test_link_malformed_documents(tmp_path, doc, msg):
     path = tmp_path / "bad.json"

@@ -1,4 +1,4 @@
-"""Tolerance schedule bookkeeping and the global least-squares fit."""
+"""The paper's tolerance schedule bookkeeping and the global least-squares fit."""
 
 import numpy as np
 import pytest
@@ -7,8 +7,8 @@ import scipy.linalg
 from knotflows import fitting
 from knotflows.config import RunConfig
 from knotflows.field import BeltramiExpansion, make_basis
-from knotflows.fitting import (design_matrix, fit_global, make_error_budget,
-                               multi_index_count)
+from knotflows.fitting import design_matrix, fit_global
+from knotflows.paper import make_error_budget, multi_index_count
 from knotflows.strip import CauchyData
 
 from conftest import twin_basis
@@ -64,18 +64,9 @@ def test_budget_inequalities_hold_strictly():
             assert budget.tail(m) < budget.epsilon(m)
 
 
-def test_budget_ordering_controls_stage_assignment():
-    budget = make_error_budget([1e-3, 1e-3, 1e-3], s=1, ordering=(2, 0, 1))
-    assert budget.epsilon_for_tube(2) == budget.epsilon(1)
-    assert budget.epsilon_for_tube(0) == budget.epsilon(2)
-    assert budget.epsilon_for_tube(1) == budget.epsilon(3)
-
-
 def test_budget_validation():
     with pytest.raises(ValueError, match="positive"):
         make_error_budget([1e-3, 0.0], s=1)
-    with pytest.raises(ValueError, match="permutation"):
-        make_error_budget([1e-3, 1e-3], s=1, ordering=(0, 2))
 
 
 def test_design_matrix_columns_are_member_fields():

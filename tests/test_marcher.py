@@ -12,7 +12,6 @@ from knotflows.marcher import (ChartTubeMetric, FlatMetric, MarchError,
                                MarchGrid, beltrami_residual, chi_from_constraint,
                                d1_matrix, divergence_residual, initial_level,
                                march, rho_step)
-from knotflows.strip import strip_metric
 
 
 def _flat(nz=9, nth=16):
@@ -160,11 +159,13 @@ def test_chart_tube_metric_matches_strip_metric_on_strip():
     grid = MarchGrid(np.linspace(-0.1, 0.1, 9), 32, chart.length)
     metric = ChartTubeMetric(chart, grid)
     level = metric.at(0.0)
-    ss, tt = np.meshgrid(grid.theta_nodes, grid.z_nodes, indexing="xy")
-    met = strip_metric(chart, ss, tt)
-    assert np.max(np.abs(level.h11 - met.h_tt)) < 1e-10
-    assert np.max(np.abs(level.h12 - met.h_st)) < 1e-8
-    assert np.max(np.abs(level.h22 - met.h_ss)) < 1e-7
+    # on the circle strip S = (1 + t)(cos s, sin s, 0): h_tt = 1, h_st = 0,
+    # h_ss = (1 + t)^2
+    tt = np.broadcast_to(grid.z_nodes[:, None], level.h11.shape)
+    assert np.max(np.abs(level.h11 - 1.0)) < 1e-12
+    assert np.max(np.abs(level.h12)) < 1e-8
+    assert np.max(np.abs(level.h22 - (1.0 + tt) ** 2)) < 1e-6
+    assert np.max(np.abs(level.det - (1.0 + tt) ** 2)) < 1e-6
     # the circle strip normal is constant, so the metric is rho-independent
     off = metric.at(0.05)
     assert np.max(np.abs(off.h22 - level.h22)) < 1e-8

@@ -1,5 +1,5 @@
-"""Strip metric, Cauchy data, closedness, the strip residual, and the in-strip
-core multiplier."""
+"""Strip metric, Cauchy data, closedness, the strip residual, and the paper's
+in-strip core multiplier."""
 
 from types import SimpleNamespace
 
@@ -11,9 +11,9 @@ from knotflows.config import RunConfig
 from knotflows.curves import resample_arclength
 from knotflows.field import BeltramiExpansion, make_basis
 from knotflows.framing import frame_transport
+from knotflows.paper import strip_monodromy
 from knotflows.strip import (build_cauchy_data, cauchy_field, closedness_check,
-                             closedness_residual, lyapunov_values, strip_metric,
-                             strip_monodromy, strip_residual)
+                             closedness_residual, strip_residual)
 
 from conftest import traced_peak
 
@@ -27,7 +27,9 @@ def test_cauchy_field_on_core_is_unit_tangent():
     chart = _chart(presets.trefoil()[0], radius=0.1, w_half=0.03)
     s = np.linspace(0.0, chart.length, 32, endpoint=False)
     w = cauchy_field(chart, s, np.zeros_like(s))
-    assert np.max(np.linalg.norm(w - chart.frame.tangent(s), axis=1)) < 1e-8
+    c_s = chart.frame.jet(s)[0][:, 1]
+    tangent = c_s / np.linalg.norm(c_s, axis=1, keepdims=True)
+    assert np.max(np.linalg.norm(w - tangent, axis=1)) < 1e-8
 
 
 def test_cauchy_field_explicit_value_on_circle():
@@ -37,16 +39,25 @@ def test_cauchy_field_explicit_value_on_circle():
     assert np.max(np.abs(w - np.array([-0.1, 1.0 / 1.1, 0.0]))) < 1e-8
 
 
+def _strip_metric(chart, s, t):
+    """h_ss, h_st, h_tt of the strip embedding at (s, t)."""
+    jet = chart.strip_jet(s, np.asarray(t, dtype=float))
+    return (np.sum(jet["S_s"] * jet["S_s"], axis=-1),
+            np.sum(jet["S_s"] * jet["S_t"], axis=-1),
+            np.sum(jet["S_t"] * jet["S_t"], axis=-1))
+
+
 def test_strip_metric_of_circle():
     chart = _chart(presets.circle(1.0)[0])
     s = np.array([0.2, 1.0, 3.0, 5.5])
     t = np.array([-0.08, 0.0, 0.05, 0.1])
-    met = strip_metric(chart, s, t)
-    assert np.max(np.abs(met.h_ss - (1.0 + t) ** 2)) < 1e-6
-    assert np.max(np.abs(met.h_st)) < 1e-8
-    assert np.max(np.abs(met.h_tt - 1.0)) < 1e-12
-    assert np.max(np.abs(met.det - (1.0 + t) ** 2)) < 1e-6
-    assert np.max(np.abs(met.g - (1.0 + t) ** -2)) < 1e-6
+    h_ss, h_st, h_tt = _strip_metric(chart, s, t)
+    det = h_ss * h_tt - h_st**2
+    assert np.max(np.abs(h_ss - (1.0 + t) ** 2)) < 1e-6
+    assert np.max(np.abs(h_st)) < 1e-8
+    assert np.max(np.abs(h_tt - 1.0)) < 1e-12
+    assert np.max(np.abs(det - (1.0 + t) ** 2)) < 1e-6
+    assert np.max(np.abs(1.0 / h_ss - (1.0 + t) ** -2)) < 1e-6
 
 
 def test_cauchy_data_grid_and_closedness():
@@ -79,9 +90,15 @@ def test_closedness_residual_detects_injected_term():
 
 
 def test_lyapunov_values_identity():
+    # w applied to t^2 is 2 t w_t, where the d/dt component w_t of
+    # w = gamma contracted with the inverse strip metric is -t: the core attracts
     chart = _chart(presets.trefoil()[0], radius=0.1, w_half=0.02)
     data = build_cauchy_data(chart, RunConfig(strip_s_per_2pi=64, strip_t_nodes=9))
-    vals = lyapunov_values(data)
+    h_ss, h_st, h_tt = _strip_metric(chart, data.s_nodes[:, None],
+                                     data.t_nodes[None, :])
+    assert np.max(np.abs(h_st)) < 1e-9
+    w_t = (data.gamma_t * h_ss - data.gamma_s * h_st) / (h_ss * h_tt - h_st**2)
+    vals = 2.0 * data.t_nodes[None, :] * w_t
     expect = -2.0 * np.broadcast_to(data.t_nodes[None, :] ** 2, vals.shape)
     assert np.max(np.abs(vals - expect)) < 1e-9
     assert np.all(vals <= 1e-12)
