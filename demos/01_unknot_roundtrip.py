@@ -41,7 +41,7 @@ comp = outcome.report["components"][0]
 print(f"orbit period {comp['period']:.6f} (core length {comp['core_length']:.6f})")
 print(f"Floquet multipliers {comp['multipliers'][0]:.4f}, "
       f"{comp['multipliers'][1]:.6f}; det M = {comp['det_monodromy']:.12f}")
-print(f"Hausdorff distance to the circle: {comp['hausdorff']:.3e}")
+print(f"Hausdorff bound to the core: {comp['hausdorff']:.3e}")
 
 # trace one full period from the refined orbit's first sample; the endpoint gap is
 # the closure quality a plotting tool will see

@@ -28,7 +28,7 @@ from .pipeline import (PipelineError, SynthesisResult, VerificationOutcome,
                        synthesize, verify)
 from .strip import CauchyData, build_cauchy_data, closedness_check
 from .topology import (ConfinementCertificate, LinkingError, LinkingResult,
-                       hausdorff_distance, linking_number, tube_confinement)
+                       linking_number, tube_confinement)
 from . import presets
 
 __version__ = "0.1.0"
@@ -42,9 +42,9 @@ __all__ = [
     "SynthesisResult", "Trajectory", "TubeChart", "TubeModelField",
     "VerificationOutcome", "build_cauchy_data", "build_charts",
     "closedness_check", "design_matrix", "direction_set", "fit_global",
-    "frame_transport", "hausdorff_distance", "integrate", "linking_number",
-    "load_field", "load_link", "load_seeds", "make_basis", "monodromy",
-    "presets", "refine_orbit", "resample_arclength", "save_field", "save_link",
+    "frame_transport", "integrate", "linking_number", "load_field",
+    "load_link", "load_seeds", "make_basis", "monodromy", "presets",
+    "refine_orbit", "resample_arclength", "save_field", "save_link",
     "save_seeds", "synthesize", "tube_confinement", "tube_radius", "verify",
     "__version__",
 ]

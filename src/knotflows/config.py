@@ -43,6 +43,9 @@ class RunConfig:
         # fractional count would be rounded somewhere downstream
         for f in dataclasses.fields(self):
             value = getattr(self, f.name)
+            # bool is an Integral, but True is no count or tolerance
+            if isinstance(value, bool):
+                raise ValueError(f"config {f.name} must be a number, got {value!r}")
             if f.type == "int" and not isinstance(value, numbers.Integral):
                 raise ValueError(f"config {f.name} must be an int, got {value!r}")
             # the strip's t-derivative and an orbit polyline need 3 nodes

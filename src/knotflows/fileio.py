@@ -31,6 +31,11 @@ def _require(cond, msg):
         raise FileFormatError(msg)
 
 
+def _is_number(value) -> bool:
+    # a JSON true or false is a Python bool, which is an int
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _load_json(path) -> dict:
     try:
         text = Path(path).read_text()
@@ -66,7 +71,7 @@ def load_link(path, lam_override: float | None = None) -> LinkSpec:
     _require(doc.get("schema") == LINK_SCHEMA,
              f"{path}: expected schema {LINK_SCHEMA!r}, got {doc.get('schema')!r}")
     lam = doc.get("lambda") if lam_override is None else lam_override
-    _require(isinstance(lam, (int, float)), f"{path}: field 'lambda' must be a number")
+    _require(_is_number(lam), f"{path}: field 'lambda' must be a number")
     comps_doc = doc.get("components")
     _require(isinstance(comps_doc, list) and comps_doc,
              f"{path}: 'components' must be a non-empty list")
@@ -118,7 +123,7 @@ def load_field(path) -> BeltramiExpansion:
     _require(doc.get("schema") == FIELD_SCHEMA,
              f"{path}: expected schema {FIELD_SCHEMA!r}, got {doc.get('schema')!r}")
     lam = doc.get("lambda")
-    _require(isinstance(lam, (int, float)) and lam != 0.0,
+    _require(_is_number(lam) and lam != 0.0,
              f"{path}: field 'lambda' must be a nonzero number")
     members = doc.get("members")
     _require(isinstance(members, list) and members,

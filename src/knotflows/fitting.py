@@ -35,9 +35,6 @@ class FitReport:
     ridge: float
     advice: str = ""
 
-    def max_residual(self) -> float:
-        return max(self.tube_residuals)
-
 
 def design_matrix(k: np.ndarray, e: np.ndarray, lam: float,
                   points: np.ndarray) -> np.ndarray:

@@ -28,7 +28,7 @@ from .field import BeltramiExpansion, make_basis
 from .fileio import REPORT_SCHEMA
 from .fitting import FitReport, fit_global
 from .strip import build_cauchy_data, closedness_check, strip_residual
-from .topology import LinkingError, hausdorff_distance, linking_number, tube_confinement
+from .topology import LinkingError, linking_number, tube_confinement
 
 
 # max d(pullback gamma) residual on the strip: synthesize's gate and verify's criterion
@@ -149,7 +149,6 @@ def _certify_orbit(expansion: BeltramiExpansion, chart, config: RunConfig):
                          n_samples=config.orbit_samples)
     flo = monodromy(expansion, orbit)
     cert = tube_confinement(orbit.points, chart)
-    haus = hausdorff_distance(orbit.points, chart.frame.arc.points)
     return orbit, {
         "status": "ok",
         "period": orbit.period,
@@ -164,7 +163,7 @@ def _certify_orbit(expansion: BeltramiExpansion, chart, config: RunConfig):
         "winding": cert.winding,
         "margin_rho": cert.margin_rho,
         "margin_z": cert.margin_z,
-        "hausdorff": haus,
+        "hausdorff": cert.hausdorff,
         "hausdorff_tol": config.hausdorff_tol,
     }
 

@@ -19,17 +19,10 @@ STRIP_BLOCK = 1024    # strip points per field call in strip_residual
 
 
 def _cauchy_vector(jet: dict, t) -> np.ndarray:
+    """Ambient vector of w = grad(theta) - z grad(z) on the strip: at rho = 0,
+    grad(theta) = S_s / h_ss and grad(z) = e1, so w = S_s / h_ss - t e1."""
     h_ss = np.sum(jet["S_s"] * jet["S_s"], axis=-1, keepdims=True)
     return jet["S_s"] / h_ss - np.asarray(t, dtype=float)[..., None] * jet["e1"]
-
-
-def cauchy_field(chart: TubeChart, s, t) -> np.ndarray:
-    """Ambient vector of w = grad(theta) - z grad(z) on the strip.
-
-    In the adapted chart, grad(theta) = S_s / h_ss and grad(z) = e1 at rho = 0,
-    so w has the closed form S_s / h_ss - t e1.
-    """
-    return _cauchy_vector(chart.strip_jet(s, t), t)
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,5 @@
-"""Topological certificates: Gauss linking numbers, tube confinement, Hausdorff distance."""
+"""Topological certificates: Gauss linking numbers, and tube confinement with
+the Hausdorff bound to the core read off the same chart coordinates."""
 
 from __future__ import annotations
 
@@ -10,7 +11,7 @@ from scipy.spatial.distance import cdist
 
 from .charts import TubeChart
 
-_BLOCK = 256   # rows of every (rows, N) table in the linking and distance kernels
+_BLOCK = 256   # rows of every (rows, N) table in the linking kernel
 
 
 class LinkingError(ValueError):
@@ -109,61 +110,39 @@ class ConfinementCertificate:
     winding: int
     margin_rho: float       # min distance of |rho| to the tube wall
     margin_z: float         # min distance of |z| to the strip edge
+    hausdorff: float        # bound on the Hausdorff distance to the core; inf if none
     witness: np.ndarray | None   # first offending point, when not confined
 
 
-def tube_confinement(points: np.ndarray, chart: TubeChart,
-                     r_max: float | None = None) -> ConfinementCertificate:
-    """Certify that a closed polyline stays inside the tube and count its winding.
+def tube_confinement(points: np.ndarray, chart: TubeChart) -> ConfinementCertificate:
+    """Certify that a closed polyline stays inside the tube, count its winding,
+    and bound its Hausdorff distance to the core from the same coordinates.
 
-    The strip half-width is the chart's. The certificate is monotone: shrinking
-    the declared radius r_max can only turn confined into not-confined.
+    The tube radius and strip half-width are the chart's. A chart point
+    (rho, z, theta) lies exactly hypot(rho, z) from the core point c(theta),
+    since e1 and n are orthonormal. When theta increases at every step, the
+    arcs [theta_k, theta_k + dth_k] cover the core, and a chord of an
+    arc-length curve of curvature <= 1/reach strays at most dth^2 / (8 reach)
+    from its arc; so max hypot(rho, z) + max(dth)^2 / (8 reach) bounds the
+    distance both ways.
+    It is inf when the polyline leaves the tube or theta steps back.
     """
     p = _close_polyline(points)
-    r_max = chart.radius if r_max is None else float(r_max)
     coords = chart.to_tube_many(p)
-    bad = np.isnan(coords[:, 0])
-    inside = (~bad) & (np.abs(coords[:, 0]) < r_max) & (np.abs(coords[:, 1]) <= chart.w_half)
+    inside = ~np.isnan(coords[:, 0])   # a row is nan when out of the tube or strip
     if not np.all(inside):
         witness = p[int(np.argmin(inside))]
-        return ConfinementCertificate(False, 0, 0.0, 0.0, witness)
+        return ConfinementCertificate(False, 0, 0.0, 0.0, float("inf"), witness)
     thetas = coords[:, 2]
     dth = np.diff(np.concatenate([thetas, thetas[:1]]))
     dth = (dth + 0.5 * chart.length) % chart.length - 0.5 * chart.length
     winding = int(round(np.sum(dth) / chart.length))
+    hausdorff = float("inf")
+    if np.all(dth > 0.0):
+        hausdorff = float(np.max(np.hypot(coords[:, 0], coords[:, 1]))
+                          + np.max(dth) ** 2 / (8.0 * chart.frame.arc.reach()))
     return ConfinementCertificate(
         True, winding,
-        float(r_max - np.max(np.abs(coords[:, 0]))),
+        float(chart.radius - np.max(np.abs(coords[:, 0]))),
         float(chart.w_half - np.max(np.abs(coords[:, 1]))),
-        None)
-
-
-def _point_segment_distances(points: np.ndarray, poly: np.ndarray) -> np.ndarray:
-    """Exact distance from each point to the closed polyline (vertex-to-segment).
-
-    A segment lies within half its length of an endpoint, so its nearer vertex
-    distance minus that half bounds it below; the nearest vertex bounds the
-    answer above. Only segments passing both bounds (always the minimiser and
-    one next to the nearest vertex) are projected onto."""
-    ab = _tangents(poly)
-    denom = np.sum(ab * ab, axis=1)
-    half = 0.5 * np.sqrt(denom)
-    closed = np.vstack([poly, poly[:1]])
-    out = np.empty(points.shape[0])
-    for lo in range(0, points.shape[0], _BLOCK):
-        p = points[lo:lo + _BLOCK]
-        dv = cdist(p, closed)
-        lower = np.minimum(dv[:, :-1], dv[:, 1:])
-        lower -= half
-        i, j = np.nonzero(lower <= np.min(dv, axis=1)[:, None])
-        tproj = np.clip(np.einsum("pk,pk->p", p[i] - poly[j], ab[j]) / denom[j], 0.0, 1.0)
-        d = np.linalg.norm(p[i] - (poly[j] + tproj[:, None] * ab[j]), axis=1)
-        out[lo:lo + _BLOCK] = np.minimum.reduceat(d, np.flatnonzero(np.diff(i, prepend=-1)))
-    return out
-
-
-def hausdorff_distance(curve_a, curve_b) -> float:
-    """Symmetric point-to-polyline Hausdorff distance between closed polylines."""
-    a, b = _close_polyline(curve_a), _close_polyline(curve_b)
-    return float(max(np.max(_point_segment_distances(a, b)),
-                     np.max(_point_segment_distances(b, a))))
+        hausdorff, None)

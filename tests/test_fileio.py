@@ -77,6 +77,9 @@ def test_link_lambda_override(tmp_path):
      "component 0.*finite"),
     ({"schema": "knotflows.link/1", "lambda": float("inf"),
       "components": [{"preset": "circle"}]}, "finite"),
+    # a JSON boolean is a Python int, but no eigenvalue
+    ({"schema": "knotflows.link/1", "lambda": True,
+      "components": [{"preset": "circle"}]}, "must be a number"),
 ])
 def test_link_malformed_documents(tmp_path, doc, msg):
     path = tmp_path / "bad.json"
@@ -137,6 +140,11 @@ def test_field_malformed_documents(tmp_path):
     path.write_text(json.dumps({"schema": "knotflows.field/1", "lambda": 1.0,
                                 "members": [{"k": [0, 0, 1], "e": [1, 0, 0]}]}))
     with pytest.raises(FileFormatError, match="alpha"):
+        load_field(path)
+    path.write_text(json.dumps({"schema": "knotflows.field/1", "lambda": True,
+                                "members": [{"k": [0, 0, 1], "e": [1, 0, 0],
+                                             "alpha": 1.0, "beta": 0.0}]}))
+    with pytest.raises(FileFormatError, match="nonzero number"):
         load_field(path)
     # corrupted member: |k| != 1 must be rejected at load time
     path.write_text(json.dumps({"schema": "knotflows.field/1", "lambda": 1.0,

@@ -97,7 +97,7 @@ def test_fit_recovers_single_member_exactly():
     probe = rng.uniform(-1.0, 1.0, (30, 3))
     assert np.max(np.abs(fitted(probe) - target(probe))) < 1e-10
     assert report.success
-    assert report.max_residual() < 1e-10
+    assert max(report.tube_residuals) < 1e-10
     # one member per direction: full column rank, 2 real fields per member
     assert report.rank == 2 * k.shape[0]
 
@@ -134,7 +134,7 @@ def test_fit_reports_failure_with_advice():
     data = _synthetic_data(pts, w)
     _, report = fit_global([data], 1e-10, k, e, 1.0)
     assert not report.success
-    assert report.max_residual() > 1e-10
+    assert max(report.tube_residuals) > 1e-10
     assert "enlarge the direction set" in report.advice
 
 

@@ -33,7 +33,8 @@ def test_corrected_frame_closes_around_trefoil():
     fm = frame_transport(arc)
     # undo the construction: raw transport plus the uniform phase must close
     pts = np.vstack([arc.points, arc.points[:1]])
-    tans = fm.tan_samples
+    tans = arc.curve.velocity(arc.t_nodes)
+    tans /= np.linalg.norm(tans, axis=1, keepdims=True)
     tans = np.vstack([tans, tans[:1]])
     r = double_reflection_transport(pts, tans, fm.e1_samples[0])
     b = np.cross(tans, r)

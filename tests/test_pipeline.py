@@ -67,7 +67,7 @@ def test_synthesize_closedness_gate(monkeypatch):
     {"rtol": float("nan")}, {"atol": 0.0}, {"rtol": -1.0}, {"ridge": -1.0},
     {"lam": float("inf")}, {"directions": 0}, {"orbit_samples": -4},
     {"hausdorff_tol": 0.0}, {"directions": 60.5}, {"frame_samples": 256.5},
-    {"strip_t_nodes": 2}, {"orbit_samples": 2},
+    {"strip_t_nodes": 2}, {"orbit_samples": 2}, {"directions": True}, {"rtol": True},
 ])
 def test_run_config_rejects_bad_values(bad):
     name = next(iter(bad))

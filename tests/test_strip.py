@@ -12,7 +12,7 @@ from knotflows.curves import resample_arclength
 from knotflows.field import BeltramiExpansion, make_basis
 from knotflows.framing import frame_transport
 from knotflows.paper import strip_monodromy
-from knotflows.strip import (build_cauchy_data, cauchy_field, closedness_check,
+from knotflows.strip import (_cauchy_vector, build_cauchy_data, closedness_check,
                              closedness_residual, strip_residual)
 
 from conftest import traced_peak
@@ -26,7 +26,7 @@ def _chart(curve, radius=0.5, w_half=0.1, n=1024):
 def test_cauchy_field_on_core_is_unit_tangent():
     chart = _chart(presets.trefoil()[0], radius=0.1, w_half=0.03)
     s = np.linspace(0.0, chart.length, 32, endpoint=False)
-    w = cauchy_field(chart, s, np.zeros_like(s))
+    w = _cauchy_vector(chart.strip_jet(s, np.zeros_like(s)), np.zeros_like(s))
     c_s = chart.frame.jet(s)[0][:, 1]
     tangent = c_s / np.linalg.norm(c_s, axis=1, keepdims=True)
     assert np.max(np.linalg.norm(w - tangent, axis=1)) < 1e-8
@@ -34,7 +34,7 @@ def test_cauchy_field_on_core_is_unit_tangent():
 
 def test_cauchy_field_explicit_value_on_circle():
     chart = _chart(presets.circle(1.0)[0])
-    w = cauchy_field(chart, np.array(0.0), np.array(0.1))
+    w = _cauchy_vector(chart.strip_jet(0.0, 0.1), 0.1)
     # S = (1+t)(cos s, sin s, 0): w = (-sin s, cos s, 0)/(1+t) - t (cos s, sin s, 0)
     assert np.max(np.abs(w - np.array([-0.1, 1.0 / 1.1, 0.0]))) < 1e-8
 

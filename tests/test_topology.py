@@ -1,4 +1,4 @@
-"""Linking numbers, confinement certificates, and Hausdorff distances."""
+"""Linking numbers, confinement certificates, and the Hausdorff bound to the core."""
 
 from functools import lru_cache
 
@@ -9,8 +9,7 @@ from knotflows import presets, topology
 from knotflows.charts import TubeChart
 from knotflows.curves import resample_arclength
 from knotflows.framing import frame_transport
-from knotflows.topology import (LinkingError, hausdorff_distance,
-                                linking_number, tube_confinement)
+from knotflows.topology import LinkingError, linking_number, tube_confinement
 
 from conftest import crossing_count_linking, traced_peak
 
@@ -39,20 +38,32 @@ def _reference_gauss_midpoint(a, b):
 
 
 def _reference_point_segment_distances(points, poly):
-    """Every point against every segment, in blocks of 64 points, kept as the
-    oracle of the pruned distance."""
+    """Distance from each point to the closed polyline, every point against
+    every segment, in blocks of at most 2**18 point-segment pairs."""
     a = poly
     b = np.vstack([poly[1:], poly[:1]])
     ab = b - a
     denom = np.sum(ab * ab, axis=1)
+    block = max(1, 2**18 // len(poly))
     out = np.empty(points.shape[0])
-    for lo in range(0, points.shape[0], 64):
-        p = points[lo:lo + 64]
+    for lo in range(0, points.shape[0], block):
+        p = points[lo:lo + block]
         ap = p[:, None, :] - a[None, :, :]
         tproj = np.clip(np.einsum("pik,ik->pi", ap, ab) / denom, 0.0, 1.0)
         closest = a[None] + tproj[..., None] * ab[None]
-        out[lo:lo + 64] = np.min(np.linalg.norm(p[:, None, :] - closest, axis=-1), axis=1)
+        out[lo:lo + block] = np.min(np.linalg.norm(p[:, None, :] - closest, axis=-1), axis=1)
     return out
+
+
+def _reference_hausdorff(a, b):
+    """Symmetric Hausdorff distance between two closed polylines."""
+    return float(max(_reference_point_segment_distances(a, b).max(),
+                     _reference_point_segment_distances(b, a).max()))
+
+
+def _sag(arc, n):
+    """The bound's chord term for n equal steps around the arc-length core."""
+    return (arc.length / n) ** 2 / (8.0 * arc.reach())
 
 
 def _circle_chart(w_half=0.1):
@@ -128,6 +139,8 @@ def test_core_is_confined_with_winding_one():
     assert abs(cert.margin_rho - chart.radius) < 1e-9
     assert abs(cert.margin_z - chart.w_half) < 1e-9
     assert cert.witness is None
+    # the core's own samples read the chord sag alone
+    assert cert.hausdorff == pytest.approx(_sag(chart.frame.arc, 512), rel=1e-9)
 
 
 def test_doubled_cable_has_winding_two():
@@ -149,6 +162,7 @@ def test_transverse_loop_has_winding_zero():
     cert = tube_confinement(loop, chart)
     assert cert.confined
     assert cert.winding == 0
+    assert cert.hausdorff == np.inf
 
 
 def test_confinement_is_monotone_in_the_declared_tube():
@@ -157,7 +171,7 @@ def test_confinement_is_monotone_in_the_declared_tube():
     # constant normal offset rho = 0.05
     pts = np.column_stack([np.cos(s), np.sin(s), -0.05 * np.ones_like(s)])
     assert tube_confinement(pts, chart).confined
-    shrunk = tube_confinement(pts, chart, r_max=0.03)
+    shrunk = tube_confinement(pts, TubeChart(chart.frame, 0.03, 0.03))
     assert not shrunk.confined
     assert shrunk.witness is not None
     assert shrunk.winding == 0
@@ -170,6 +184,7 @@ def test_escaping_polyline_not_confined():
     cert = tube_confinement(pts, chart)
     assert not cert.confined
     assert cert.witness is not None
+    assert cert.hausdorff == np.inf
 
 
 def _brute_hausdorff(a, b):
@@ -187,25 +202,70 @@ def _brute_hausdorff(a, b):
     return max(one_sided(a, b), one_sided(b, a))
 
 
-def test_hausdorff_identical_and_concentric():
-    a = _points(presets.circle(1.0)[0], 512)
-    assert hausdorff_distance(a, a) == 0.0
-    b = 1.1 * a
-    assert abs(hausdorff_distance(a, b) - 0.1) < 1e-4
-    # asymmetric construction still reports the symmetric maximum
-    assert abs(hausdorff_distance(b, a) - 0.1) < 1e-4
-    # more points than one block of the distance computation
+def test_reference_hausdorff_matches_brute_force():
     rng = np.random.default_rng(3)
     c = _points(presets.circle(1.0)[0], 150) + rng.normal(0.0, 0.05, (150, 3))
     d = _points(presets.circle(1.2)[0], 97)
-    assert hausdorff_distance(c, d) == pytest.approx(_brute_hausdorff(c, d), rel=1e-12)
+    assert _reference_hausdorff(c, d) == pytest.approx(_brute_hausdorff(c, d), rel=1e-12)
+
+
+def test_chart_offset_is_the_distance_to_the_core_point():
+    # X = c(theta) + z e1 + rho n with e1 and n orthonormal, so the bound's
+    # hypot(rho, z) is |X - c(theta)|
+    arc = resample_arclength(presets.trefoil()[0], 1024)
+    chart = TubeChart(frame_transport(arc), 0.1, 0.03)
+    rng = np.random.default_rng(9)
+    x = chart.from_tube(rng.uniform(-0.05, 0.05, 64), rng.uniform(-0.02, 0.02, 64),
+                        rng.uniform(0.0, chart.length, 64))
+    coords = chart.to_tube_many(x)
+    direct = np.linalg.norm(x - chart.frame.position(coords[:, 2]), axis=1)
+    assert np.max(np.abs(np.hypot(coords[:, 0], coords[:, 1]) - direct)) < 1e-13
+
+
+def test_hausdorff_identical_and_concentric():
+    chart = _circle_chart()
+    a = chart.frame.arc.points
+    sag = _sag(chart.frame.arc, len(a))
+    assert tube_confinement(a, chart).hausdorff == pytest.approx(sag, rel=1e-9)
+    # a concentric circle in the strip plane lies at z = +-0.05
+    assert tube_confinement(1.05 * a, chart).hausdorff == pytest.approx(0.05 + sag, rel=1e-9)
 
 
 def test_hausdorff_detects_local_bump():
-    a = _points(presets.circle(1.0)[0], 512)
-    b = a.copy()
-    b[17] = b[17] * 1.05
-    assert abs(hausdorff_distance(a, b) - 0.05) < 1e-3
+    chart = _circle_chart()
+    theta = np.linspace(0.0, chart.length, 256, endpoint=False)
+    rho = np.zeros_like(theta)
+    rho[17] = 0.05
+    cert = tube_confinement(chart.from_tube(rho, np.zeros_like(theta), theta), chart)
+    assert cert.confined and cert.winding == 1
+    assert 0.05 <= cert.hausdorff <= 0.05 + _sag(chart.frame.arc, 256) + 1e-12
+
+
+def test_hausdorff_is_inf_when_theta_steps_back():
+    # confined with winding 1, but one step runs backwards along the core,
+    # so the arcs between samples no longer cover it once
+    chart = _circle_chart()
+    theta = np.linspace(0.0, chart.length, 256, endpoint=False)
+    theta[[40, 41]] = theta[[41, 40]]
+    zero = np.zeros_like(theta)
+    cert = tube_confinement(chart.from_tube(zero, zero, theta), chart)
+    assert cert.confined and cert.winding == 1
+    assert cert.hausdorff == np.inf
+
+
+@pytest.mark.parametrize("run", ["unknot_run", "hopf_run", "trefoil_run", "borromean_run"])
+def test_hausdorff_bound_covers_the_polyline_distance(run, request):
+    # the reported bound is at least the orbit polyline's distance to the
+    # exact core sampled at 4,096 parameters, less that polyline's own sag
+    fixture = request.getfixturevalue(run)
+    components = fixture["link"].components
+    t = np.linspace(0.0, 2.0 * np.pi, 4096, endpoint=False)
+    for comp, curve, orbit in zip(fixture["report"]["components"], components,
+                                  fixture["outcome"].orbits):
+        step = np.max(curve.speed(t)) * (t[1] - t[0])
+        sag = step**2 / (8.0 * resample_arclength(curve, 1024).reach())
+        dense = curve.point(t)
+        assert comp["hausdorff"] >= _reference_hausdorff(orbit.points, dense) - sag
 
 
 def test_gauss_kernel_matches_broadcast_reference():
@@ -234,46 +294,6 @@ def test_gauss_kernel_matches_reference_on_refined_polygons(monkeypatch):
         assert abs(kernel(a, b) - _reference_gauss_midpoint(a, b)) < 1e-12
 
 
-def _assert_distances_match(points, poly):
-    got = topology._point_segment_distances(points, poly)
-    ref = _reference_point_segment_distances(points, poly)
-    np.testing.assert_allclose(got, ref, rtol=1e-13, atol=0.0)
-
-
-@pytest.mark.parametrize("n_points", [257, 513])
-def test_pruned_distances_match_reference(n_points):
-    rng = np.random.default_rng(11)
-    poly = _points(presets.trefoil()[0], 300)
-    ab = np.roll(poly, -1, axis=0) - poly
-    seg = rng.integers(0, len(poly), n_points)
-    on_vertices = poly[rng.integers(0, len(poly), n_points)]
-    on_segments = poly[seg] + rng.random((n_points, 1)) * ab[seg]
-    near = on_segments + rng.normal(0.0, 0.05, (n_points, 3))
-    far = rng.normal(0.0, 1.0, (n_points, 3)) * 1e3
-    for points in (on_vertices, on_segments, near, far):
-        _assert_distances_match(points, poly)
-    assert np.all(topology._point_segment_distances(on_vertices, poly) == 0.0)
-
-
-def test_pruned_distances_with_one_long_segment():
-    # one segment 100 times the others stresses the half-length lower bound:
-    # points near its middle are far from every vertex
-    short = np.column_stack([np.linspace(0.0, 1.0, 101), np.zeros(101), np.zeros(101)])
-    poly = np.vstack([short, [[0.5, 100.0, 0.0]]])
-    rng = np.random.default_rng(12)
-    points = np.vstack([
-        rng.uniform([-5.0, -5.0, -5.0], [5.0, 105.0, 5.0], (257, 3)),
-        poly[100] + rng.random((64, 1)) * (poly[101] - poly[100]),
-        poly[101] + rng.normal(0.0, 0.5, (64, 3))])
-    _assert_distances_match(points, poly)
-
-
-def test_pruned_distances_on_a_triangle():
-    poly = np.array([[0.0, 0.0, 0.0], [3.0, 0.0, 0.0], [0.0, 4.0, 1.0]])
-    rng = np.random.default_rng(13)
-    _assert_distances_match(rng.normal(0.0, 3.0, (513, 3)), poly)
-
-
 def test_linking_memory_is_bounded_by_its_block():
     # the whole-table broadcast built (1024, 1024, 3) temporaries: 88 MiB
     a, b = _hopf_cores()
@@ -283,12 +303,14 @@ def test_linking_memory_is_bounded_by_its_block():
 
 
 def test_hausdorff_memory_is_bounded_by_its_block():
-    a, _ = _hopf_cores()
-    orbit = _points(presets.hopf(radius=14.0)[0], 512) + np.array([0.0, 0.0, 1e-3])
-    got, peak = traced_peak(hausdorff_distance, orbit, a)
-    expect = max(_reference_point_segment_distances(orbit, a).max(),
-                 _reference_point_segment_distances(a, orbit).max())
-    assert abs(got - expect) <= 1e-13 * expect
+    # the bound reads the confinement's one chart projection, which holds no
+    # table larger than its 256-point block against the 1,024 core samples
+    curve = presets.hopf(radius=14.0)[0]
+    arc = resample_arclength(curve, 1024)
+    chart = TubeChart(frame_transport(arc), 3.5, 0.035)
+    orbit = _points(curve, 512) + np.array([0.0, 0.0, 1e-3])
+    cert, peak = traced_peak(tube_confinement, orbit, chart)
+    assert cert.hausdorff == pytest.approx(1e-3 + _sag(arc, 512), rel=1e-9)
     assert peak < 16 * 2**20
 
 
