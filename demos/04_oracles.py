@@ -15,9 +15,9 @@ import numpy as np
 
 from knotflows.charts import TubeChart
 from knotflows.curves import resample_arclength
-from knotflows.dynamics import TubeModelField, monodromy, refine_orbit
+from knotflows.dynamics import monodromy, refine_orbit
 from knotflows.framing import frame_transport
-from knotflows.paper import strip_monodromy
+from knotflows.paper import TubeModelField, strip_monodromy
 from knotflows.presets import circle, figure_eight, trefoil
 
 print("strip monodromy mu vs e^{-L}:")

@@ -17,8 +17,8 @@ from .config import RunConfig
 from .curves import (ArcLengthCurve, EmbeddingError, FourierCurve, LinkSpec,
                      resample_arclength)
 from .dynamics import (FloquetData, IntegrationError, NewtonFailure, OrbitEscape,
-                       PeriodicOrbit, Trajectory, TubeModelField, integrate,
-                       monodromy, refine_orbit)
+                       PeriodicOrbit, Trajectory, integrate, monodromy,
+                       refine_orbit)
 from .field import BeltramiExpansion, direction_set, make_basis
 from .fileio import (FileFormatError, load_field, load_link, load_seeds,
                      save_field, save_link, save_seeds)
@@ -39,7 +39,7 @@ __all__ = [
     "FitReport", "FloquetData", "FourierCurve", "FrameModel",
     "IntegrationError", "LinkSpec", "LinkingError", "LinkingResult",
     "NewtonFailure", "OrbitEscape", "PeriodicOrbit", "PipelineError", "RunConfig",
-    "SynthesisResult", "Trajectory", "TubeChart", "TubeModelField",
+    "SynthesisResult", "Trajectory", "TubeChart",
     "VerificationOutcome", "build_cauchy_data", "build_charts",
     "closedness_check", "design_matrix", "direction_set", "fit_global",
     "frame_transport", "integrate", "linking_number", "load_field",

@@ -41,8 +41,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     """Flags of both synthesize and verify."""
     p.add_argument("--lambda", dest="lam", type=float, default=None,
                    help="override the link file's Beltrami eigenvalue")
-    p.add_argument("--seed", type=int, default=None,
-                   help="random seed for direction jitter")
     p.add_argument("--eps-tilde", type=float, default=None,
                    help="per-tube strip residual tolerance")
 
@@ -177,6 +175,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="number of quasi-uniform wave directions")
     p_syn.add_argument("--ridge", type=float, default=None,
                        help="Tikhonov ridge weight")
+    p_syn.add_argument("--seed", type=int, default=None,
+                       help="random seed for direction jitter")
     p_syn.set_defaults(func=cmd_synthesize)
 
     p_ver = sub.add_parser("verify",

@@ -13,7 +13,7 @@ class RunConfig:
     """Numeric knobs for a synthesis/verification run.
 
     All defaults are the values used by the acceptance suite. The CLI sets
-    lam, seed and eps_tilde for both commands, directions and ridge for
+    lam and eps_tilde for both commands, directions, ridge and seed for
     synthesize, rtol and atol for verify; any field can be overridden by
     constructing a replaced copy. Numerics not listed here (the tube radius
     safety factor, gate tolerances, Newton closure, linking defect, marching

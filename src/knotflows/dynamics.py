@@ -23,7 +23,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.linalg import block_diag
 
-from .charts import TubeChart, chart_columns
+from .charts import TubeChart
 
 CLOSURE_TOL = 1e-9    # max |shooting residual| required of a refined orbit
 
@@ -245,53 +245,3 @@ def monodromy(field, orbit: PeriodicOrbit) -> FloquetData:
     return FloquetData(monodromy=m_total, det=det, multipliers=mu_clean,
                        flow_eigen_residual=flow_res, classification=cls,
                        margin=margin)
-
-
-class TubeModelField:
-    """Pushforward of the model field d/dtheta - z d/dz + rho d/drho of a chart.
-
-    Exact saddle dynamics around the core: period = core length, multipliers
-    {e^{-T}, e^{+T}}. Serves as the closed-form oracle for the orbit pipeline.
-    jet makes one chart projection for (3,) or (n, 3) points: Du is the
-    chart-coordinate derivative of the pushforward, by central differences of
-    step 1e-6 in (rho, z, theta), which need no projection, times the inverse
-    chart Jacobian. jet_near ignores its centers and returns jet.
-    """
-
-    def __init__(self, chart: TubeChart):
-        self.chart = chart
-
-    def _coords(self, x):
-        coords, nj = self.chart._to_tube_jet(x)
-        if np.isnan(coords).any():
-            raise OrbitEscape("tube-model field evaluated outside its chart")
-        return coords, nj
-
-    def __call__(self, x):
-        x = np.asarray(x, dtype=float)
-        coords, nj = self._coords(x)
-        return _model_vector(nj, coords[:, 0], coords[:, 1]).reshape(x.shape)
-
-    def jet(self, x):
-        x = np.asarray(x, dtype=float)
-        coords, nj = self._coords(x)
-        rho, z = coords[:, 0], coords[:, 1]
-        h = 1e-6
-        q = coords[:, None, :] + h * np.vstack([np.eye(3), -np.eye(3)])
-        v = _model_vector(self.chart.normal_jet(q[..., 2], q[..., 1]), q[..., 0], q[..., 1])
-        # row i of dv_dq and of cols is the derivative along coordinate i
-        dv_dq = (v[:, :3] - v[:, 3:]) / (2.0 * h)
-        cols = np.stack(chart_columns(nj, rho), axis=1)
-        du = np.linalg.solve(cols, dv_dq).transpose(0, 2, 1)
-        return (_model_vector(nj, rho, z).reshape(x.shape),
-                du.reshape(x.shape[:-1] + (3, 3)))
-
-    def jet_near(self, centers):
-        return self.jet
-
-
-def _model_vector(nj: dict, rho, z):
-    """X_theta - z X_z + rho X_rho at chart coordinates (rho, z, theta of nj)."""
-    x_rho, x_z, x_th = chart_columns(nj, rho)
-    z = np.asarray(z, dtype=float)[..., None]
-    return x_th - z * x_z + np.asarray(rho, dtype=float)[..., None] * x_rho

@@ -3,6 +3,8 @@
 Each member N(x) = (e + i k x e) exp(i lam k.x) with |k| = |e| = 1, k.e = 0
 satisfies curl N = lam N exactly, so any real combination of real and
 imaginary parts is an exact divergence-free Beltrami field on all of R^3.
+Stored members meet those identities to rounding; eigen_bounds turns what
+is left of them into bounds on curl u - lam u and div u over all of R^3.
 """
 
 from __future__ import annotations
@@ -58,6 +60,21 @@ def _check_members(k, e, tol=1e-12):
         raise ValueError("polarizations e must be unit")
     if np.max(np.abs(np.sum(k * e, axis=1))) > tol:
         raise ValueError("polarizations must satisfy k . e = 0")
+
+
+def eigen_bounds(u: BeltramiExpansion) -> tuple[float, float]:
+    """Bounds on |curl u - lam u| and on |div u| that hold at every x.
+
+    Member j is A_j e_j + B_j f_j with f_j = k_j x e_j and |A_j|, |B_j| at
+    most c_j = hypot(alpha_j, beta_j). Its curl minus lam times itself is
+    lam A_j (e_j (|k_j|^2 - 1) - k_j (k_j . e_j)) and its divergence
+    lam B_j (k_j . e_j): zero for exact members, and otherwise summed here
+    from the member defects that _check_members lets through.
+    """
+    c = abs(u.lam) * np.hypot(u.alpha, u.beta)
+    ke = np.sum(u.k * u.e, axis=1)
+    curl = u.e * (np.sum(u.k * u.k, axis=1) - 1.0)[:, None] - u.k * ke[:, None]
+    return float(c @ np.linalg.norm(curl, axis=1)), float(c @ np.abs(ke))
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ from .field import BeltramiExpansion
 LINK_SCHEMA = "knotflows.link/1"
 FIELD_SCHEMA = "knotflows.field/1"
 SEEDS_SCHEMA = "knotflows.seeds/1"
-REPORT_SCHEMA = "knotflows.report/1"
+REPORT_SCHEMA = "knotflows.report/2"
 
 
 class FileFormatError(ValueError):
@@ -34,6 +34,16 @@ def _require(cond, msg):
 def _is_number(value) -> bool:
     # a JSON true or false is a Python bool, which is an int
     return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _no_bools(value, what: str) -> None:
+    """Refuse a JSON true or false anywhere in a numeric value (nested lists
+    and objects included): numpy and float() would read it as 1.0 or 0.0."""
+    if isinstance(value, bool):
+        raise FileFormatError(f"{what} must hold numbers, not {str(value).lower()}")
+    if isinstance(value, (list, dict)):
+        for v in value.values() if isinstance(value, dict) else value:
+            _no_bools(v, what)
 
 
 def _load_json(path) -> dict:
@@ -83,6 +93,7 @@ def load_link(path, lam_override: float | None = None) -> LinkSpec:
             params = entry.get("params", {})
             _require(isinstance(params, dict), f"{path}: component {i} params must "
                                                "be an object")
+            _no_bools(params, f"{path}: component {i} params")
             try:
                 curves.extend(presets.generate(name, params))
             except (KeyError, TypeError, ValueError) as exc:
@@ -91,6 +102,7 @@ def load_link(path, lam_override: float | None = None) -> LinkSpec:
             four = entry["fourier"]
             _require(isinstance(four, dict) and "cos" in four and "sin" in four,
                      f"{path}: component {i} needs 'cos' and 'sin' arrays")
+            _no_bools([four["cos"], four["sin"]], f"{path}: component {i} fourier")
             try:
                 cos = np.array(four["cos"], dtype=float).T
                 sin = np.array(four["sin"], dtype=float).T
@@ -132,6 +144,7 @@ def load_field(path) -> BeltramiExpansion:
     for i, m in enumerate(members):
         _require(isinstance(m, dict) and all(key in m for key in ("k", "e", "alpha", "beta")),
                  f"{path}: member {i} needs k, e, alpha, beta")
+        _no_bools([m["k"], m["e"], m["alpha"], m["beta"]], f"{path}: member {i}")
         k.append(m["k"])
         e.append(m["e"])
         alpha.append(m["alpha"])
@@ -153,8 +166,13 @@ def load_seeds(path) -> np.ndarray:
              f"{path}: expected schema {SEEDS_SCHEMA!r}, got {doc.get('schema')!r}")
     seeds = doc.get("seeds")
     _require(isinstance(seeds, list), f"{path}: 'seeds' must be a list")
-    arr = np.array(seeds, dtype=float).reshape(-1, 3) if not seeds \
-        else np.array(seeds, dtype=float)
+    _no_bools(seeds, f"{path}: seeds")
+    try:
+        arr = np.array(seeds, dtype=float).reshape(-1, 3) if not seeds \
+            else np.array(seeds, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise FileFormatError(f"{path}: seeds must be a list of [x, y, z] "
+                              f"triples: {exc}") from exc
     _require(arr.ndim == 2 and arr.shape[1] == 3,
              f"{path}: seeds must be a list of [x, y, z] triples")
     _require(np.isfinite(arr).all(), f"{path}: seeds must be finite")

@@ -1,4 +1,4 @@
-"""The paper's inductive construction: its budget, projector and in-strip oracle.
+"""The paper's inductive construction and the oracles that check the certifier.
 
 The paper proves its theorem by induction over the tubes: a geometric
 error-budget schedule, a projector that lifts Helmholtz scalars to Beltrami
@@ -6,7 +6,10 @@ fields, and in-strip dynamics whose core cycle attracts with multiplier
 e^{-L}. knotflows replaces the induction with one global fit and certifies
 the fitted field directly, so nothing here runs in synthesize or verify, and
 no certifier module imports this one. Demos 04 and 05 and acceptance
-criteria 1, 9 and 10 check these objects against their closed forms.
+criteria 1, 9 and 10 check these objects against their closed forms. Two
+oracles of the certifier live here too: finite differences of the
+eigen-relation (criteria 2 and 10) and the tube-model saddle field, whose
+orbit and multipliers are known exactly (criterion 4, demo 04).
 """
 
 from __future__ import annotations
@@ -17,7 +20,9 @@ from math import comb
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .charts import TubeChart
+from .charts import TubeChart, chart_columns
+from .curves import LinkSpec
+from .dynamics import OrbitEscape
 from .field import BeltramiExpansion, polarization_pair
 
 
@@ -179,3 +184,98 @@ def strip_monodromy(chart: TubeChart):
     if not mu < 1.0:
         raise RuntimeError(f"strip cycle not attracting: mu = {mu}")
     return mu, float(period)
+
+
+# finite-difference eigen oracle ----------------------------------------------
+# verify bounds curl u - lam u and div u from the member algebra; these sample
+# them through the field's values alone, for acceptance criteria 2 and 10.
+
+def fd_curl_divergence(field, points: np.ndarray):
+    """Finite-difference curl and divergence checks at the given points.
+
+    Five-point central stencils of step h = 5e-3, truncation O(h^4). That step
+    balances h^4 truncation against round-off from summing the expansion; for
+    coefficient totals up to ~1e5 and lam near 1 the divergence error stays
+    below 1e-8.
+    Returns (max relative |curl u - lam u| error, max |div u|). The relative
+    error is measured against max(|lam u|, 1e-12) pointwise.
+    """
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    h = 5e-3
+    jac = np.empty((pts.shape[0], 3, 3))
+    for j in range(3):
+        dx = np.zeros(3)
+        dx[j] = h
+        jac[:, :, j] = (-field(pts + 2 * dx) + 8.0 * field(pts + dx)
+                        - 8.0 * field(pts - dx) + field(pts - 2 * dx)) / (12.0 * h)
+    curl = np.stack([jac[:, 2, 1] - jac[:, 1, 2],
+                     jac[:, 0, 2] - jac[:, 2, 0],
+                     jac[:, 1, 0] - jac[:, 0, 1]], axis=1)
+    target = field.lam * field(pts)
+    scale = np.maximum(np.linalg.norm(target, axis=1), 1e-12)
+    rel = np.linalg.norm(curl - target, axis=1) / scale
+    div = np.abs(jac[:, 0, 0] + jac[:, 1, 1] + jac[:, 2, 2])
+    return float(np.max(rel)), float(np.max(div))
+
+
+def check_points(link: LinkSpec, n: int, seed: int) -> np.ndarray:
+    """Deterministic sample points in the inflated bounding box of the link."""
+    rng = np.random.default_rng(seed + 1)
+    samples = np.vstack([c.point(np.linspace(0, 2 * np.pi, 64, endpoint=False))
+                         for c in link.components])
+    lo, hi = samples.min(axis=0) - 0.5, samples.max(axis=0) + 0.5
+    return lo + (hi - lo) * rng.random((n, 3))
+
+
+# tube-model field ------------------------------------------------------------
+# The strip dynamics extended to a 3D saddle around the core: the closed-form
+# oracle of the orbit pipeline (acceptance criterion 4, demo 04).
+
+class TubeModelField:
+    """Pushforward of the model field d/dtheta - z d/dz + rho d/drho of a chart.
+
+    Exact saddle dynamics around the core: period = core length, multipliers
+    {e^{-T}, e^{+T}}. Serves as the closed-form oracle for the orbit pipeline.
+    jet makes one chart projection for (3,) or (n, 3) points: Du is the
+    chart-coordinate derivative of the pushforward, by central differences of
+    step 1e-6 in (rho, z, theta), which need no projection, times the inverse
+    chart Jacobian. jet_near ignores its centers and returns jet.
+    """
+
+    def __init__(self, chart: TubeChart):
+        self.chart = chart
+
+    def _coords(self, x):
+        coords, nj = self.chart._to_tube_jet(x)
+        if np.isnan(coords).any():
+            raise OrbitEscape("tube-model field evaluated outside its chart")
+        return coords, nj
+
+    def __call__(self, x):
+        x = np.asarray(x, dtype=float)
+        coords, nj = self._coords(x)
+        return _model_vector(nj, coords[:, 0], coords[:, 1]).reshape(x.shape)
+
+    def jet(self, x):
+        x = np.asarray(x, dtype=float)
+        coords, nj = self._coords(x)
+        rho, z = coords[:, 0], coords[:, 1]
+        h = 1e-6
+        q = coords[:, None, :] + h * np.vstack([np.eye(3), -np.eye(3)])
+        v = _model_vector(self.chart.normal_jet(q[..., 2], q[..., 1]), q[..., 0], q[..., 1])
+        # row i of dv_dq and of cols is the derivative along coordinate i
+        dv_dq = (v[:, :3] - v[:, 3:]) / (2.0 * h)
+        cols = np.stack(chart_columns(nj, rho), axis=1)
+        du = np.linalg.solve(cols, dv_dq).transpose(0, 2, 1)
+        return (_model_vector(nj, rho, z).reshape(x.shape),
+                du.reshape(x.shape[:-1] + (3, 3)))
+
+    def jet_near(self, centers):
+        return self.jet
+
+
+def _model_vector(nj: dict, rho, z):
+    """X_theta - z X_z + rho X_rho at chart coordinates (rho, z, theta of nj)."""
+    x_rho, x_z, x_th = chart_columns(nj, rho)
+    z = np.asarray(z, dtype=float)[..., None]
+    return x_th - z * x_z + np.asarray(rho, dtype=float)[..., None] * x_rho

@@ -3,12 +3,13 @@
 synthesize: link -> tube charts -> strip Cauchy data -> basis -> global
 Beltrami expansion fitted to every tube at once, against one tolerance eps~.
 
-verify: expansion + link -> strip residual recheck, eigen-relation spot check,
-orbit refinement with Floquet data, confinement and winding certificates,
-pairwise linking numbers. Every certificate is read off the fitted global
-field itself. Emits a machine-readable report with per-criterion pass/fail.
-The gate tolerances are the constants below; the other fixed numerics are
-the defaults of the functions that apply them.
+verify: expansion + link -> strip residual recheck, eigen-relation bounds on
+all of R^3 from the member algebra, orbit refinement with Floquet data,
+confinement and winding certificates, pairwise linking numbers. Every
+certificate is read off the fitted global field itself. Emits a
+machine-readable report with per-criterion pass/fail. The gate tolerances
+are the constants below; the other fixed numerics are the defaults of the
+functions that apply them.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .config import RunConfig
 from .curves import LinkSpec
 from .dynamics import (CLOSURE_TOL, IntegrationError, NewtonFailure, OrbitEscape,
                        monodromy, refine_orbit)
-from .field import BeltramiExpansion, make_basis
+from .field import BeltramiExpansion, eigen_bounds, make_basis
 from .fileio import REPORT_SCHEMA
 from .fitting import FitReport, fit_global
 from .strip import build_cauchy_data, closedness_check, strip_residual
@@ -33,9 +34,8 @@ from .topology import LinkingError, linking_number, tube_confinement
 
 # max d(pullback gamma) residual on the strip: synthesize's gate and verify's criterion
 CLOSEDNESS_TOL = 1e-8
-CURL_CHECK_POINTS = 100   # random points for the eigen-relation spot check
-CURL_TOL = 1e-6           # relative FD curl error gate
-DIV_TOL = 1e-8            # FD divergence gate
+# bound on both |curl u - lam u| and |div u| over R^3: verify's eigen_relation
+EIGEN_TOL = 1e-8
 
 
 class PipelineError(RuntimeError):
@@ -55,43 +55,6 @@ def build_geometry(link: LinkSpec, config: RunConfig):
     charts = build_charts(link, config)
     cauchy = [build_cauchy_data(ch, config) for ch in charts]
     return charts, cauchy
-
-
-def fd_curl_divergence(field, points: np.ndarray):
-    """Finite-difference curl and divergence checks at the given points.
-
-    Five-point central stencils of step h = 5e-3, truncation O(h^4). That step
-    balances h^4 truncation against round-off from summing the expansion; for
-    coefficient totals up to ~1e5 and lam near 1 the divergence error stays
-    below 1e-8.
-    Returns (max relative |curl u - lam u| error, max |div u|). The relative
-    error is measured against max(|lam u|, 1e-12) pointwise.
-    """
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    h = 5e-3
-    jac = np.empty((pts.shape[0], 3, 3))
-    for j in range(3):
-        dx = np.zeros(3)
-        dx[j] = h
-        jac[:, :, j] = (-field(pts + 2 * dx) + 8.0 * field(pts + dx)
-                        - 8.0 * field(pts - dx) + field(pts - 2 * dx)) / (12.0 * h)
-    curl = np.stack([jac[:, 2, 1] - jac[:, 1, 2],
-                     jac[:, 0, 2] - jac[:, 2, 0],
-                     jac[:, 1, 0] - jac[:, 0, 1]], axis=1)
-    target = field.lam * field(pts)
-    scale = np.maximum(np.linalg.norm(target, axis=1), 1e-12)
-    rel = np.linalg.norm(curl - target, axis=1) / scale
-    div = np.abs(jac[:, 0, 0] + jac[:, 1, 1] + jac[:, 2, 2])
-    return float(np.max(rel)), float(np.max(div))
-
-
-def check_points(link: LinkSpec, n: int, seed: int) -> np.ndarray:
-    """Deterministic sample points in the inflated bounding box of the link."""
-    rng = np.random.default_rng(seed + 1)
-    samples = np.vstack([c.point(np.linspace(0, 2 * np.pi, 64, endpoint=False))
-                         for c in link.components])
-    lo, hi = samples.min(axis=0) - 0.5, samples.max(axis=0) + 0.5
-    return lo + (hi - lo) * rng.random((n, 3))
 
 
 @dataclass
@@ -221,15 +184,11 @@ def verify(link: LinkSpec, expansion: BeltramiExpansion,
         all(r < config.eps_tilde for r in strip_residuals),
         "per-tube max |u - w| on the strip vs eps~")
 
-    t0 = time.perf_counter()
-    pts = check_points(link, CURL_CHECK_POINTS, config.seed)
-    curl_rel, div_max = fd_curl_divergence(expansion, pts)
-    timings["eigen_check_s"] = time.perf_counter() - t0
+    curl_bound, div_bound = eigen_bounds(expansion)
     _criterion(
-        criteria, "eigen_relation",
-        curl_rel < CURL_TOL and div_max < DIV_TOL,
-        f"FD curl rel {curl_rel:.3e} vs {CURL_TOL:g}, "
-        f"FD div {div_max:.3e} vs {DIV_TOL:g}")
+        criteria, "eigen_relation", curl_bound < EIGEN_TOL and div_bound < EIGEN_TOL,
+        f"on all of R^3, |curl u - lam u| <= {curl_bound:.3e} and "
+        f"|div u| <= {div_bound:.3e} vs {EIGEN_TOL:g}")
 
     components = []
     orbits = []
@@ -299,8 +258,7 @@ def verify(link: LinkSpec, expansion: BeltramiExpansion,
         "closedness": closedness,
         "strip_residuals": strip_residuals,
         "strip_budgets": [config.eps_tilde] * len(charts),
-        "eigen_relation": {"curl_rel_max": curl_rel, "div_max": div_max,
-                           "points": int(pts.shape[0])},
+        "eigen_relation": {"curl_bound": curl_bound, "div_bound": div_bound},
         "components": components,
         "pairs": pairs,
         "criteria": criteria,

@@ -12,14 +12,13 @@ import numpy as np
 from knotflows import presets
 from knotflows.charts import TubeChart
 from knotflows.curves import resample_arclength
-from knotflows.dynamics import TubeModelField, monodromy, refine_orbit
+from knotflows.dynamics import monodromy, refine_orbit
 from knotflows.field import BeltramiExpansion, direction_set, polarization_pair
 from knotflows.framing import frame_transport
 from knotflows.marcher import FlatMetric, MarchGrid, march
-from knotflows.paper import (HelmholtzScalarExpansion, beltramize,
-                             make_error_budget, strip_monodromy,
-                             to_scalar_components)
-from knotflows.pipeline import check_points, fd_curl_divergence
+from knotflows.paper import (HelmholtzScalarExpansion, TubeModelField, beltramize,
+                             check_points, fd_curl_divergence, make_error_budget,
+                             strip_monodromy, to_scalar_components)
 
 
 def _line(num: int, name: str, ok: bool, detail: str) -> None:

@@ -45,6 +45,12 @@ def test_flags_of_the_other_command_exit_2(tmp_path):
     _, field = _axis_field(tmp_path)
     assert cli.main(["verify", "--field", str(field), "--link", str(link),
                      "--directions", "5"]) == 2
+    # verify samples no points: the direction seed is synthesize's alone
+    assert cli.main(["verify", "--field", str(field), "--link", str(link),
+                     "--seed", "1"]) == 2
+    args = cli.build_parser().parse_args(["synthesize", "--link", str(link),
+                                          "--out", "f.json", "--seed", "3"])
+    assert cli._config_from_args(args, 1.0).seed == 3
     out = tmp_path / "out.json"
     assert cli.main(["synthesize", "--link", str(link), "--out", str(out),
                      "--rtol", "1e-8"]) == 2
@@ -220,6 +226,25 @@ def test_verify_junk_field_exits_3(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "[FAIL] strip_residual_budget" in out
     assert "[FAIL] orbits_converged" in out
+
+
+def test_verify_scaled_coefficients_fail_eigen_relation_and_exit_3(unknot_run, tmp_path,
+                                                                   capsys):
+    # 1e6 times the coefficients is 1e6 times the member-defect bounds, which
+    # then exceed the 1e-8 gate (so does the strip residual its budget)
+    u = unknot_run["synthesis"].expansion
+    field = tmp_path / "scaled.json"
+    save_field(BeltramiExpansion(u.lam, u.k, u.e, 1e6 * u.alpha, 1e6 * u.beta), field)
+    link = _circle_link(tmp_path)
+    report = tmp_path / "report.json"
+    assert cli.main(["verify", "--field", str(field), "--link", str(link),
+                     "--report", str(report)]) == 3
+    assert "[FAIL] eigen_relation" in capsys.readouterr().out
+    bounds = json.loads(report.read_text())["eigen_relation"]
+    base = unknot_run["report"]["eigen_relation"]
+    for key in ("curl_bound", "div_bound"):
+        assert bounds[key] == pytest.approx(1e6 * base[key], rel=1e-12)
+    assert bounds["curl_bound"] > 1e-8
 
 
 def test_bad_tolerance_exits_2_before_any_geometry(tmp_path, capsys, monkeypatch):

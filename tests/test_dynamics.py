@@ -7,10 +7,11 @@ from scipy.integrate import solve_ivp
 from knotflows import dynamics, presets
 from knotflows.charts import TubeChart
 from knotflows.curves import FourierCurve, resample_arclength
-from knotflows.dynamics import (NewtonFailure, OrbitEscape, TubeModelField,
-                                integrate, monodromy, refine_orbit)
+from knotflows.dynamics import (NewtonFailure, OrbitEscape, integrate, monodromy,
+                                refine_orbit)
 from knotflows.field import BeltramiExpansion, make_basis
 from knotflows.framing import frame_transport
+from knotflows.paper import TubeModelField
 
 from conftest import fd_jacobian
 

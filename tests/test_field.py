@@ -1,12 +1,17 @@
-"""Plane-wave Beltrami expansions: exact eigenfield identities and the scalar lift."""
+"""Plane-wave Beltrami expansions: exact eigenfield identities, the bounds on
+their defects, the scalar lift and the finite-difference eigen oracle."""
+
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from knotflows.field import (BeltramiExpansion, direction_set, make_basis,
-                             polarization_pair)
-from knotflows.paper import (HelmholtzScalarExpansion, beltramize,
-                             to_scalar_components)
+from knotflows.curves import LinkSpec
+from knotflows.field import (BeltramiExpansion, direction_set, eigen_bounds,
+                             make_basis, polarization_pair)
+from knotflows.paper import (HelmholtzScalarExpansion, beltramize, check_points,
+                             fd_curl_divergence, to_scalar_components)
+from knotflows.presets import circle
 
 from conftest import fd_jacobian
 
@@ -217,3 +222,94 @@ def test_helmholtz_scalar_explicit_value():
     x = np.array([[0.4, 0.0, 0.0], [0.0, 5.0, -1.0]])
     expect = np.array([2.0 * np.cos(1.2) + np.sin(1.2), 2.0])
     assert np.max(np.abs(w(x) - expect)) < 1e-14
+
+
+# the exact unit members along the axes: every defect is 0.0 in floating point
+AXIS_K = np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [0.0, -1.0, 0.0]])
+AXIS_E = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+
+
+def test_eigen_bounds_move_by_the_member_defect():
+    # exact members bound nothing; |k| = 1 + 1e-13 and k.e = 2e-13 pass
+    # _check_members (1e-12), and each moves its bound by lam c_j times that
+    # member's defect
+    lam, alpha, beta = 1.5, np.array([3.0, -1.0, 0.5]), np.array([4.0, 2.0, 0.0])
+    assert eigen_bounds(BeltramiExpansion(lam, AXIS_K, AXIS_E, alpha, beta)) == (0.0, 0.0)
+    c = np.hypot(alpha, beta)
+    k = AXIS_K.copy()
+    k[0, 2] = 1.0 + 1e-13
+    curl, div = eigen_bounds(BeltramiExpansion(lam, k, AXIS_E, alpha, beta))
+    assert curl == pytest.approx(lam * c[0] * np.linalg.norm(AXIS_E[0]) * (k[0] @ k[0] - 1.0),
+                                 rel=1e-12)
+    assert 0.0 < curl < 1e-11 and div == 0.0
+    e = AXIS_E.copy()
+    e[1, 0] = 2e-13
+    curl, div = eigen_bounds(BeltramiExpansion(lam, AXIS_K, e, alpha, beta))
+    assert div == pytest.approx(lam * c[1] * abs(AXIS_K[1] @ e[1]), rel=1e-12)
+    # |k| = 1 exactly here, so the curl term is k (k.e): the same defect
+    assert curl == pytest.approx(div, rel=1e-12)
+
+
+def test_eigen_bounds_are_reached_by_one_defective_member():
+    # one member far from unit (BeltramiExpansion would refuse it) as the
+    # field u = A e + B (k x e), A = alpha cos + beta sin, B = beta cos - alpha
+    # sin of lam k.x: over one period of the phase, central differences of u
+    # reach each bound, where |A| or |B| reaches hypot(alpha, beta)
+    lam, alpha, beta = 1.5, 0.6, -0.8
+    k, e = np.array([0.1, 0.2, 1.05]), np.array([1.0, 0.03, 0.0])
+    f = np.cross(k, e)
+    member = SimpleNamespace(lam=lam, k=k[None], e=e[None], alpha=np.array([alpha]),
+                             beta=np.array([beta]))
+
+    def u(x):
+        ph = lam * x @ k
+        return (np.outer(alpha * np.cos(ph) + beta * np.sin(ph), e)
+                + np.outer(beta * np.cos(ph) - alpha * np.sin(ph), f))
+
+    pts = np.outer(np.linspace(0.0, 2.0 * np.pi / lam, 256, endpoint=False), k / (k @ k))
+    h = 1e-5
+    jac = np.stack([(u(pts + h * d) - u(pts - h * d)) / (2.0 * h) for d in np.eye(3)],
+                   axis=2)
+    curl = np.stack([jac[:, 2, 1] - jac[:, 1, 2], jac[:, 0, 2] - jac[:, 2, 0],
+                     jac[:, 1, 0] - jac[:, 0, 1]], axis=1)
+    curl_fd = np.max(np.linalg.norm(curl - lam * u(pts), axis=1))
+    div_fd = np.max(np.abs(np.trace(jac, axis1=1, axis2=2)))
+    curl_bound, div_bound = eigen_bounds(member)
+    assert curl_bound > 0.1 and div_bound > 0.01
+    # 256 phases sample the maximum of |cos| to within 1 - cos(pi/256)
+    assert curl_bound * (1.0 - 1e-4) < curl_fd < curl_bound * (1.0 + 1e-6)
+    assert div_bound * (1.0 - 1e-4) < div_fd < div_bound * (1.0 + 1e-6)
+
+
+def test_check_points_deterministic_and_in_box():
+    link = LinkSpec(1.0, tuple(circle()))
+    a = check_points(link, 100, seed=0)
+    b = check_points(link, 100, seed=0)
+    assert np.array_equal(a, b)
+    assert not np.array_equal(a, check_points(link, 100, seed=1))
+    # the box inflates the link's sample cloud by 0.5 on each side
+    assert a.shape == (100, 3)
+    assert np.all(a >= [-1.5, -1.5, -0.5]) and np.all(a <= [1.5, 1.5, 0.5])
+
+
+def test_fd_curl_divergence_on_exact_beltrami():
+    u = BeltramiExpansion(1.5, [[0.0, 0.0, 1.0]], [[1.0, 0.0, 0.0]], [1.0], [0.0])
+    pts = np.random.default_rng(2).uniform(-1, 1, (50, 3))
+    curl_rel, div_max = fd_curl_divergence(u, pts)
+    assert curl_rel < 1e-9
+    assert div_max < 1e-11
+
+
+def test_fd_curl_divergence_flags_non_beltrami():
+    class Shear:
+        lam = 1.0
+
+        def __call__(self, pts):
+            pts = np.atleast_2d(pts)
+            out = np.zeros_like(pts)
+            out[:, 0] = pts[:, 1]      # u = (y, 0, 0): curl = -z_hat != u
+            return out
+
+    curl_rel, div_max = fd_curl_divergence(Shear(), np.array([[0.3, 0.7, -0.2]]))
+    assert curl_rel > 0.5
+    assert div_max < 1e-10

@@ -80,6 +80,21 @@ def test_link_lambda_override(tmp_path):
     # a JSON boolean is a Python int, but no eigenvalue
     ({"schema": "knotflows.link/1", "lambda": True,
       "components": [{"preset": "circle"}]}, "must be a number"),
+    # nor anywhere in a numeric array or preset parameter
+    ({"schema": "knotflows.link/1", "lambda": 1.0,
+      "components": [{"fourier": {"cos": [[0.0, True], [0.0, 0.0], [0.0, 0.0]],
+                                  "sin": [[0.0, 0.0], [0.0, 1.0], [0.0, 0.0]]}}]},
+     "component 0 fourier must hold numbers, not true"),
+    ({"schema": "knotflows.link/1", "lambda": 1.0,
+      "components": [{"fourier": {"cos": [[0.0, 1.0], [0.0, 0.0], [0.0, 0.0]],
+                                  "sin": [[0.0, 0.0], [False, 1.0], [0.0, 0.0]]}}]},
+     "component 0 fourier must hold numbers, not false"),
+    ({"schema": "knotflows.link/1", "lambda": 1.0,
+      "components": [{"preset": "circle", "params": {"radius": True}}]},
+     "component 0 params must hold numbers, not true"),
+    ({"schema": "knotflows.link/1", "lambda": 1.0,
+      "components": [{"preset": "torus_knot", "params": {"p": True, "q": 3}}]},
+     "component 0 params must hold numbers"),
 ])
 def test_link_malformed_documents(tmp_path, doc, msg):
     path = tmp_path / "bad.json"
@@ -146,6 +161,14 @@ def test_field_malformed_documents(tmp_path):
                                              "alpha": 1.0, "beta": 0.0}]}))
     with pytest.raises(FileFormatError, match="nonzero number"):
         load_field(path)
+    # a boolean inside a member reads as 1.0 or 0.0 to numpy: refused too
+    member = {"k": [0, 0, 1], "e": [1, 0, 0], "alpha": 1.0, "beta": 0.0}
+    for bad in ({"alpha": True}, {"beta": False}, {"k": [0, 0, True]},
+                {"e": [True, 0, 0]}):
+        path.write_text(json.dumps({"schema": "knotflows.field/1", "lambda": 1.0,
+                                    "members": [member, {**member, **bad}]}))
+        with pytest.raises(FileFormatError, match="member 1 must hold numbers"):
+            load_field(path)
     # corrupted member: |k| != 1 must be rejected at load time
     path.write_text(json.dumps({"schema": "knotflows.field/1", "lambda": 1.0,
                                 "members": [{"k": [0, 0, 2], "e": [1, 0, 0],
@@ -205,6 +228,16 @@ def test_seeds_malformed(tmp_path):
                                 "seeds": [[0.0, np.inf, 0.0]]}))
     with pytest.raises(FileFormatError, match="finite"):
         load_seeds(path)
+    # booleans would read as 1.0 and 0.0; ragged or non-numeric rows are
+    # format errors that name the file, not numpy's bare ValueError
+    for seeds, msg in (([[True, 0.0, 0.0]], "must hold numbers, not true"),
+                       ([[1.0, 0.0, 0.0], [0.0, False, 0.0]], "must hold numbers"),
+                       ([[1, 0], [0]], "triples"), ([["a", 0, 0]], "triples"),
+                       ([[1.0, 0.0, 0.0], [0.0, [1.0], 0.0]], "triples")):
+        path.write_text(json.dumps({"schema": "knotflows.seeds/1", "seeds": seeds}))
+        with pytest.raises(FileFormatError, match=msg) as info:
+            load_seeds(path)
+        assert str(path) in str(info.value)
 
 
 def test_write_table_full_precision(tmp_path):

@@ -1,5 +1,6 @@
-"""Pipeline orchestration: spot checks, gates, and the report schema."""
+"""Pipeline orchestration: gates, criteria and the report schema."""
 
+import json
 from dataclasses import asdict
 
 import numpy as np
@@ -8,9 +9,8 @@ import pytest
 from knotflows import pipeline, presets
 from knotflows.config import RunConfig
 from knotflows.curves import FourierCurve, LinkSpec
-from knotflows.field import BeltramiExpansion
-from knotflows.pipeline import (PipelineError, check_points, fd_curl_divergence,
-                                synthesize, verify)
+from knotflows.field import BeltramiExpansion, eigen_bounds
+from knotflows.pipeline import PipelineError, synthesize, verify
 from knotflows.presets import circle
 
 from conftest import CRITERIA
@@ -20,40 +20,6 @@ def _axis_wave(lam=1.0):
     return BeltramiExpansion(lam, np.array([[0.0, 0.0, 1.0]]),
                              np.array([[1.0, 0.0, 0.0]]),
                              np.array([1.0]), np.array([0.0]))
-
-
-def test_check_points_deterministic_and_in_box():
-    link = LinkSpec(1.0, tuple(circle()))
-    a = check_points(link, 100, seed=0)
-    b = check_points(link, 100, seed=0)
-    assert np.array_equal(a, b)
-    assert not np.array_equal(a, check_points(link, 100, seed=1))
-    # the box inflates the link's sample cloud by 0.5 on each side
-    assert a.shape == (100, 3)
-    assert np.all(a >= [-1.5, -1.5, -0.5]) and np.all(a <= [1.5, 1.5, 0.5])
-
-
-def test_fd_curl_divergence_on_exact_beltrami():
-    u = _axis_wave(lam=1.5)
-    pts = np.random.default_rng(2).uniform(-1, 1, (50, 3))
-    curl_rel, div_max = fd_curl_divergence(u, pts)
-    assert curl_rel < 1e-9
-    assert div_max < 1e-11
-
-
-def test_fd_curl_divergence_flags_non_beltrami():
-    class Shear:
-        lam = 1.0
-
-        def __call__(self, pts):
-            pts = np.atleast_2d(pts)
-            out = np.zeros_like(pts)
-            out[:, 0] = pts[:, 1]      # u = (y, 0, 0): curl = -z_hat != u
-            return out
-
-    curl_rel, div_max = fd_curl_divergence(Shear(), np.array([[0.3, 0.7, -0.2]]))
-    assert curl_rel > 0.5
-    assert div_max < 1e-10
 
 
 def test_synthesize_closedness_gate(monkeypatch):
@@ -109,7 +75,7 @@ def test_fit_report_dict_round_trip(unknot_run):
 
 def test_report_schema(unknot_run):
     report = unknot_run["report"]
-    assert report["schema"] == "knotflows.report/1"
+    assert report["schema"] == "knotflows.report/2"
     assert [c["name"] for c in report["criteria"]] == CRITERIA
     assert all(isinstance(c["passed"], bool) and c["detail"] for c in report["criteria"])
     assert report["passed"] is True
@@ -127,8 +93,46 @@ def test_report_schema(unknot_run):
         "lam", "w_half_factor", "frame_samples", "strip_s_per_2pi", "strip_t_nodes",
         "directions", "ridge", "eps_tilde", "rtol", "atol", "orbit_samples",
         "hausdorff_tol", "seed"}
-    for key in ("geometry_s", "eigen_check_s", "dynamics_s", "topology_s"):
-        assert report["timings"][key] >= 0.0
+    assert set(report["eigen_relation"]) == {"curl_bound", "div_bound"}
+    assert set(report["timings"]) == {"geometry_s", "dynamics_s", "topology_s"}
+    assert all(v >= 0.0 for v in report["timings"].values())
+
+
+@pytest.mark.parametrize("run", ["unknot_run", "hopf_run", "trefoil_run", "borromean_run"])
+def test_eigen_relation_reports_the_member_bounds(run, request):
+    # coefficient totals of 8.6e3-2.4e4 times member defects of a few ulp: the
+    # bounds hold on all of R^3 and sit three decades under the 1e-8 gate
+    fixture = request.getfixturevalue(run)
+    bounds = fixture["report"]["eigen_relation"]
+    assert (bounds["curl_bound"], bounds["div_bound"]) == \
+        eigen_bounds(fixture["synthesis"].expansion)
+    assert max(bounds.values()) < 1e-11
+
+
+def test_verify_report_does_not_read_the_seed(unknot_run):
+    # verify samples no points, so another config.seed leaves every number
+    # of its report the same, bit for bit
+    config = unknot_run["config"]
+    other = verify(unknot_run["link"], unknot_run["synthesis"].expansion,
+                   config.replace(seed=config.seed + 1)).report
+
+    def numbers(report):
+        return json.dumps({k: v for k, v in report.items() if k not in ("config", "timings")})
+
+    assert numbers(other) == numbers(unknot_run["report"])
+    assert other["config"] == {**unknot_run["report"]["config"], "seed": config.seed + 1}
+
+
+def test_eigen_relation_fails_alone_on_stretched_wave_vectors(unknot_run):
+    # |k| = 1 + 9e-13 passes _check_members, but times the fit's coefficient
+    # total it breaks the 1e-8 gate; the field moves by ~1e-8 and every other
+    # criterion still passes
+    u = unknot_run["synthesis"].expansion
+    stretched = BeltramiExpansion(u.lam, u.k * (1.0 + 9e-13), u.e, u.alpha, u.beta)
+    assert eigen_bounds(stretched)[0] > pipeline.EIGEN_TOL
+    outcome = verify(unknot_run["link"], stretched, unknot_run["config"])
+    assert [c["name"] for c in outcome.report["criteria"] if not c["passed"]] == \
+        ["eigen_relation"]
 
 
 def test_flow_eigen_residual_per_segment(hopf_run):
