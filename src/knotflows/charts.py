@@ -22,12 +22,21 @@ _BLOCK = 256
 
 
 class TubeChart:
-    """Adapted tube coordinates around one link component."""
+    """Adapted tube coordinates around one link component.
+
+    The chart must lie within the core's reach, radius + w_half <= reach:
+    there every point has one nearest core point (Federer 1959), so the chart
+    embeds the solid tube and a projection needs one Newton seed per point.
+    """
 
     def __init__(self, frame: FrameModel, radius: float, w_half: float,
                  component_id: int = 0):
         if not 0.0 < w_half <= radius:
             raise ValueError("need 0 < w_half <= radius")
+        reach = frame.arc.reach()
+        if not radius + w_half <= reach:
+            raise ValueError(f"tube beyond the core's reach: radius + w_half = "
+                             f"{radius + w_half:.6g} > reach = {reach:.6g}")
         self.frame = frame
         self.radius = float(radius)
         self.w_half = float(w_half)
@@ -64,53 +73,37 @@ class TubeChart:
     def to_tube_many(self, xs):
         """Adapted coordinates of (n, 3) points: (n, 3) rows (rho, z, theta).
 
-        A row is nan when its point is out of chart: the closest-point
-        projection leaves the declared strip, the normal offset reaches the
-        tube radius, or two distant sheet candidates are equally near. Core
-        samples farther than radius + 4 w_half (the t-clip) plus one sample
-        step are not candidates.
+        A row is nan when its point is out of chart: its nearest core sample
+        is farther than radius + 4 w_half (the t-clip) plus one sample step,
+        the closest-point projection leaves the declared strip, or the normal
+        offset reaches the tube radius.
         """
         return self._to_tube_jet(xs)[0]
 
     def _to_tube_jet(self, xs):
         """to_tube_many's (n, 3) coordinates and the normal jet at each row's (theta, z).
 
-        One batched projection: each point's candidates are the cyclic local
-        minima of its core distance within reach, at most the 4 nearest, and
-        one damped Newton runs on every (point, candidate) pair at once.
+        One batched projection: one damped Newton per point within the
+        cutoff, seeded at its nearest core sample. A chart lies within the core's
+        reach, where every point has one nearest core point, so the core's
+        other near strands need no seed of their own.
         """
         xs = np.asarray(xs, dtype=float).reshape(-1, 3)
         pts, e1s = self.frame.arc.points, self.frame.e1_samples
-        reach = self.radius + 4.0 * self.w_half + self.length / len(pts)
-        rows, cols = [np.empty(0, int)], [np.empty(0, int)]
+        cutoff = self.radius + 4.0 * self.w_half + self.length / len(pts)
+        near, d2_near = np.empty(len(xs), int), np.empty(len(xs))
         for lo in range(0, len(xs), _BLOCK):
             d2 = cdist(xs[lo:lo + _BLOCK], pts, "sqeuclidean")
-            is_min = ((d2 <= np.roll(d2, 1, axis=1)) & (d2 <= np.roll(d2, -1, axis=1))
-                      & (d2 <= reach**2))
-            r, c = np.nonzero(is_min)
-            order = np.lexsort((d2[r, c], r))  # by point, then nearest first
-            r, c = r[order], c[order]
-            nearest = np.arange(len(r)) - np.searchsorted(r, r) < 4
-            rows.append(lo + r[nearest])
-            cols.append(c[nearest])
-        p, i = np.concatenate(rows), np.concatenate(cols)
-        x = xs[p]
+            near[lo:lo + _BLOCK] = np.argmin(d2, axis=1)
+            d2_near[lo:lo + _BLOCK] = np.min(d2, axis=1)
+        p = np.flatnonzero(d2_near <= cutoff**2)
+        x, i = xs[p], near[p]
         t0 = np.clip(np.sum((x - pts[i]) * e1s[i], axis=1), -self.w_half, self.w_half)
-        s, t, dist, ok = self._newton(x, self.frame.arc.s_nodes[i], t0)
-        theta = s % self.length
-        order = np.lexsort((t, theta, dist, p))  # per point by (dist, theta, t)
-        order = order[ok[order]]
-        p, s, t, dist, theta = (v[order] for v in (p, s, t, dist, theta))
-        first = np.flatnonzero(np.diff(p, prepend=-1))
-        b = first[np.searchsorted(p[first], p)]  # each pair's best pair
-        ds = np.abs(theta - theta[b])
-        same = ((np.minimum(ds, self.length - ds) < 1e-6 * self.length)
-                & (np.abs(t - t[b]) < 1e-6 * max(self.w_half, 1.0)))
-        # ambiguous: a distinct sheet as near as the best one
-        rival = p[~same & (dist <= dist[b] * (1.0 + 1e-9) + 1e-12)]
-        found = np.isin(np.arange(len(xs)), np.setdiff1d(p[first], rival))
+        s, t, ok = self._newton(x, self.frame.arc.s_nodes[i], t0)
+        p, s, t = p[ok], s[ok], t[ok]
+        found = np.zeros(len(xs), bool)
         s_pt, t_pt = np.zeros(len(xs)), np.zeros(len(xs))
-        s_pt[p[first]], t_pt[p[first]] = s[first], t[first]
+        found[p], s_pt[p], t_pt[p] = True, s, t
         nj = _normal_jet(self.strip_jet(s_pt, t_pt))
         rho = np.sum((xs - nj["S"]) * nj["n"], axis=1)
         inside = found & (np.abs(t_pt) <= self.w_half) & (np.abs(rho) < self.radius)
@@ -121,29 +114,28 @@ class TubeChart:
     def _newton(self, x, s, t):
         """Damped Newton toward the closest strip point of each row of (x, s, t).
 
-        One strip_jet call per trial serves every pair still iterating.
-        Returns (s, t, |x - S(s, t)|, ok).
+        One strip_jet call per trial serves every row still iterating.
+        Returns (s, t, ok).
         """
 
         def residual(s, t, x):
-            # gradient f of |x - S|^2 / 2 in (s, t), its Jacobian's (1,1) and
-            # (1,2) entries (the (2,2) entry is -1), and |x - S|
+            # gradient f of |x - S|^2 / 2 in (s, t) and its Jacobian's (1,1)
+            # and (1,2) entries (the (2,2) entry is -1)
             jet = self.strip_jet(s, t)
             d = x - jet["S"]
             dot = {k: np.sum(d * jet[k], axis=1) for k in ("S_s", "e1", "S_ss", "de1")}
             return (np.column_stack([dot["S_s"], dot["e1"]]),
                     np.column_stack([dot["S_ss"] - np.sum(jet["S_s"] ** 2, axis=1),
-                                     dot["de1"]]),
-                    np.linalg.norm(d, axis=1))
+                                     dot["de1"]]))
 
         tol = 1e-13 * np.maximum(1.0, np.linalg.norm(x, axis=1))
-        f, jac, dist = residual(s, t, x)
+        f, jac = residual(s, t, x)
         live, ok = np.ones(len(x), bool), np.zeros(len(x), bool)
         for it in range(40):
             norm_f = np.linalg.norm(f, axis=1)
             ok |= live & (norm_f < tol)
             det = -jac[:, 0] - jac[:, 1] ** 2
-            live &= ~ok & (det != 0.0)  # a singular Jacobian fails its pair
+            live &= ~ok & (det != 0.0)  # a singular Jacobian fails its row
             a = np.flatnonzero(live)
             if not a.size:
                 break
@@ -154,7 +146,7 @@ class TubeChart:
             for _ in range(8):
                 s[a] = s0 + lam * step_s
                 t[a] = np.clip(t0 + lam * step_t, -4.0 * self.w_half, 4.0 * self.w_half)
-                f[a], jac[a], dist[a] = residual(s[a], t[a], x[a])
+                f[a], jac[a] = residual(s[a], t[a], x[a])
                 # the first step is always taken; later ones must not increase |f|
                 worse = ~(np.linalg.norm(f[a], axis=1) <= norm_f[a]) & (it > 0)
                 a, s0, t0, step_s, step_t = (v[worse] for v in (a, s0, t0, step_s, step_t))
@@ -162,7 +154,7 @@ class TubeChart:
                     break
                 lam *= 0.5
         ok |= live & (np.linalg.norm(f, axis=1) < 1e3 * tol)
-        return s, t, dist, ok
+        return s, t, ok
 
 
 def _normal_jet(jet: dict) -> dict:
@@ -199,6 +191,8 @@ def component_gaps(arcs: list[ArcLengthCurve]):
 def tube_radius(arcs: list[ArcLengthCurve], safety: float = 0.5):
     """Per-component tube radii r_a = safety * min(reach_a, half inter-component gap).
 
+    The closed tubes are pairwise disjoint by construction: r_i <= safety *
+    gap_ij / 2 for every j, so r_i + r_j <= safety * gap_ij < gap_ij.
     Raises EmbeddingError when two components come closer than the sampling
     resolution can certify.
     """
@@ -213,15 +207,7 @@ def tube_radius(arcs: list[ArcLengthCurve], safety: float = 0.5):
             raise EmbeddingError(
                 f"components too close to certify disjoint tubes: gap = {gap:.3e}")
         radii.append(safety * min(arc.reach(), 0.5 * gap))
-    radii = np.asarray(radii)
-    # sampled certificate that the closed tubes are pairwise disjoint
-    for i in range(len(arcs)):
-        for j in range(i + 1, len(arcs)):
-            if gaps[i, j] <= radii[i] + radii[j]:
-                raise EmbeddingError(
-                    f"tubes of components {i} and {j} overlap: "
-                    f"gap {gaps[i, j]:.3e} <= r_i + r_j = {radii[i] + radii[j]:.3e}")
-    return radii
+    return np.asarray(radii)
 
 
 def build_charts(link: LinkSpec, config: RunConfig | None = None) -> list[TubeChart]:

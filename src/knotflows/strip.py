@@ -34,12 +34,10 @@ class CauchyData:
     trace of a Beltrami field.
     """
 
-    chart: TubeChart
     s_nodes: np.ndarray
     t_nodes: np.ndarray
     points: np.ndarray    # (ns, nt, 3)
     w: np.ndarray         # (ns, nt, 3)
-    normals: np.ndarray   # (ns, nt, 3)
     gamma_s: np.ndarray   # (ns, nt)
     gamma_t: np.ndarray   # (ns, nt)
 
@@ -48,11 +46,11 @@ def build_cauchy_data(chart: TubeChart, config: RunConfig) -> CauchyData:
     ns = max(64, int(round(config.strip_s_per_2pi * chart.length / (2.0 * np.pi))))
     s = chart.length * np.arange(ns) / ns
     t = np.linspace(-chart.w_half, chart.w_half, config.strip_t_nodes)
-    nj = chart.normal_jet(s[:, None], t[None, :])
-    w = _cauchy_vector(nj, t[None, :])
-    gamma_s = np.sum(w * nj["S_s"], axis=-1)
-    gamma_t = np.sum(w * nj["e1"], axis=-1)
-    return CauchyData(chart, s, t, nj["S"], w, nj["n"], gamma_s, gamma_t)
+    jet = chart.strip_jet(s[:, None], t[None, :])
+    w = _cauchy_vector(jet, t[None, :])
+    gamma_s = np.sum(w * jet["S_s"], axis=-1)
+    gamma_t = np.sum(w * jet["e1"], axis=-1)
+    return CauchyData(s, t, jet["S"], w, gamma_s, gamma_t)
 
 
 def strip_residual(field, data: CauchyData) -> float:

@@ -33,12 +33,10 @@ def _ellipse_chart():
     return build_charts(LinkSpec(1.0, (presets.borromean(8.0)[0],)))[0]
 
 
-def _wide_ellipse_chart():
-    # e1 along the plane normal puts the strip across the plane; a radius of
-    # 4.5 > 4 puts the ellipse's centre in chart but for its two equally near
-    # sheets (the minor vertices), and points near it between two sheets
-    arc = resample_arclength(presets.borromean(8.0)[0], 1024)
-    return TubeChart(frame_transport(arc, seed_normal=np.array([1.0, 0.0, 0.0])), 4.5, 0.1)
+def _hopf_chart():
+    # the first component of the hopf benchmark workload
+    return build_charts(LinkSpec(1.0, tuple(presets.hopf(radius=14.0))),
+                        RunConfig(w_half_factor=0.01))[0]
 
 
 def _reference_project(chart, x, s0, t0):
@@ -193,6 +191,35 @@ def test_chart_invariant_w_half_bounded_by_radius():
         TubeChart(frame, 0.5, 0.0)
 
 
+def test_chart_must_lie_within_the_core_reach():
+    # the 2:1 ellipse of major 8 has reach 2 (its curvature at the major vertices)
+    arc = resample_arclength(presets.borromean(8.0)[0], 1024)
+    frame = frame_transport(arc)
+    with pytest.raises(ValueError, match=r"radius \+ w_half = 4\.6 > reach = 2\b"):
+        TubeChart(frame, 4.5, 0.1)
+    with pytest.raises(ValueError, match="reach"):
+        TubeChart(frame, np.inf, 0.1)
+    # radius + w_half = reach is accepted, one ulp of the reach more is not;
+    # the sampled reach of the unit circle is 1 - 2**-52, so halve it, not 1
+    circle = frame_transport(resample_arclength(presets.circle(1.0)[0], 256))
+    half = 0.5 * circle.arc.reach()
+    assert TubeChart(circle, half, half).radius == half
+    above = np.nextafter(half, 1.0)
+    with pytest.raises(ValueError, match="reach"):
+        TubeChart(circle, above, above)
+
+
+@pytest.mark.parametrize("w_half_factor", [0.014, 1.0])
+def test_build_charts_lie_within_the_core_reach_for_every_preset(w_half_factor):
+    ratios = []
+    for make in presets.CATALOG.values():
+        for chart in build_charts(LinkSpec(1.0, tuple(make())),
+                                  RunConfig(w_half_factor=w_half_factor)):
+            ratios.append((chart.radius + chart.w_half) / chart.frame.arc.reach())
+    # radius <= reach / 2 and w_half = w_half_factor * radius
+    assert max(ratios) <= 0.5 * (1.0 + w_half_factor) + 1e-12
+
+
 def test_strip_embedding_of_radially_framed_circle():
     chart = _circle_chart()
     s = np.array([0.3, 1.7, 4.0])
@@ -277,7 +304,7 @@ def _assert_same_coords(chart, got, want):
 
 
 @pytest.mark.parametrize("make_chart", [_trefoil_chart, _ellipse_chart, _circle_chart,
-                                        _wide_ellipse_chart])
+                                        _hopf_chart])
 def test_to_tube_many_matches_the_one_point_reference(make_chart):
     chart = make_chart()
     pts = _oracle_points(chart, np.random.default_rng(11))
@@ -285,7 +312,7 @@ def test_to_tube_many_matches_the_one_point_reference(make_chart):
     want = np.array([_reference_to_tube(chart, x) for x in pts])
     out = np.isnan(want[:, 0])
     # in-chart points stay in, strip-edge points leave, and so does the
-    # centroid: beyond reach, or equally near two sheets of the wide ellipse
+    # centroid, beyond reach: the multi-candidate reference agrees with one seed
     assert not np.any(out[:50]) and np.all(out[50:100]) and out[-1]
     _assert_same_coords(chart, got, want)
 
@@ -362,8 +389,7 @@ def test_points_outside_chart_return_none():
     assert out(x + 0.6 * chart.normal_jet(1.0, np.array(0.0))["n"])
     # far away
     assert out(np.array([10.0, 10.0, 10.0]))
-    # the circle's center is beyond the candidate reach (ambiguity is
-    # checked against the reference on the wide ellipse)
+    # the circle's center is beyond the candidate reach
     assert out(np.zeros(3))
 
 

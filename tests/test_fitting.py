@@ -18,10 +18,9 @@ def _synthetic_data(points, w):
     """CauchyData carrying only what the fitter reads: points and targets."""
     ns, nt = points.shape[:2]
     zeros = np.zeros((ns, nt))
-    return CauchyData(chart=None, s_nodes=np.arange(ns, dtype=float),
+    return CauchyData(s_nodes=np.arange(ns, dtype=float),
                       t_nodes=np.arange(nt, dtype=float), points=points,
-                      w=w, normals=np.zeros_like(points),
-                      gamma_s=zeros, gamma_t=zeros)
+                      w=w, gamma_s=zeros, gamma_t=zeros)
 
 
 def _three_tubes(rng):

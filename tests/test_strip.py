@@ -71,9 +71,10 @@ def test_cauchy_data_grid_and_closedness():
     assert np.max(np.abs(data.gamma_s - 1.0)) < 1e-9
     assert np.max(np.abs(data.gamma_t + data.t_nodes[None, :])) < 1e-9
     assert closedness_check(data) < 1e-8
-    # unit normals orthogonal to the ruling
-    assert np.max(np.abs(np.linalg.norm(data.normals, axis=-1) - 1.0)) < 1e-12
-    assert np.max(np.abs(np.sum(data.normals * data.w, axis=-1))) < 1e-8
+    # w is tangent to the strip: orthogonal to its unit normals
+    n = chart.normal_jet(data.s_nodes[:, None], data.t_nodes[None, :])["n"]
+    assert np.max(np.abs(np.linalg.norm(n, axis=-1) - 1.0)) < 1e-12
+    assert np.max(np.abs(np.sum(n * data.w, axis=-1))) < 1e-8
 
 
 def test_closedness_residual_detects_injected_term():
