@@ -188,16 +188,14 @@ def component_gaps(arcs: list[ArcLengthCurve]):
     return gaps
 
 
-def tube_radius(arcs: list[ArcLengthCurve], safety: float = 0.5):
-    """Per-component tube radii r_a = safety * min(reach_a, half inter-component gap).
+def tube_radius(arcs: list[ArcLengthCurve]):
+    """Per-component tube radii r_a = 0.5 * min(reach_a, half inter-component gap).
 
-    The closed tubes are pairwise disjoint by construction: r_i <= safety *
-    gap_ij / 2 for every j, so r_i + r_j <= safety * gap_ij < gap_ij.
+    The closed tubes are pairwise disjoint by construction: r_i <= gap_ij / 4
+    for every j, so r_i + r_j <= gap_ij / 2 < gap_ij.
     Raises EmbeddingError when two components come closer than the sampling
     resolution can certify.
     """
-    if not 0.0 < safety < 1.0:
-        raise ValueError("safety must lie in (0, 1)")
     gaps = component_gaps(arcs)
     radii = []
     for i, arc in enumerate(arcs):
@@ -206,7 +204,7 @@ def tube_radius(arcs: list[ArcLengthCurve], safety: float = 0.5):
         if gap < 8.0 * h:
             raise EmbeddingError(
                 f"components too close to certify disjoint tubes: gap = {gap:.3e}")
-        radii.append(safety * min(arc.reach(), 0.5 * gap))
+        radii.append(0.5 * min(arc.reach(), 0.5 * gap))
     return np.asarray(radii)
 
 

@@ -40,6 +40,10 @@ class NewtonFailure(RuntimeError):
     """The shooting Newton did not close the orbit."""
 
 
+class MonodromyOverflow(RuntimeError):
+    """The monodromy product of an orbit is not finite in float64."""
+
+
 @dataclass(frozen=True)
 class Trajectory:
     t: np.ndarray
@@ -216,9 +220,12 @@ def monodromy(field, orbit: PeriodicOrbit) -> FloquetData:
                                            axis=1) / np.linalg.norm(u_next, axis=1)))
 
     m_total, m_inv = np.eye(3), np.eye(3)
-    for mk in factors:
-        m_total = mk @ m_total
-        m_inv = m_inv @ np.linalg.inv(mk)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for mk in factors:
+            m_total = mk @ m_total
+            m_inv = m_inv @ np.linalg.inv(mk)
+    if not np.isfinite((m_total, m_inv)).all():
+        raise MonodromyOverflow(f"M(T) overflows float64 at the period T = {orbit.period:.6g}")
 
     eig = np.linalg.eigvals(m_total)
     order = np.argsort(np.abs(eig - 1.0))

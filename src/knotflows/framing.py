@@ -64,18 +64,16 @@ class FrameModel:
     downstream geometric quantity self-consistent.
     """
 
-    def __init__(self, arc: ArcLengthCurve, seed_normal: np.ndarray | None = None):
+    def __init__(self, arc: ArcLengthCurve):
         self.arc = arc
         self.length = arc.length
         pts = arc.points
         # node tangents from the node parameters the arc-length model already inverted
         tans = _unit(arc.curve.velocity(arc.t_nodes))
-        if seed_normal is None:
-            seed_normal = _seed_normal(pts, tans[0])
         # transport once around, re-visiting the start point to read the holonomy
         pts_c = np.vstack([pts, pts[:1]])
         tans_c = np.vstack([tans, tans[:1]])
-        r = double_reflection_transport(pts_c, tans_c, seed_normal)
+        r = double_reflection_transport(pts_c, tans_c, _seed_normal(pts, tans[0]))
         b = np.cross(tans_c, r)
         self.holonomy = float(np.arctan2(np.dot(r[-1], b[0]), np.dot(r[-1], r[0])))
         phi = -self.holonomy * arc.s_nodes / self.length
@@ -95,6 +93,6 @@ class FrameModel:
         return self.jet(s)[0][..., deriv, :]
 
 
-def frame_transport(arc: ArcLengthCurve, seed_normal: np.ndarray | None = None) -> FrameModel:
+def frame_transport(arc: ArcLengthCurve) -> FrameModel:
     """Build the closed rotation-minimizing frame of a component."""
-    return FrameModel(arc, seed_normal)
+    return FrameModel(arc)

@@ -15,10 +15,13 @@ trusted range in rho, and a growth cap that aborts the march.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .charts import TubeChart, chart_columns
+
+GROWTH_CAP = 10.0     # level max-norm over the initial one that aborts a march
 
 
 class MarchError(RuntimeError):
@@ -56,9 +59,9 @@ class MarchGrid:
     def theta_nodes(self) -> np.ndarray:
         return self.theta_period * np.arange(self.n_theta) / self.n_theta
 
-    def dz_matrix(self) -> np.ndarray:
-        h = self.z_nodes[1] - self.z_nodes[0]
-        return d1_matrix(len(self.z_nodes), h)
+    @cached_property
+    def dz(self) -> np.ndarray:
+        return d1_matrix(len(self.z_nodes), self.z_nodes[1] - self.z_nodes[0])
 
     def theta_deriv(self, f: np.ndarray) -> np.ndarray:
         fh = np.fft.rfft(f, axis=-1)
@@ -68,17 +71,18 @@ class MarchGrid:
             k[-1] = 0.0
         return np.fft.irfft(fh * k, n=self.n_theta, axis=-1)
 
-    def theta_filter(self, f: np.ndarray, m_max: int) -> np.ndarray:
+    def theta_filter(self, f: np.ndarray) -> np.ndarray:
+        """Exponential low-pass cut off at the grid's highest mode, n_theta // 2."""
         fh = np.fft.rfft(f, axis=-1)
-        m = np.arange(fh.shape[-1], dtype=float)
-        mask = np.where(m <= m_max, np.exp(-36.0 * (m / m_max) ** 36), 0.0)
-        return np.fft.irfft(fh * mask, n=self.n_theta, axis=-1)
+        m = np.arange(fh.shape[-1]) / (self.n_theta // 2)
+        return np.fft.irfft(fh * np.exp(-36.0 * m**36), n=self.n_theta, axis=-1)
 
 
 @dataclass(frozen=True)
 class MetricLevel:
     """Tangential metric h_ij at one rho level on the (z, theta) grid."""
 
+    grid: MarchGrid
     h11: np.ndarray
     h12: np.ndarray
     h22: np.ndarray
@@ -102,7 +106,7 @@ class FlatMetric:
     def __init__(self, grid: MarchGrid):
         self.grid = grid
         shape = (len(grid.z_nodes), grid.n_theta)
-        self._level = MetricLevel(np.ones(shape), np.zeros(shape), np.ones(shape))
+        self._level = MetricLevel(grid, np.ones(shape), np.zeros(shape), np.ones(shape))
 
     def at(self, rho: float) -> MetricLevel:
         return self._level
@@ -119,9 +123,8 @@ class ChartTubeMetric:
 
     def at(self, rho: float) -> MetricLevel:
         _, x_z, x_th = chart_columns(self._nj, rho)
-        return MetricLevel(np.sum(x_z * x_z, axis=-1),
-                           np.sum(x_z * x_th, axis=-1),
-                           np.sum(x_th * x_th, axis=-1))
+        return MetricLevel(self.grid, np.sum(x_z * x_z, axis=-1),
+                           np.sum(x_z * x_th, axis=-1), np.sum(x_th * x_th, axis=-1))
 
 
 def initial_level(grid: MarchGrid) -> np.ndarray:
@@ -133,37 +136,35 @@ def initial_level(grid: MarchGrid) -> np.ndarray:
     return a
 
 
-def chi_from_constraint(a: np.ndarray, level: MetricLevel, lam: float,
-                        grid: MarchGrid, dz: np.ndarray) -> np.ndarray:
+def chi_from_constraint(a: np.ndarray, level: MetricLevel, lam: float) -> np.ndarray:
     """chi = |h|^{-1/2} (d_z a_theta - d_theta a_z) / lambda."""
-    return (dz @ a[1] - grid.theta_deriv(a[0])) / (lam * level.sqrt_det)
+    grid = level.grid
+    return (grid.dz @ a[1] - grid.theta_deriv(a[0])) / (lam * level.sqrt_det)
 
 
-def _rhs(a: np.ndarray, level: MetricLevel, lam: float, grid: MarchGrid,
-         dz: np.ndarray) -> np.ndarray:
-    chi = chi_from_constraint(a, level, lam, grid, dz)
+def _rhs(a: np.ndarray, level: MetricLevel, lam: float) -> np.ndarray:
+    grid = level.grid
+    chi = chi_from_constraint(a, level, lam)
     coef = lam / level.sqrt_det
     da = np.empty_like(a)
-    da[0] = dz @ chi + coef * (level.h11 * a[1] - level.h12 * a[0])
+    da[0] = grid.dz @ chi + coef * (level.h11 * a[1] - level.h12 * a[0])
     da[1] = grid.theta_deriv(chi) + coef * (level.h12 * a[1] - level.h22 * a[0])
     return da
 
 
-def rho_step(a: np.ndarray, rho: float, drho: float, metric, lam: float,
-             grid: MarchGrid, dz: np.ndarray, m_max: int = 32) -> np.ndarray:
+def rho_step(a: np.ndarray, rho: float, drho: float, metric, lam: float) -> np.ndarray:
     """One classical 4-stage Runge-Kutta step in rho, then the theta filter."""
-    k1 = _rhs(a, metric.at(rho), lam, grid, dz)
+    k1 = _rhs(a, metric.at(rho), lam)
     mid = metric.at(rho + 0.5 * drho)
-    k2 = _rhs(a + 0.5 * drho * k1, mid, lam, grid, dz)
-    k3 = _rhs(a + 0.5 * drho * k2, mid, lam, grid, dz)
-    k4 = _rhs(a + drho * k3, metric.at(rho + drho), lam, grid, dz)
+    k2 = _rhs(a + 0.5 * drho * k1, mid, lam)
+    k3 = _rhs(a + 0.5 * drho * k2, mid, lam)
+    k4 = _rhs(a + drho * k3, metric.at(rho + drho), lam)
     a_new = a + (drho / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return grid.theta_filter(a_new, m_max)
+    return metric.grid.theta_filter(a_new)
 
 
 @dataclass(frozen=True)
 class MarchResult:
-    grid: MarchGrid
     rhos: np.ndarray      # (n_levels,)
     a: np.ndarray         # (n_levels, 2, nz, nth)
     chi: np.ndarray       # (n_levels, nz, nth)
@@ -171,35 +172,32 @@ class MarchResult:
 
 
 def march(metric, lam: float, rho_max: float, n_steps: int,
-          grid: MarchGrid | None = None, a0: np.ndarray | None = None,
-          m_max: int = 32, growth_cap: float = 10.0) -> MarchResult:
-    """March the Cauchy data from rho = 0 to rho_max (sign gives the side).
+          a0: np.ndarray | None = None) -> MarchResult:
+    """March Cauchy data on metric.grid from rho = 0 to rho_max (sign gives the side).
 
-    Aborts with MarchError when the level max-norm grows past growth_cap times
+    Aborts with MarchError when the level max-norm grows past GROWTH_CAP times
     the initial level: past that point the ill-posed modes dominate and the
     levels carry no information.
     """
-    grid = grid or metric.grid
-    dz = grid.dz_matrix()
-    a = initial_level(grid) if a0 is None else np.array(a0, dtype=float)
+    a = initial_level(metric.grid) if a0 is None else np.array(a0, dtype=float)
     drho = rho_max / n_steps
     norm0 = np.max(np.abs(a))
     rhos = [0.0]
     levels = [a]
-    chis = [chi_from_constraint(a, metric.at(0.0), lam, grid, dz)]
+    chis = [chi_from_constraint(a, metric.at(0.0), lam)]
     for k in range(n_steps):
         rho = k * drho
-        a = rho_step(a, rho, drho, metric, lam, grid, dz, m_max)
+        a = rho_step(a, rho, drho, metric, lam)
         ratio = np.max(np.abs(a)) / norm0
-        if ratio > growth_cap:
+        if ratio > GROWTH_CAP:
             raise MarchError(
                 f"march aborted at rho = {rho + drho:.6g}: level norm grew "
-                f"{ratio:.3g}x past the cap {growth_cap:g}",
+                f"{ratio:.3g}x past the cap {GROWTH_CAP:g}",
                 rho_reached=rho, ratio=float(ratio))
         rhos.append(rho + drho)
         levels.append(a)
-        chis.append(chi_from_constraint(a, metric.at(rho + drho), lam, grid, dz))
-    return MarchResult(grid, np.array(rhos), np.stack(levels), np.stack(chis), lam)
+        chis.append(chi_from_constraint(a, metric.at(rho + drho), lam))
+    return MarchResult(np.array(rhos), np.stack(levels), np.stack(chis), lam)
 
 
 def divergence_residual(result: MarchResult, metric):
@@ -211,8 +209,7 @@ def divergence_residual(result: MarchResult, metric):
     """
     if len(result.rhos) < 3:
         raise ValueError("divergence residual needs at least 3 rho levels")
-    grid = result.grid
-    dz = grid.dz_matrix()
+    grid = metric.grid
     f_rho, f_z, f_th, sdets = [], [], [], []
     for i, rho in enumerate(result.rhos):
         level = metric.at(rho)
@@ -229,7 +226,7 @@ def divergence_residual(result: MarchResult, metric):
     drho_term = np.gradient(f_rho, result.rhos, axis=0, edge_order=2)
     div = np.empty_like(f_rho)
     for i in range(len(result.rhos)):
-        div[i] = (drho_term[i] + dz @ f_z[i] + grid.theta_deriv(f_th[i])) / sdets[i]
+        div[i] = (drho_term[i] + grid.dz @ f_z[i] + grid.theta_deriv(f_th[i])) / sdets[i]
     nz = len(grid.z_nodes)
     pad = max(1, int(round(0.5 * (1.0 - 0.8) * nz)))
     trusted = float(np.max(np.abs(div[:, pad:nz - pad, :])))
@@ -242,8 +239,7 @@ def beltrami_residual(result: MarchResult, metric) -> float:
     Measured at half-steps with fourth-order interpolation/differentiation in
     rho, so the reported number tracks the scheme's own convergence order.
     """
-    lam, grid = result.lam, result.grid
-    dz = grid.dz_matrix()
+    lam, grid = result.lam, metric.grid
     worst = 0.0
     for k in range(1, len(result.rhos) - 2):
         h = result.rhos[k + 1] - result.rhos[k]
@@ -256,10 +252,10 @@ def beltrami_residual(result: MarchResult, metric) -> float:
                 - result.chi[k + 2]) / 16.0
         level = metric.at(rho_m)
         # d(rho) component: constraint chi vs interpolated chi
-        chi_c = chi_from_constraint(am, level, lam, grid, dz)
+        chi_c = chi_from_constraint(am, level, lam)
         r_rho = lam * np.abs(chi_c - chim)
         # tangential components
-        u1 = dam[0] - (dz @ chim)
+        u1 = dam[0] - (grid.dz @ chim)
         u2 = dam[1] - grid.theta_deriv(chim)
         sd = level.sqrt_det
         hi11, hi12, hi22 = level.inverse()

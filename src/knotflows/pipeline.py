@@ -23,8 +23,8 @@ import numpy as np
 from .charts import build_charts
 from .config import RunConfig
 from .curves import LinkSpec
-from .dynamics import (CLOSURE_TOL, IntegrationError, NewtonFailure, OrbitEscape,
-                       monodromy, refine_orbit)
+from .dynamics import (CLOSURE_TOL, IntegrationError, MonodromyOverflow, NewtonFailure,
+                       OrbitEscape, monodromy, refine_orbit)
 from .field import BeltramiExpansion, eigen_bounds, make_basis
 from .fileio import REPORT_SCHEMA
 from .fitting import FitReport, fit_global
@@ -208,7 +208,7 @@ def verify(link: LinkSpec, expansion: BeltramiExpansion,
             try:
                 orbit, certificate = _certify_orbit(expansion, chart, config)
                 entry.update(certificate)
-            except (OrbitEscape, NewtonFailure, IntegrationError) as exc:
+            except (OrbitEscape, NewtonFailure, IntegrationError, MonodromyOverflow) as exc:
                 entry.update({"status": "dynamics_error",
                               "error": f"{type(exc).__name__}: {exc}"})
         orbits.append(orbit)

@@ -15,6 +15,7 @@ import pytest
 from knotflows import presets
 from knotflows.config import RunConfig
 from knotflows.curves import LinkSpec
+from knotflows.dynamics import PeriodicOrbit
 from knotflows.field import direction_set, polarization_pair
 from knotflows.pipeline import synthesize, verify
 
@@ -144,6 +145,16 @@ def fd_jacobian(field, x: np.ndarray, h: float = 1e-6) -> np.ndarray:
         dx[j] = h
         jac[:, j] = (field(x + dx) - field(x - dx)) / (2.0 * h)
     return jac
+
+
+def overflowing_orbit() -> PeriodicOrbit:
+    """A hand-built orbit of period 768 on the unit circle whose 64 segment
+    factors diag(e^12, e^-12, 1) multiply to e^768, past float64's range."""
+    s = 2.0 * np.pi * np.arange(64) / 64
+    nodes = np.column_stack([np.cos(s), np.sin(s), np.zeros(64)])
+    factors = np.broadcast_to(np.diag([np.exp(12.0), np.exp(-12.0), 1.0]), (64, 3, 3))
+    return PeriodicOrbit(points=nodes, period=768.0, closure_residual=0.0,
+                         newton_iterations=0, nodes=nodes, transfers=factors)
 
 
 def twin_basis(n: int, rng=None):

@@ -129,21 +129,21 @@ def _oracle_points(chart, rng, k=50):
 
 def test_tube_radius_single_unit_circle():
     arc = resample_arclength(presets.circle(1.0)[0], 1024)
-    r = tube_radius([arc], safety=0.5)
+    r = tube_radius([arc])
     assert abs(r[0] - 0.5) < 1e-6
 
 
 def test_tube_radius_two_parallel_circles_limited_by_gap():
     arcs = [resample_arclength(_shifted_circle(0.0), 1024),
             resample_arclength(_shifted_circle(0.5), 1024)]
-    r = tube_radius(arcs, safety=0.5)
+    r = tube_radius(arcs)
     # gap 0.5 binds before the unit reach: r = 0.5 * (0.5 / 2)
     assert np.max(np.abs(r - 0.125)) < 1e-9
 
 
 def test_tube_radius_hopf_symmetric():
     arcs = [resample_arclength(c, 1024) for c in presets.hopf()]
-    r = tube_radius(arcs, safety=0.5)
+    r = tube_radius(arcs)
     assert abs(r[0] - r[1]) < 1e-9
     assert abs(r[0] - 0.25) < 1e-3
 
@@ -153,13 +153,6 @@ def test_tube_radius_rejects_near_touching_components():
             resample_arclength(_shifted_circle(1e-4), 1024)]
     with pytest.raises(EmbeddingError, match="too close"):
         tube_radius(arcs)
-
-
-def test_tube_radius_safety_validation():
-    arc = resample_arclength(presets.circle(1.0)[0], 256)
-    for bad in (0.0, 1.0, -0.5):
-        with pytest.raises(ValueError):
-            tube_radius([arc], safety=bad)
 
 
 def test_component_gaps_coaxial_circles():

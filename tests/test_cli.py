@@ -255,10 +255,10 @@ def test_bad_tolerance_exits_2_before_any_geometry(tmp_path, capsys, monkeypatch
     monkeypatch.setattr(cli, "verify", verify)
     link = _circle_link(tmp_path)
     _, field = _axis_field(tmp_path)
-    t0 = time.perf_counter()
+    t0 = time.process_time()
     code = cli.main(["verify", "--field", str(field), "--link", str(link),
                      "--rtol", "nan"])
-    assert code == 2 and time.perf_counter() - t0 < 5.0
+    assert code == 2 and time.process_time() - t0 < 5.0
     assert "rtol" in capsys.readouterr().err
     seeds = tmp_path / "seeds.json"
     save_seeds(np.zeros((0, 3)), seeds)

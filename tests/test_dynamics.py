@@ -7,13 +7,13 @@ from scipy.integrate import solve_ivp
 from knotflows import dynamics, presets
 from knotflows.charts import TubeChart
 from knotflows.curves import FourierCurve, resample_arclength
-from knotflows.dynamics import (NewtonFailure, OrbitEscape, integrate, monodromy,
-                                refine_orbit)
+from knotflows.dynamics import (MonodromyOverflow, NewtonFailure, OrbitEscape, integrate,
+                                monodromy, refine_orbit)
 from knotflows.field import BeltramiExpansion, make_basis
 from knotflows.framing import frame_transport
 from knotflows.paper import TubeModelField
 
-from conftest import fd_jacobian
+from conftest import fd_jacobian, overflowing_orbit
 
 
 class _ConstantField:
@@ -252,6 +252,16 @@ def test_monodromy_of_rigid_rotation_is_identity():
     assert abs(flo.det - 1.0) < 1e-10
     assert flo.classification == "indeterminate"
     assert flo.margin < 1e-8
+
+
+def test_monodromy_refuses_an_overflowing_product():
+    # e^768 is past float64's range: the product must not reach eigvals,
+    # which would raise LinAlgError on its infs
+    def axial(x):
+        return np.tile([0.0, 0.0, 1.0], (len(x), 1))
+
+    with pytest.raises(MonodromyOverflow, match="T = 768"):
+        monodromy(axial, overflowing_orbit())
 
 
 def _random_expansion(n_dirs, seed):

@@ -72,9 +72,3 @@ def test_twist_rate_is_constant_minus_holonomy_over_length():
     t = c[:, 1] / np.linalg.norm(c[:, 1], axis=1, keepdims=True)
     twist_rate = np.sum(e[:, 1] * np.cross(t, e[:, 0]), axis=-1)
     assert np.max(np.abs(twist_rate - expected)) < 1e-6
-
-
-def test_seed_normal_override_is_respected():
-    arc = resample_arclength(presets.circle(1.0)[0], 512)
-    fm = frame_transport(arc, seed_normal=np.array([0.0, 0.0, 1.0]))
-    assert np.linalg.norm(fm.jet(0.0)[1][0] - np.array([0.0, 0.0, 1.0])) < 1e-10

@@ -6,14 +6,14 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from knotflows import pipeline, presets
+from knotflows import cli, pipeline, presets
 from knotflows.config import RunConfig
 from knotflows.curves import FourierCurve, LinkSpec
 from knotflows.field import BeltramiExpansion, eigen_bounds
 from knotflows.pipeline import PipelineError, synthesize, verify
 from knotflows.presets import circle
 
-from conftest import CRITERIA
+from conftest import CRITERIA, overflowing_orbit
 
 
 def _axis_wave(lam=1.0):
@@ -265,3 +265,18 @@ def test_over_budget_component_skips_orbit_refinement(unknot_run, monkeypatch):
     assert outcome.orbits == [None]
     failed = {c["name"] for c in outcome.report["criteria"] if not c["passed"]}
     assert {"strip_residual_budget", "orbits_converged"} <= failed
+
+
+def test_overflowing_monodromy_is_a_dynamics_error(unknot_run, monkeypatch):
+    monkeypatch.setattr(pipeline, "refine_orbit", lambda *a, **k: overflowing_orbit())
+    outcome = verify(unknot_run["link"], unknot_run["synthesis"].expansion,
+                     unknot_run["config"])
+    comp = outcome.report["components"][0]
+    assert comp["status"] == "dynamics_error"
+    assert comp["error"].startswith("MonodromyOverflow") and "T = 768" in comp["error"]
+    assert outcome.orbits == [None]
+    failed = {c["name"] for c in outcome.report["criteria"] if not c["passed"]}
+    assert "orbits_converged" in failed
+    # the verify subcommand maps that failure to the dynamics exit code
+    code = next(code for names, code in cli.VERIFY_EXIT_CODES if names & failed)
+    assert code == cli.EXIT_DYNAMICS == 4
