@@ -26,7 +26,7 @@ from .fitting import FitReport, design_matrix, fit_global
 from .framing import FrameModel, frame_transport
 from .pipeline import (PipelineError, SynthesisResult, VerificationOutcome,
                        synthesize, verify)
-from .strip import CauchyData, build_cauchy_data, closedness_check
+from .strip import CauchyData, build_cauchy_data
 from .topology import (ConfinementCertificate, LinkingError, LinkingResult,
                        linking_number, tube_confinement)
 from . import presets
@@ -41,7 +41,7 @@ __all__ = [
     "NewtonFailure", "OrbitEscape", "PeriodicOrbit", "PipelineError", "RunConfig",
     "SynthesisResult", "Trajectory", "TubeChart",
     "VerificationOutcome", "build_cauchy_data", "build_charts",
-    "closedness_check", "design_matrix", "direction_set", "fit_global",
+    "design_matrix", "direction_set", "fit_global",
     "frame_transport", "integrate", "linking_number", "load_field",
     "load_link", "load_seeds", "make_basis", "monodromy", "presets",
     "refine_orbit", "resample_arclength", "save_field", "save_link",

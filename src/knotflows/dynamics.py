@@ -209,8 +209,11 @@ def monodromy(field, orbit: PeriodicOrbit) -> FloquetData:
     along the period. The determinant is the product of the factor
     determinants and the stable multiplier is read from the inverse-factor
     product, which keeps both accurate when e^{T} exceeds 1/rtol. The flow
-    direction u(x0) is an exact eigenvector with eigenvalue 1 and is deflated
-    from the multiplier pair.
+    direction u(x0) is an exact eigenvector with eigenvalue 1, so one rule
+    deflates both products: drop the eigenvalue nearest 1. mu_unstable is the
+    larger-modulus survivor of M(T), mu_stable the reciprocal of the survivor
+    of M^{-1} farthest from 1/mu_unstable; an elliptic orbit gets its
+    conjugate pair.
     """
     factors = orbit.transfers
     det = float(np.prod(np.linalg.det(factors)))
@@ -227,17 +230,13 @@ def monodromy(field, orbit: PeriodicOrbit) -> FloquetData:
     if not np.isfinite((m_total, m_inv)).all():
         raise MonodromyOverflow(f"M(T) overflows float64 at the period T = {orbit.period:.6g}")
 
-    eig = np.linalg.eigvals(m_total)
-    order = np.argsort(np.abs(eig - 1.0))
-    mu_unstable = eig[order[-1]] if np.abs(eig[order[-1]]) > np.abs(eig[order[-2]]) \
-        else eig[order[-2]]
-    # the two non-flow eigenvalues of M are the reciprocals of the two
-    # dominant-deflated eigenvalues of M^{-1}; take its dominant one
-    eig_inv = np.linalg.eigvals(m_inv)
-    mu_stable = 1.0 / eig_inv[np.argmax(np.abs(eig_inv))]
-
-    mus = sorted([complex(mu_unstable), complex(mu_stable)],
-                 key=lambda z: -abs(z))
+    # the flow eigenvalue of each product is the one nearest 1; the survivors
+    # of M^{-1} are the reciprocals of those of M
+    eig, eig_inv = [np.delete(e, np.argmin(np.abs(e - 1.0)))
+                    for e in (np.linalg.eigvals(m_total), np.linalg.eigvals(m_inv))]
+    mu_unstable = eig[np.argmax(np.abs(eig))]
+    mu_stable = 1.0 / eig_inv[np.argmax(np.abs(eig_inv - 1.0 / mu_unstable))]
+    mus = [complex(mu_unstable), complex(mu_stable)]
     moduli = np.array([abs(m) for m in mus])
     margin = float(np.min(np.abs(moduli - 1.0)))
     if np.all(np.abs(moduli - 1.0) < 1e-6):

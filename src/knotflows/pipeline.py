@@ -28,7 +28,7 @@ from .dynamics import (CLOSURE_TOL, IntegrationError, MonodromyOverflow, NewtonF
 from .field import BeltramiExpansion, eigen_bounds, make_basis
 from .fileio import REPORT_SCHEMA
 from .fitting import FitReport, fit_global
-from .strip import build_cauchy_data, closedness_check, strip_residual
+from .strip import build_cauchy_data, strip_residual
 from .topology import LinkingError, linking_number, tube_confinement
 
 
@@ -42,12 +42,11 @@ class PipelineError(RuntimeError):
     """Hard failure of a synthesis gate (an existence hypothesis is violated)."""
 
 
-def _reconcile(link: LinkSpec, config: RunConfig | None) -> RunConfig:
-    if config is None:
-        return RunConfig(lam=link.lam)
-    if config.lam != link.lam:
-        return config.replace(lam=link.lam)
-    return config
+def _same_lambda(link: LinkSpec, **given: float) -> None:
+    """Refuse a config or field whose Beltrami eigenvalue is not the link's."""
+    for what, lam in given.items():
+        if lam != link.lam:
+            raise ValueError(f"lambda mismatch: {what} has {lam!r}, link has {link.lam!r}")
 
 
 def build_geometry(link: LinkSpec, config: RunConfig):
@@ -67,18 +66,19 @@ class SynthesisResult:
     timings: dict
 
 
-def synthesize(link: LinkSpec, config: RunConfig | None = None) -> SynthesisResult:
+def synthesize(link: LinkSpec, config: RunConfig) -> SynthesisResult:
     """Fit a global Beltrami expansion to the Cauchy data of every tube.
 
     Raises PipelineError when the closedness gate fails (the strip data would
     violate the local existence theorem); a fit residual over budget is not an
-    exception, it is reported through FitReport.success.
+    exception, it is reported through FitReport.success. A config of another
+    lambda than the link's raises ValueError.
     """
-    config = _reconcile(link, config)
+    _same_lambda(link, config=config.lam)
     timings = {}
     t0 = time.perf_counter()
     _, cauchy = build_geometry(link, config)
-    closedness = [closedness_check(d) for d in cauchy]
+    closedness = [d.closedness for d in cauchy]
     timings["geometry_s"] = time.perf_counter() - t0
     worst = max(closedness)
     if worst > CLOSEDNESS_TOL:
@@ -117,7 +117,9 @@ def _certify_orbit(expansion: BeltramiExpansion, chart, config: RunConfig):
         "period": orbit.period,
         "closure_residual": orbit.closure_residual,
         "newton_iterations": orbit.newton_iterations,
-        "multipliers": [flo.multipliers[0], flo.multipliers[1]],
+        # JSON has no complex numbers: an elliptic orbit's pair is written as [re, im]
+        "multipliers": [[m.real, m.imag] if isinstance(m, complex) else m
+                        for m in flo.multipliers],
         "det_monodromy": flo.det,
         "classification": flo.classification,
         "margin": flo.margin,
@@ -154,25 +156,23 @@ def _linking_pair(arcs, orbits, i: int, j: int) -> dict:
 
 
 def verify(link: LinkSpec, expansion: BeltramiExpansion,
-           config: RunConfig | None = None) -> VerificationOutcome:
+           config: RunConfig) -> VerificationOutcome:
     """Check every claim the synthesized field makes about the link.
 
     Dynamics failures (orbit escape, Newton breakdown) are recorded per
     component and verification continues for the remaining components. A
     component whose strip residual is not below its eps~ is marked
     "over_budget" and gets no orbit: its fit is not close enough to the
-    strip data for an orbit near the core to be expected.
+    strip data for an orbit near the core to be expected. A field or config
+    of another lambda than the link's raises ValueError.
     """
-    if expansion.lam != link.lam:
-        raise ValueError(f"lambda mismatch: field has {expansion.lam!r}, "
-                         f"link has {link.lam!r}")
-    config = _reconcile(link, config)
+    _same_lambda(link, field=expansion.lam, config=config.lam)
     timings = {}
     criteria: list[dict] = []
 
     t0 = time.perf_counter()
     charts, cauchy = build_geometry(link, config)
-    closedness = [closedness_check(d) for d in cauchy]
+    closedness = [d.closedness for d in cauchy]
     strip_residuals = [strip_residual(expansion, d) for d in cauchy]
     timings["geometry_s"] = time.perf_counter() - t0
 

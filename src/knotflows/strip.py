@@ -27,19 +27,16 @@ def _cauchy_vector(jet: dict, t) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CauchyData:
-    """Cauchy data for one tube: grid nodes, ambient points and target vectors.
+    """Cauchy data for one tube: ambient strip points, target vectors, and the
+    closedness residual of the 1-form gamma dual to w pulled back to the strip.
 
-    gamma_s, gamma_t are the components of the 1-form dual to w pulled back to
-    the strip; closedness of that form is what makes w a legitimate boundary
-    trace of a Beltrami field.
+    Closedness of gamma is what makes w a legitimate boundary trace of a
+    Beltrami field.
     """
 
-    s_nodes: np.ndarray
-    t_nodes: np.ndarray
     points: np.ndarray    # (ns, nt, 3)
     w: np.ndarray         # (ns, nt, 3)
-    gamma_s: np.ndarray   # (ns, nt)
-    gamma_t: np.ndarray   # (ns, nt)
+    closedness: float     # max |d(gamma)| on the grid
 
 
 def build_cauchy_data(chart: TubeChart, config: RunConfig) -> CauchyData:
@@ -50,7 +47,8 @@ def build_cauchy_data(chart: TubeChart, config: RunConfig) -> CauchyData:
     w = _cauchy_vector(jet, t[None, :])
     gamma_s = np.sum(w * jet["S_s"], axis=-1)
     gamma_t = np.sum(w * jet["e1"], axis=-1)
-    return CauchyData(s, t, jet["S"], w, gamma_s, gamma_t)
+    return CauchyData(jet["S"], w,
+                      closedness_residual(gamma_s, gamma_t, s[1] - s[0], t[1] - t[0]))
 
 
 def strip_residual(field, data: CauchyData) -> float:
@@ -74,9 +72,3 @@ def closedness_residual(gamma_s: np.ndarray, gamma_t: np.ndarray,
     dgt_ds = (np.roll(gamma_t, -1, axis=0) - np.roll(gamma_t, 1, axis=0)) / (2.0 * ds)
     dgs_dt = np.gradient(gamma_s, dt, axis=1, edge_order=2)
     return float(np.max(np.abs(dgt_ds - dgs_dt)))
-
-
-def closedness_check(data: CauchyData) -> float:
-    ds = data.s_nodes[1] - data.s_nodes[0]
-    dt = data.t_nodes[1] - data.t_nodes[0]
-    return closedness_residual(data.gamma_s, data.gamma_t, ds, dt)

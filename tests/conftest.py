@@ -157,6 +157,19 @@ def overflowing_orbit() -> PeriodicOrbit:
                          newton_iterations=0, nodes=nodes, transfers=factors)
 
 
+def rotating_orbit() -> PeriodicOrbit:
+    """A hand-built elliptic orbit on the unit circle: each of its 64 segment
+    factors turns the x-y plane by 0.01 rad and fixes e_z, so M(T) turns it by
+    0.64 rad and its multipliers are e^(+-0.64i) beside the eigenvalue 1."""
+    s = 2.0 * np.pi * np.arange(64) / 64
+    nodes = np.column_stack([np.cos(s), np.sin(s), np.zeros(64)])
+    c, sn = np.cos(0.01), np.sin(0.01)
+    factors = np.broadcast_to(np.array([[c, -sn, 0.0], [sn, c, 0.0], [0.0, 0.0, 1.0]]),
+                              (64, 3, 3))
+    return PeriodicOrbit(points=nodes, period=2.0 * np.pi, closure_residual=0.0,
+                         newton_iterations=0, nodes=nodes, transfers=factors)
+
+
 def twin_basis(n: int, rng=None):
     """The two-polarization basis of earlier field files: each direction of
     direction_set(n, rng) twice, with e1 and e2 = k x e1 (N2 = -i N1)."""

@@ -8,14 +8,15 @@ import time
 import numpy as np
 import pytest
 
-from knotflows import cli
+from knotflows import cli, pipeline
+from knotflows.dynamics import IntegrationError
 from knotflows.field import BeltramiExpansion
 from knotflows.fileio import load_field, save_field, save_link, save_seeds
 from knotflows.curves import LinkSpec
 from knotflows.pipeline import VerificationOutcome
 from knotflows.presets import circle
 
-from conftest import CRITERIA
+from conftest import CRITERIA, rotating_orbit
 
 
 def _axis_field(tmp_path, lam=1.0, name="field.json"):
@@ -255,16 +256,72 @@ def test_bad_tolerance_exits_2_before_any_geometry(tmp_path, capsys, monkeypatch
     monkeypatch.setattr(cli, "verify", verify)
     link = _circle_link(tmp_path)
     _, field = _axis_field(tmp_path)
-    t0 = time.process_time()
+    t0 = time.thread_time()
     code = cli.main(["verify", "--field", str(field), "--link", str(link),
                      "--rtol", "nan"])
-    assert code == 2 and time.process_time() - t0 < 5.0
+    assert code == 2 and time.thread_time() - t0 < 5.0
     assert "rtol" in capsys.readouterr().err
     seeds = tmp_path / "seeds.json"
     save_seeds(np.zeros((0, 3)), seeds)
     assert cli.main(["trace", "--field", str(field), "--seeds", str(seeds),
                      "--t-end", "1.0", "--out", str(tmp_path / "t"),
                      "--atol", "nan"]) == 2
+
+
+def test_synthesize_closedness_failure_exits_3_without_a_field(tmp_path, capsys,
+                                                               monkeypatch):
+    monkeypatch.setattr(pipeline, "CLOSEDNESS_TOL", 1e-18)
+    link = _circle_link(tmp_path)
+    out = tmp_path / "field.json"
+    assert cli.main(["synthesize", "--link", str(link), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "closedness" in err
+    assert not out.exists()
+
+
+def test_verify_elliptic_orbit_exits_4_with_its_report(unknot_run, tmp_path, capsys,
+                                                      monkeypatch):
+    # an orbit whose multipliers are e^(+-0.64i): the report is still written,
+    # each complex multiplier as [re, im], and every criterion is printed
+    monkeypatch.setattr(pipeline, "refine_orbit", lambda *a, **k: rotating_orbit())
+    field = tmp_path / "field.json"
+    save_field(unknot_run["synthesis"].expansion, field)
+    link = _circle_link(tmp_path)
+    report = tmp_path / "report.json"
+    assert cli.main(["verify", "--field", str(field), "--link", str(link),
+                     "--report", str(report)]) == 4
+    out = capsys.readouterr().out
+    assert len(out.splitlines()) == len(CRITERIA)
+    assert all(name in out for name in CRITERIA)
+    assert "[FAIL] orbits_hyperbolic" in out
+    comp = json.loads(report.read_text())["components"][0]
+    assert comp["classification"] == "elliptic"
+    got = sorted(comp["multipliers"], key=lambda z: z[1])
+    expect = [[np.cos(0.64), -np.sin(0.64)], [np.cos(0.64), np.sin(0.64)]]
+    assert np.max(np.abs(np.array(got) - expect)) < 1e-12
+
+
+def test_trace_failure_of_one_seed_exits_4(tmp_path, capsys, monkeypatch):
+    # the first of two seeds fails to integrate: the second is still traced
+    integrate = cli.integrate
+    calls = []
+
+    def fails_first(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 1:
+            raise IntegrationError("integration failed: step size too small")
+        return integrate(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "integrate", fails_first)
+    _, field = _axis_field(tmp_path)
+    seeds = tmp_path / "seeds.json"
+    save_seeds(np.zeros((2, 3)), seeds)
+    out = tmp_path / "traces"
+    assert cli.main(["trace", "--field", str(field), "--seeds", str(seeds),
+                     "--t-end", "1.0", "--out", str(out)]) == 4
+    assert not (out / "trace_000.csv").exists()
+    assert (out / "trace_001.csv").exists()
+    assert "seed 0: integration failed" in capsys.readouterr().err
 
 
 def test_synthesize_under_resourced_exits_3(tmp_path, capsys):

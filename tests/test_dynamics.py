@@ -13,7 +13,7 @@ from knotflows.field import BeltramiExpansion, make_basis
 from knotflows.framing import frame_transport
 from knotflows.paper import TubeModelField
 
-from conftest import fd_jacobian, overflowing_orbit
+from conftest import fd_jacobian, overflowing_orbit, rotating_orbit
 
 
 class _ConstantField:
@@ -146,6 +146,28 @@ def test_refine_orbit_finds_core_from_wobbled_seeds(model):
     assert np.max(np.abs(step - 2.0 * np.pi / 1001)) < 1e-7
 
 
+def test_refine_orbit_clips_its_step_and_names_the_escape(model, monkeypatch):
+    # seeds on circle(1.02) in a tube of radius 0.01 about it: the Newton step
+    # toward the model's orbit, the unit circle, is clipped to a quarter of
+    # that radius, and the clipped iterate already leaves the thin tube
+    _, field = model
+    chart_b = TubeChart(frame_transport(resample_arclength(presets.circle(1.02)[0], 96)),
+                        0.01, 0.002)
+    shots = []
+    shoot = dynamics._shoot
+
+    def recorded_shoot(field, nodes, *args):
+        shots.append(nodes)
+        return shoot(field, nodes, *args)
+
+    monkeypatch.setattr(dynamics, "_shoot", recorded_shoot)
+    with pytest.raises(OrbitEscape, match="at iteration 0"):
+        refine_orbit(field, chart_b)
+    assert len(shots) == 2
+    moved = np.max(np.linalg.norm(shots[1] - shots[0], axis=1))
+    assert moved == pytest.approx(0.25 * chart_b.radius, rel=1e-12)
+
+
 def test_refine_orbit_newton_budget_exhausted(model):
     _, field = model
     wobbled = FourierCurve(
@@ -254,14 +276,28 @@ def test_monodromy_of_rigid_rotation_is_identity():
     assert flo.margin < 1e-8
 
 
+def _axial(x):
+    return np.tile([0.0, 0.0, 1.0], (len(x), 1))
+
+
 def test_monodromy_refuses_an_overflowing_product():
     # e^768 is past float64's range: the product must not reach eigvals,
     # which would raise LinAlgError on its infs
-    def axial(x):
-        return np.tile([0.0, 0.0, 1.0], (len(x), 1))
-
     with pytest.raises(MonodromyOverflow, match="T = 768"):
-        monodromy(axial, overflowing_orbit())
+        monodromy(_axial, overflowing_orbit())
+
+
+def test_monodromy_of_an_elliptic_orbit_is_its_conjugate_pair():
+    # all three eigenvalues have modulus 1: the flow eigenvalue 1 is dropped
+    # from M(T) and from M^{-1} alike, so neither multiplier is it
+    flo = monodromy(_axial, rotating_orbit())
+    mu_u, mu_s = flo.multipliers
+    assert isinstance(mu_u, complex) and isinstance(mu_s, complex)
+    assert abs(mu_u.imag) > 0.5
+    pair = np.exp(1j * np.copysign(0.64, mu_u.imag) * np.array([1.0, -1.0]))
+    assert np.max(np.abs(np.array([mu_u, mu_s]) - pair)) < 1e-12
+    assert flo.classification == "elliptic"
+    assert flo.margin < 1e-12
 
 
 def _random_expansion(n_dirs, seed):

@@ -15,12 +15,8 @@ from conftest import twin_basis
 
 
 def _synthetic_data(points, w):
-    """CauchyData carrying only what the fitter reads: points and targets."""
-    ns, nt = points.shape[:2]
-    zeros = np.zeros((ns, nt))
-    return CauchyData(s_nodes=np.arange(ns, dtype=float),
-                      t_nodes=np.arange(nt, dtype=float), points=points,
-                      w=w, gamma_s=zeros, gamma_t=zeros)
+    """CauchyData of given points and targets, the only fields the fitter reads."""
+    return CauchyData(points=points, w=w, closedness=0.0)
 
 
 def _three_tubes(rng):

@@ -8,9 +8,11 @@ import pytest
 
 from knotflows import cli, pipeline, presets
 from knotflows.config import RunConfig
-from knotflows.curves import FourierCurve, LinkSpec
+from knotflows.curves import FourierCurve, LinkSpec, resample_arclength
+from knotflows.dynamics import NewtonFailure
 from knotflows.field import BeltramiExpansion, eigen_bounds
 from knotflows.pipeline import PipelineError, synthesize, verify
+from knotflows.topology import LinkingError
 from knotflows.presets import circle
 
 from conftest import CRITERIA, overflowing_orbit
@@ -49,13 +51,23 @@ def test_run_config_accepts_zero_ridge_order_and_seed():
 
 def test_verify_rejects_lambda_mismatch():
     link = LinkSpec(1.0, tuple(circle()))
-    with pytest.raises(ValueError, match="lambda mismatch"):
-        verify(link, _axis_wave(lam=2.0))
+    with pytest.raises(ValueError, match="lambda mismatch: field has 2.0, link has 1.0"):
+        verify(link, _axis_wave(lam=2.0), RunConfig(lam=1.0))
+
+
+def test_config_of_another_lambda_is_refused():
+    # a config's lam is never rewritten to the link's: both commands refuse it
+    # before any geometry is built
+    link = LinkSpec(1.0, tuple(circle()))
+    with pytest.raises(ValueError, match="lambda mismatch: config has 2.0, link has 1.0"):
+        synthesize(link, RunConfig(lam=2.0))
+    with pytest.raises(ValueError, match="lambda mismatch: config has 2.0, link has 1.0"):
+        verify(link, _axis_wave(), RunConfig(lam=2.0))
 
 
 def test_config_reconciled_to_link_lambda(unknot_run):
-    # fixtures hand synthesize a config whose lam already matches, but a
-    # mismatched one must be replaced, not trusted
+    # the fixtures hand synthesize a config whose lam matches the link's,
+    # and the result carries that config
     link = unknot_run["link"]
     result = unknot_run["synthesis"]
     assert result.config.lam == link.lam
@@ -149,6 +161,48 @@ def test_pairs_schema(hopf_run):
     assert {"a", "b", "target", "linking", "defect", "match"} <= set(pair)
     assert pair["match"] is True
     assert abs(pair["linking"]) == 1
+
+
+def test_missing_orbit_leaves_the_pair_uncomputed(hopf_run, monkeypatch):
+    # component 0 gets the fixture's orbit back, component 1 a Newton failure
+    orbits = iter([hopf_run["outcome"].orbits[0]])
+
+    def refine_orbit(*args, **kwargs):
+        orbit = next(orbits, None)
+        if orbit is None:
+            raise NewtonFailure("shooting Newton stalled at iteration 0")
+        return orbit
+
+    monkeypatch.setattr(pipeline, "refine_orbit", refine_orbit)
+    outcome = verify(hopf_run["link"], hopf_run["synthesis"].expansion, hopf_run["config"])
+    report = outcome.report
+    assert [c["status"] for c in report["components"]] == ["ok", "dynamics_error"]
+    (pair,) = report["pairs"]
+    assert pair["error"] == "orbit missing; linking not computed"
+    assert pair["target"] == hopf_run["report"]["pairs"][0]["target"]
+    assert "linking" not in pair
+    failed = {c["name"] for c in report["criteria"] if not c["passed"]}
+    assert {"orbits_converged", "linking_matrix"} <= failed
+
+
+@pytest.mark.parametrize("failing_call, which", [(1, "target"), (2, "orbit")])
+def test_linking_error_is_recorded_in_the_pair(hopf_run, monkeypatch, failing_call, which):
+    # the first linking number is the cores', the second the orbits'
+    calls = []
+    linking_number = pipeline.linking_number
+
+    def fails_once(a, b):
+        calls.append(1)
+        if len(calls) == failing_call:
+            raise LinkingError("strands 1e-9 apart")
+        return linking_number(a, b)
+
+    monkeypatch.setattr(pipeline, "linking_number", fails_once)
+    arcs = [resample_arclength(c, 256) for c in hopf_run["link"].components]
+    pair = pipeline._linking_pair(arcs, hopf_run["outcome"].orbits, 0, 1)
+    assert pair["error"] == f"LinkingError({which}): strands 1e-9 apart"
+    assert ("target" in pair) == (which == "orbit")
+    assert "match" not in pair
 
 
 def test_verify_is_exact_under_relabeling(hopf_run):

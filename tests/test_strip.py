@@ -12,8 +12,8 @@ from knotflows.curves import resample_arclength
 from knotflows.field import BeltramiExpansion, make_basis
 from knotflows.framing import frame_transport
 from knotflows.paper import strip_monodromy
-from knotflows.strip import (_cauchy_vector, build_cauchy_data, closedness_check,
-                             closedness_residual, strip_residual)
+from knotflows.strip import (_cauchy_vector, build_cauchy_data, closedness_residual,
+                             strip_residual)
 
 from conftest import traced_peak
 
@@ -47,6 +47,17 @@ def _strip_metric(chart, s, t):
             np.sum(jet["S_t"] * jet["S_t"], axis=-1))
 
 
+def _gamma_on_grid(chart, cfg):
+    """The (s, t) nodes of build_cauchy_data's grid and gamma = (w . S_s, w . e1)
+    recomputed there from the strip jet."""
+    ns = max(64, int(round(cfg.strip_s_per_2pi * chart.length / (2.0 * np.pi))))
+    s = chart.length * np.arange(ns) / ns
+    t = np.linspace(-chart.w_half, chart.w_half, cfg.strip_t_nodes)
+    jet = chart.strip_jet(s[:, None], t[None, :])
+    w = build_cauchy_data(chart, cfg).w
+    return s, t, np.sum(w * jet["S_s"], axis=-1), np.sum(w * jet["e1"], axis=-1)
+
+
 def test_strip_metric_of_circle():
     chart = _chart(presets.circle(1.0)[0])
     s = np.array([0.2, 1.0, 3.0, 5.5])
@@ -64,15 +75,16 @@ def test_cauchy_data_grid_and_closedness():
     chart = _chart(presets.trefoil()[0], radius=0.1, w_half=0.02)
     cfg = RunConfig(strip_s_per_2pi=64, strip_t_nodes=17)
     data = build_cauchy_data(chart, cfg)
-    ns = max(64, int(round(64 * chart.length / (2.0 * np.pi))))
-    assert data.points.shape == (ns, 17, 3)
+    s, t, gamma_s, gamma_t = _gamma_on_grid(chart, cfg)
+    assert data.points.shape == (len(s), 17, 3)
     assert data.w.shape == data.points.shape
     # gamma = ds - t dt for any chart: both components are exact here
-    assert np.max(np.abs(data.gamma_s - 1.0)) < 1e-9
-    assert np.max(np.abs(data.gamma_t + data.t_nodes[None, :])) < 1e-9
-    assert closedness_check(data) < 1e-8
+    assert np.max(np.abs(gamma_s - 1.0)) < 1e-9
+    assert np.max(np.abs(gamma_t + t[None, :])) < 1e-9
+    assert data.closedness == closedness_residual(gamma_s, gamma_t, s[1] - s[0], t[1] - t[0])
+    assert data.closedness < 1e-8
     # w is tangent to the strip: orthogonal to its unit normals
-    n = chart.normal_jet(data.s_nodes[:, None], data.t_nodes[None, :])["n"]
+    n = chart.normal_jet(s[:, None], t[None, :])["n"]
     assert np.max(np.abs(np.linalg.norm(n, axis=-1) - 1.0)) < 1e-12
     assert np.max(np.abs(np.sum(n * data.w, axis=-1))) < 1e-8
 
@@ -94,13 +106,13 @@ def test_lyapunov_values_identity():
     # w applied to t^2 is 2 t w_t, where the d/dt component w_t of
     # w = gamma contracted with the inverse strip metric is -t: the core attracts
     chart = _chart(presets.trefoil()[0], radius=0.1, w_half=0.02)
-    data = build_cauchy_data(chart, RunConfig(strip_s_per_2pi=64, strip_t_nodes=9))
-    h_ss, h_st, h_tt = _strip_metric(chart, data.s_nodes[:, None],
-                                     data.t_nodes[None, :])
+    s, t, gamma_s, gamma_t = _gamma_on_grid(chart, RunConfig(strip_s_per_2pi=64,
+                                                          strip_t_nodes=9))
+    h_ss, h_st, h_tt = _strip_metric(chart, s[:, None], t[None, :])
     assert np.max(np.abs(h_st)) < 1e-9
-    w_t = (data.gamma_t * h_ss - data.gamma_s * h_st) / (h_ss * h_tt - h_st**2)
-    vals = 2.0 * data.t_nodes[None, :] * w_t
-    expect = -2.0 * np.broadcast_to(data.t_nodes[None, :] ** 2, vals.shape)
+    w_t = (gamma_t * h_ss - gamma_s * h_st) / (h_ss * h_tt - h_st**2)
+    vals = 2.0 * t[None, :] * w_t
+    expect = -2.0 * np.broadcast_to(t[None, :] ** 2, vals.shape)
     assert np.max(np.abs(vals - expect)) < 1e-9
     assert np.all(vals <= 1e-12)
 
