@@ -11,14 +11,11 @@ right-handed. TubeChart is the only place that builds n or those columns.
 from __future__ import annotations
 
 import numpy as np
-from scipy.spatial.distance import cdist
+from scipy.spatial import cKDTree
 
 from .config import RunConfig
 from .curves import ArcLengthCurve, EmbeddingError, LinkSpec, resample_arclength
 from .framing import FrameModel, frame_transport
-
-# points per core-distance block of a projection; bounds its (block, samples) temporaries
-_BLOCK = 256
 
 
 class TubeChart:
@@ -42,6 +39,7 @@ class TubeChart:
         self.w_half = float(w_half)
         self.component_id = int(component_id)
         self.length = frame.length
+        self._core_tree = cKDTree(frame.arc.points)
 
     # strip embedding and derivatives -------------------------------------
 
@@ -73,31 +71,30 @@ class TubeChart:
     def to_tube_many(self, xs):
         """Adapted coordinates of (n, 3) points: (n, 3) rows (rho, z, theta).
 
-        A row is nan when its point is out of chart: its nearest core sample
-        is farther than radius + 4 w_half (the t-clip) plus one sample step,
-        the closest-point projection leaves the declared strip, or the normal
-        offset reaches the tube radius.
+        A row is nan when its point is not finite or out of chart: its nearest
+        core sample is not within radius + 4 w_half (the t-clip) plus one sample
+        step, the closest-point projection leaves the declared strip, or the
+        normal offset reaches the tube radius.
         """
         return self._to_tube_jet(xs)[0]
 
     def _to_tube_jet(self, xs):
         """to_tube_many's (n, 3) coordinates and the normal jet at each row's (theta, z).
 
-        One batched projection: one damped Newton per point within the
-        cutoff, seeded at its nearest core sample. A chart lies within the core's
-        reach, where every point has one nearest core point, so the core's
-        other near strands need no seed of their own.
+        One batched projection: one Newton per point within the cutoff, seeded
+        at its nearest core sample (one KD-tree query). A chart lies within the
+        core's reach, where every point has one nearest core point, so the core's
+        other near strands need no seed of their own, and a foot point in the
+        box is the one preimage whatever path Newton took to it.
         """
         xs = np.asarray(xs, dtype=float).reshape(-1, 3)
         pts, e1s = self.frame.arc.points, self.frame.e1_samples
         cutoff = self.radius + 4.0 * self.w_half + self.length / len(pts)
-        near, d2_near = np.empty(len(xs), int), np.empty(len(xs))
-        for lo in range(0, len(xs), _BLOCK):
-            d2 = cdist(xs[lo:lo + _BLOCK], pts, "sqeuclidean")
-            near[lo:lo + _BLOCK] = np.argmin(d2, axis=1)
-            d2_near[lo:lo + _BLOCK] = np.min(d2, axis=1)
-        p = np.flatnonzero(d2_near <= cutoff**2)
-        x, i = xs[p], near[p]
+        # the tree refuses non-finite points; their rows stay nan
+        p = np.flatnonzero(np.isfinite(xs).all(axis=1))
+        d, i = self._core_tree.query(xs[p], distance_upper_bound=cutoff)
+        p, i = p[d < cutoff], i[d < cutoff]
+        x = xs[p]
         t0 = np.clip(np.sum((x - pts[i]) * e1s[i], axis=1), -self.w_half, self.w_half)
         s, t, ok = self._newton(x, self.frame.arc.s_nodes[i], t0)
         p, s, t = p[ok], s[ok], t[ok]
@@ -112,9 +109,9 @@ class TubeChart:
         return coords, nj
 
     def _newton(self, x, s, t):
-        """Damped Newton toward the closest strip point of each row of (x, s, t).
+        """Newton toward the closest strip point of each row of (x, s, t).
 
-        One strip_jet call per trial serves every row still iterating.
+        One strip_jet call per iteration serves every row still iterating.
         Returns (s, t, ok).
         """
 
@@ -131,28 +128,18 @@ class TubeChart:
         tol = 1e-13 * np.maximum(1.0, np.linalg.norm(x, axis=1))
         f, jac = residual(s, t, x)
         live, ok = np.ones(len(x), bool), np.zeros(len(x), bool)
-        for it in range(40):
-            norm_f = np.linalg.norm(f, axis=1)
-            ok |= live & (norm_f < tol)
+        for _ in range(40):
+            ok |= live & (np.linalg.norm(f, axis=1) < tol)
             det = -jac[:, 0] - jac[:, 1] ** 2
             live &= ~ok & (det != 0.0)  # a singular Jacobian fails its row
             a = np.flatnonzero(live)
             if not a.size:
                 break
             # the step solves [[j11, j12], [j12, -1]] step = -f
-            step_s = (f[a, 0] + jac[a, 1] * f[a, 1]) / det[a]
             step_t = (jac[a, 1] * f[a, 0] - jac[a, 0] * f[a, 1]) / det[a]
-            s0, t0, lam = s[a], t[a], 1.0
-            for _ in range(8):
-                s[a] = s0 + lam * step_s
-                t[a] = np.clip(t0 + lam * step_t, -4.0 * self.w_half, 4.0 * self.w_half)
-                f[a], jac[a] = residual(s[a], t[a], x[a])
-                # the first step is always taken; later ones must not increase |f|
-                worse = ~(np.linalg.norm(f[a], axis=1) <= norm_f[a]) & (it > 0)
-                a, s0, t0, step_s, step_t = (v[worse] for v in (a, s0, t0, step_s, step_t))
-                if not a.size:
-                    break
-                lam *= 0.5
+            s[a] += (f[a, 0] + jac[a, 1] * f[a, 1]) / det[a]
+            t[a] = np.clip(t[a] + step_t, -4.0 * self.w_half, 4.0 * self.w_half)
+            f[a], jac[a] = residual(s[a], t[a], x[a])
         ok |= live & (np.linalg.norm(f, axis=1) < 1e3 * tol)
         return s, t, ok
 
@@ -183,8 +170,7 @@ def component_gaps(arcs: list[ArcLengthCurve]):
     gaps = np.full((a, a), np.inf)
     for i in range(a):
         for j in range(i + 1, a):
-            d = np.sqrt(np.min(cdist(arcs[i].points, arcs[j].points, "sqeuclidean")))
-            gaps[i, j] = gaps[j, i] = d
+            gaps[i, j] = gaps[j, i] = np.min(cKDTree(arcs[j].points).query(arcs[i].points)[0])
     return gaps
 
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import circulant
 from scipy.spatial.distance import cdist
 
 
@@ -186,16 +187,16 @@ class ArcLengthCurve:
         k_win = int(np.ceil(min(np.pi / kappa, self.length / 4.0) / (self.length / self.n)))
         p = self.points
         d2 = cdist(p, p, "sqeuclidean")
-        idx = np.arange(self.n)
-        sep = np.abs(idx[:, None] - idx[None, :])
-        sep = np.minimum(sep, self.n - sep)
-        i, j = np.unravel_index(np.argmin(np.where(sep >= max(1, k_win), d2, np.inf)),
-                                d2.shape)
+        # index separation is circulant: one row of min(k, n - k) masks every pair
+        sep = np.minimum(np.arange(self.n), self.n - np.arange(self.n))
+        i, j = np.unravel_index(
+            np.argmin(np.where(circulant(sep >= max(1, k_win)), d2, np.inf)), d2.shape)
         closest = (float(np.sqrt(d2[i, j])), float(self.s_nodes[i]), float(self.s_nodes[j]))
-        local = sep >= max(2, k_win)
-        for ax in (0, 1):
-            for shift in (1, -1):
-                local &= d2 <= np.roll(d2, shift, axis=ax)
+        # local minima in both indices, against the four neighbours in a wrapped copy
+        w = np.pad(d2, 1, mode="wrap")
+        local = circulant(sep >= max(2, k_win))
+        for nb in (w[:-2, 1:-1], w[2:, 1:-1], w[1:-1, :-2], w[1:-1, 2:]):
+            local &= d2 <= nb
         reach = 1.0 / kappa
         if np.any(local):
             reach = min(reach, 0.5 * np.sqrt(np.min(d2[local])))

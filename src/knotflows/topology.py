@@ -7,6 +7,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
+from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
 
 from .charts import TubeChart
@@ -24,6 +25,8 @@ def _close_polyline(points: np.ndarray) -> np.ndarray:
     p = np.asarray(points, dtype=float)
     if p.ndim != 2 or p.shape[1] != 3 or p.shape[0] < 3:
         raise ValueError("polyline must be an (n, 3) array with n >= 3")
+    if not np.isfinite(p).all():
+        raise ValueError("polyline has non-finite vertices")
     scale = max(1.0, float(np.max(np.abs(p))))
     if np.linalg.norm(p[0] - p[-1]) <= 1e-9 * scale:
         p = p[:-1]
@@ -83,8 +86,7 @@ def linking_number(curve_a, curve_b, defect_tol: float = 0.1,
     if (len(b), *b[0]) < (len(a), *a[0]):
         a, b = b, a
     seg_scale = max(np.max(np.linalg.norm(_tangents(p), axis=1)) for p in (a, b))
-    gap = np.sqrt(min(np.min(cdist(a[lo:lo + _BLOCK], b, "sqeuclidean"))
-                      for lo in range(0, a.shape[0], _BLOCK)))
+    gap = np.min(cKDTree(b).query(a)[0])
     if gap <= 10.0 * seg_scale:
         raise LinkingError(
             f"curves too close for a trustworthy quadrature: gap = {gap:.3e} "

@@ -9,7 +9,9 @@ from knotflows.charts import (TubeChart, build_charts, chart_columns, component_
 from knotflows.config import RunConfig
 from knotflows.curves import (ArcLengthCurve, EmbeddingError, FourierCurve,
                               LinkSpec, SpectralSeries, resample_arclength)
+from knotflows.dynamics import OrbitEscape
 from knotflows.framing import frame_transport
+from knotflows.paper import TubeModelField
 
 
 def _shifted_circle(z0: float) -> FourierCurve:
@@ -40,7 +42,8 @@ def _hopf_chart():
 
 
 def _reference_project(chart, x, s0, t0):
-    """The one-point Newton projection that to_tube_many batches, kept as its oracle."""
+    """The damped one-point oracle: Newton with up to 8 step halvings that must
+    not increase the residual, every step after the first."""
 
     def residual(s, t):
         jet = chart.strip_jet(s, np.array(t))
@@ -310,10 +313,9 @@ def test_to_tube_many_matches_the_one_point_reference(make_chart):
     _assert_same_coords(chart, got, want)
 
 
-def test_to_tube_many_across_blocks_equals_to_tube():
+def test_to_tube_many_batch_equals_one_point_calls():
     chart = _trefoil_chart()
     pts = _oracle_points(chart, np.random.default_rng(12), k=80)
-    assert len(pts) > charts._BLOCK
     one = np.array([chart.to_tube_many(x[None])[0] for x in pts])
     # not bitwise: the series matmul may round a batch row and a lone row apart
     _assert_same_coords(chart, chart.to_tube_many(pts), one)
@@ -331,8 +333,21 @@ def test_to_tube_many_strip_jet_calls_do_not_grow_with_points(monkeypatch):
 
     monkeypatch.setattr(TubeChart, "strip_jet", counted)
     chart.to_tube_many(pts)
-    # the first residual, at most 8 trials in each of 40 iterations, the final jet
-    assert len(calls) <= 1 + 40 * 8 + 1
+    # the first residual, one per iteration for at most 40 iterations, the final jet
+    assert len(calls) <= 1 + 40 + 1
+
+
+def test_to_tube_many_maps_non_finite_rows_to_nan():
+    chart = _trefoil_chart()
+    inside = chart.from_tube(np.array([0.1, -0.2]) * chart.radius,
+                             np.array([0.3, -0.1]) * chart.w_half, np.array([1.0, 4.0]))
+    bad = np.array([[np.nan, 0.0, 0.0], [np.inf, 0.0, 0.0], [0.0, -np.inf, 1.0]])
+    pts = np.vstack([bad[:1], inside[:1], bad[1:], inside[1:]])
+    got = chart.to_tube_many(pts)
+    assert np.all(np.isnan(got[[0, 2, 3]]))
+    assert np.array_equal(got[[1, 4]], chart.to_tube_many(inside))
+    with pytest.raises(OrbitEscape):
+        TubeModelField(chart)(pts)
 
 
 def test_to_tube_skips_sheets_beyond_the_tube(monkeypatch):

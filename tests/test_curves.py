@@ -1,5 +1,7 @@
 """Closed-curve models: Fourier evaluation, arc length, embedding checks."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,7 @@ from knotflows.curves import (ArcLengthCurve, EmbeddingError, FourierCurve,
                               LinkSpec, SpectralSeries, resample_arclength)
 from knotflows.framing import frame_transport
 
-from conftest import quadrature_length
+from conftest import quadrature_length, traced_peak
 
 
 def test_circle_length_is_2pi():
@@ -173,11 +175,22 @@ def _broadcast_chord_scan(arc):
 
 
 def test_chord_scan_matches_broadcast_sum_bitwise():
-    for curve in (presets.trefoil()[0], presets.borromean()[1]):
-        arc = ArcLengthCurve(curve, 1024)
+    curves = (presets.trefoil()[0], presets.borromean()[1], presets.borromean(8.0)[0],
+              presets.hopf(14.0)[1], presets.figure_eight()[0],
+              presets.torus_knot(2, 5, 1.0, 0.3)[0], presets.circle()[0])
+    for curve, n in itertools.product(curves, (1024, 2048)):
+        arc = ArcLengthCurve(curve, n)
         closest, reach = _broadcast_chord_scan(arc)
         assert arc.self_distance() == closest
         assert arc.reach() == reach
+
+
+def test_chord_scan_holds_one_chord_table():
+    arc = ArcLengthCurve(presets.borromean(8.0)[0], 1024)
+    _, peak = traced_peak(arc._scan_chords)
+    # the (n, n) float64 chord table is 8 MiB; the scan holds one more (its
+    # wrapped copy) and boolean masks, not an int64 separation table or rolled copies
+    assert peak < 24 * 2**20
 
 
 def test_linkspec_validation():

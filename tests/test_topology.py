@@ -129,6 +129,10 @@ def test_polyline_validation():
     good = _points(presets.circle(1.0)[0]) + 5.0
     with pytest.raises(ValueError, match="duplicate"):
         linking_number(bad, good)
+    nan = good.copy()
+    nan[3, 1] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        linking_number(nan, good - 10.0)
 
 
 def test_core_is_confined_with_winding_one():
