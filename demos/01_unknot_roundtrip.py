@@ -26,7 +26,7 @@ print("synthesizing: unit circle, lambda = 1, "
       f"{config.directions} wave directions")
 result = synthesize(link, config)
 fit = result.fit
-print(f"  basis members {fit.basis_members}, collocation rows {3 * fit.n_points}")
+print(f"  basis members {fit.basis_members}, fitted rows {3 * fit.n_points}")
 print(f"  strip residual {fit.tube_residuals[0]:.3e} "
       f"vs budget {fit.tube_budgets[0]:g} -> success = {fit.success}")
 fileio.save_field(result.expansion, out / "unknot_field.json")

@@ -112,7 +112,8 @@ class TubeChart:
         """Newton toward the closest strip point of each row of (x, s, t).
 
         One strip_jet call per iteration serves every row still iterating.
-        Returns (s, t, ok).
+        A row whose t step is clipped at +-4 w_half on two steps running fails:
+        its foot point lies beyond the strip. Returns (s, t, ok).
         """
 
         def residual(s, t, x):
@@ -128,6 +129,7 @@ class TubeChart:
         tol = 1e-13 * np.maximum(1.0, np.linalg.norm(x, axis=1))
         f, jac = residual(s, t, x)
         live, ok = np.ones(len(x), bool), np.zeros(len(x), bool)
+        clipped = np.zeros(len(x), bool)
         for _ in range(40):
             ok |= live & (np.linalg.norm(f, axis=1) < tol)
             det = -jac[:, 0] - jac[:, 1] ** 2
@@ -138,8 +140,14 @@ class TubeChart:
             # the step solves [[j11, j12], [j12, -1]] step = -f
             step_t = (jac[a, 1] * f[a, 0] - jac[a, 0] * f[a, 1]) / det[a]
             s[a] += (f[a, 0] + jac[a, 1] * f[a, 1]) / det[a]
-            t[a] = np.clip(t[a] + step_t, -4.0 * self.w_half, 4.0 * self.w_half)
-            f[a], jac[a] = residual(s[a], t[a], x[a])
+            t_new = t[a] + step_t
+            t[a] = np.clip(t_new, -4.0 * self.w_half, 4.0 * self.w_half)
+            pinned = t[a] != t_new
+            live[a] = ~(pinned & clipped[a])
+            clipped[a] = pinned
+            a = a[live[a]]
+            if a.size:
+                f[a], jac[a] = residual(s[a], t[a], x[a])
         ok |= live & (np.linalg.norm(f, axis=1) < 1e3 * tol)
         return s, t, ok
 

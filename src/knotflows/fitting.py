@@ -2,10 +2,14 @@
 
 At finite scale one least-squares solve over all tubes replaces the paper's
 inductive tolerance schedule (paper.ErrorBudget), so the fit takes the one
-tolerance eps~ that every tube shares: all rows weigh the same, and the fit
-does not depend on the order in which the tubes are listed. The solve
-streams the system through a blocked QR and so holds O(n^2) memory for n
-coefficients; see fit_global.
+tolerance eps~ that every tube shares: its rows weigh what the strip grid's
+points they stand for weigh, whatever tube they belong to, and the fit does
+not depend on the order in which the tubes are listed. The rows are each
+tube's Gauss rows (strip.CauchyData.fit_points): across a strip, a row is
+nearly polynomial in t, so a few Gauss nodes of the grid's t-measure give
+the sum of squares over every grid node. The solve streams the system
+through a blocked QR and so holds O(n^2) memory for n coefficients; see
+fit_global.
 """
 
 from __future__ import annotations
@@ -25,13 +29,13 @@ class FitReport:
     """Outcome of a global fit: per-tube residuals against their budgets."""
 
     basis_members: int
-    n_points: int
+    n_points: int               # fitted points (Gauss rows), not strip grid points
     tube_residuals: list        # max |u - w| per tube on the full strip grid
     tube_budgets: list          # eps~, once per tube
     success: bool
     condition: float            # singular-value ratio of the stacked system
     rank: int
-    weighted_objective: float   # ||A c - b||^2 + ridge ||c||^2
+    weighted_objective: float   # ||W^(1/2) (A c - b)||^2 + ridge ||c||^2
     ridge: float
     advice: str = ""
 
@@ -52,24 +56,28 @@ def design_matrix(k: np.ndarray, e: np.ndarray, lam: float,
 
 def fit_global(datas: list[CauchyData], eps_tilde: float, k: np.ndarray,
                e: np.ndarray, lam: float, ridge: float = RunConfig.ridge):
-    """Ridge least squares of the plane-wave basis against all tubes.
+    """Weighted ridge least squares of the plane-wave basis against all tubes.
 
-    eps_tilde is the one tolerance every tube shares. Every strip node is a
-    collocation point.
-    The ridge-stacked system [A | b] is folded, one block of about n+1 rows
-    at a time, into its (n+1) x (n+1) triangular factor R (LAPACK tpqrt, as
-    in TSQR), so A is never held whole and memory is O(n^2) for n
-    coefficients. The LAPACK SVD driver then solves the n x n factor, which
-    has the singular values of the stacked system; the normal equations are
-    never formed. Success means every tube's residual on its strip grid
-    (strip.strip_residual) is below eps~.
+    eps_tilde is the one tolerance every tube shares. The rows are each
+    tube's fit rows (fit_points, fit_w), three per point, each scaled by its
+    point's fit_sqrt_weight: the Gauss rows of strip.build_cauchy_data, or,
+    with the grid's points and unit weights, every grid node.
+    The ridge-stacked system [W^(1/2) A | W^(1/2) b] is folded, one block of
+    about n+1 rows at a time, into its (n+1) x (n+1) triangular factor R
+    (LAPACK tpqrt, as in TSQR), so A is never held whole and memory is O(n^2)
+    for n coefficients. The LAPACK SVD driver then solves the n x n factor,
+    which has the singular values of the stacked system; the normal equations
+    are never formed. Success means every tube's residual on its strip grid
+    (strip.strip_residual), out of sample for the Gauss rows, is below eps~.
     """
     eps = np.asarray(eps_tilde, dtype=float)
     if eps.ndim != 0 or not (np.isfinite(eps) and eps > 0):
         raise ValueError(f"eps_tilde must be one finite tolerance > 0, got {eps_tilde!r}")
     eps = float(eps)
-    pts = np.vstack([d.points.reshape(-1, 3) for d in datas])
-    targets = np.vstack([d.w.reshape(-1, 3) for d in datas])
+    pts = np.vstack([d.fit_points.reshape(-1, 3) for d in datas])
+    targets = np.vstack([d.fit_w.reshape(-1, 3) for d in datas])
+    sqrt_weight = np.concatenate([np.broadcast_to(d.fit_sqrt_weight, d.fit_points.shape[:-1])
+                                  .reshape(-1) for d in datas])
 
     n_coef = 2 * k.shape[0]
     # R of the ridge rows [sqrt(ridge) I | 0]; the last column carries b
@@ -80,6 +88,7 @@ def fit_global(datas: list[CauchyData], eps_tilde: float, k: np.ndarray,
         block = np.empty((3 * len(pts[lo:lo + step]), n_coef + 1), order="F")
         block[:, :n_coef] = design_matrix(k, e, lam, pts[lo:lo + step])
         block[:, n_coef] = targets[lo:lo + step].reshape(-1)
+        block *= np.repeat(sqrt_weight[lo:lo + step], 3)[:, None]
         r, _, _, info = scipy.linalg.lapack.dtpqrt(
             0, min(32, n_coef + 1), r, block, overwrite_a=1, overwrite_b=1)
         if info != 0:

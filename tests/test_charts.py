@@ -337,6 +337,27 @@ def test_to_tube_many_strip_jet_calls_do_not_grow_with_points(monkeypatch):
     assert len(calls) <= 1 + 40 + 1
 
 
+def test_to_tube_many_fails_rows_pinned_at_the_t_clip(monkeypatch):
+    # 25 rows of the batch above (points beyond the candidate reach or near the
+    # centroid) step past |t| = 4 w_half again and again: each fails on its
+    # second clipped step, not after 40 iterations, and the batch still agrees
+    # with the damped reference, which runs them to its cap
+    chart = _trefoil_chart()
+    pts = _oracle_points(chart, np.random.default_rng(13), k=120)[:500]
+    want = np.array([_reference_to_tube(chart, x) for x in pts])
+    calls = []
+    strip_jet = TubeChart.strip_jet
+
+    def counted(self, s, t):
+        calls.append(1)
+        return strip_jet(self, s, t)
+
+    monkeypatch.setattr(TubeChart, "strip_jet", counted)
+    got = chart.to_tube_many(pts)
+    assert len(calls) <= 8
+    _assert_same_coords(chart, got, want)
+
+
 def test_to_tube_many_maps_non_finite_rows_to_nan():
     chart = _trefoil_chart()
     inside = chart.from_tube(np.array([0.1, -0.2]) * chart.radius,

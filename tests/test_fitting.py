@@ -1,30 +1,49 @@
 """The paper's tolerance schedule bookkeeping and the global least-squares fit."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg
 
-from knotflows import fitting
+from knotflows import fitting, presets
 from knotflows.config import RunConfig
+from knotflows.curves import LinkSpec
 from knotflows.field import BeltramiExpansion, make_basis
 from knotflows.fitting import design_matrix, fit_global
 from knotflows.paper import make_error_budget, multi_index_count
-from knotflows.strip import CauchyData
+from knotflows.pipeline import build_geometry
+from knotflows.strip import GAUSS_T_NODES, CauchyData
 
 from conftest import twin_basis
 
 
-def _synthetic_data(points, w):
-    """CauchyData of given points and targets, the only fields the fitter reads."""
-    return CauchyData(points=points, w=w, closedness=0.0)
+def _synthetic_data(points, w, weight=None):
+    """CauchyData of given (ns, nt, 3) points and targets whose fit rows are
+    the grid itself, column j weighted by weight[j] (by default 1: the
+    full-grid fit)."""
+    weight = np.ones(points.shape[1]) if weight is None else np.asarray(weight, float)
+    return CauchyData(points=points, w=w, closedness=0.0,
+                      fit_points=points, fit_w=w, fit_sqrt_weight=np.sqrt(weight))
+
+
+def _full_grid(data):
+    """The full-grid reference of a tube's fit rows: every grid node, unit weights."""
+    return dataclasses.replace(data, fit_points=data.points, fit_w=data.w,
+                               fit_sqrt_weight=np.ones(data.points.shape[1]))
+
+
+# integer column weights of _three_tubes, so that a weight counts copies of a row
+TUBE_WEIGHTS = (1, 2, 3, 1)
 
 
 def _three_tubes(rng):
-    """Three separated tubes of quadratic targets, which no basis fits exactly."""
+    """Three separated tubes of quadratic targets, which no basis fits exactly;
+    their fit rows carry TUBE_WEIGHTS."""
     datas = []
     for center in ([0.0, 0.0, 0.0], [2.0, 0.0, 0.0], [0.0, 2.0, 1.0]):
         pts = np.asarray(center) + rng.uniform(-0.5, 0.5, (6, 4, 3))
-        datas.append(_synthetic_data(pts, pts**2))
+        datas.append(_synthetic_data(pts, pts**2, TUBE_WEIGHTS))
     return datas
 
 
@@ -169,11 +188,14 @@ def test_streamed_fit_matches_dense_lstsq():
     datas = _three_tubes(rng)
     eps, ridge, lam = 1e-3, 1e-6, 1.0
     fitted, report = fit_global(datas, eps, k, e, lam, ridge=ridge)
-    # dense reference: the whole ridge-stacked system at once
+    # dense reference: the whole ridge-stacked system at once, with a row of
+    # integer weight m taken m times
     n = 2 * k.shape[0]
-    pts = np.vstack([d.points.reshape(-1, 3) for d in datas])
+    copies = np.tile(TUBE_WEIGHTS, 6)
+    pts = np.vstack([np.repeat(d.points.reshape(-1, 3), copies, axis=0) for d in datas])
     a = design_matrix(k, e, lam, pts)
-    b = np.concatenate([d.w.reshape(-1) for d in datas])
+    b = np.concatenate([np.repeat(d.w.reshape(-1, 3), copies, axis=0).reshape(-1)
+                        for d in datas])
     a = np.vstack([a, np.sqrt(ridge) * np.eye(n)])
     b = np.concatenate([b, np.zeros(n)])
     coef, _, rank, sv = scipy.linalg.lstsq(a, b, lapack_driver="gelsd")
@@ -195,13 +217,31 @@ def test_fit_streams_the_design_matrix_in_blocks(monkeypatch):
         return out
 
     monkeypatch.setattr(fitting, "design_matrix", recording)
-    rng = np.random.default_rng(8)
-    k, e = make_basis(6, rng)
-    datas = _three_tubes(rng)
+    link = LinkSpec(1.0, tuple(presets.hopf(radius=1.0)))
+    _, datas = build_geometry(link, RunConfig(strip_s_per_2pi=64))
+    k, e = make_basis(6, np.random.default_rng(8))
     _, report = fit_global(datas, 1e-3, k, e, 1.0)
     n_coef = 2 * k.shape[0]
     assert len(rows) > 1
     assert max(rows) <= n_coef + 3
     assert sum(rows) == 3 * report.n_points
-    # the fit collocates every strip node
-    assert report.n_points == sum(d.points[..., 0].size for d in datas)
+    # the fit reads the Gauss rows: GAUSS_T_NODES per s-node of every tube
+    assert report.n_points == sum(d.points.shape[0] * GAUSS_T_NODES for d in datas)
+
+
+@pytest.mark.parametrize("run", ["unknot_run", "hopf_run", "trefoil_run"])
+def test_gauss_rows_fit_matches_the_full_grid_fit(run, request):
+    # the fixtures' fits on the Gauss rows against the same fit on every grid node
+    fixture = request.getfixturevalue(run)
+    link, cfg, result = fixture["link"], fixture["config"], fixture["synthesis"]
+    _, datas = build_geometry(link, cfg)
+    k, e = make_basis(cfg.directions, np.random.default_rng(cfg.seed))
+    ref, ref_report = fit_global([_full_grid(d) for d in datas], cfg.eps_tilde, k, e,
+                                 link.lam, ridge=cfg.ridge)
+    got = np.concatenate([result.expansion.alpha, result.expansion.beta])
+    want = np.concatenate([ref.alpha, ref.beta])
+    assert np.linalg.norm(got - want) <= 1e-7 * np.linalg.norm(want)
+    assert np.allclose(result.fit.tube_residuals, ref_report.tube_residuals,
+                       rtol=1e-8, atol=0.0)
+    assert ref_report.n_points == sum(d.points[..., 0].size for d in datas)
+    assert result.fit.n_points == sum(d.points.shape[0] * GAUSS_T_NODES for d in datas)

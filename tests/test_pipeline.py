@@ -10,7 +10,8 @@ from knotflows import cli, pipeline, presets
 from knotflows.config import RunConfig
 from knotflows.curves import FourierCurve, LinkSpec, resample_arclength
 from knotflows.dynamics import NewtonFailure
-from knotflows.field import BeltramiExpansion, eigen_bounds
+from knotflows.field import BeltramiExpansion, eigen_bounds, make_basis
+from knotflows.fitting import fit_global
 from knotflows.pipeline import PipelineError, synthesize, verify
 from knotflows.topology import LinkingError
 from knotflows.presets import circle
@@ -282,6 +283,33 @@ def test_end_to_end_under_relabeling_and_orientation(coarse_hopf_report, change)
     (pair,), (pair_other,) = base["pairs"], other["pairs"]
     assert pair["target"] == pair["linking"] == -1
     assert pair_other["target"] == pair_other["linking"] == sign * pair["target"]
+    verdicts = [[(c["name"], c["passed"]) for c in r["criteria"]] for r in (base, other)]
+    assert verdicts[0] == verdicts[1]
+
+
+def test_end_to_end_under_a_rigid_motion(unknot_run):
+    # rotate and translate the unknot, and its wave directions and
+    # polarizations with it: the fit is the moved field up to the rounding of
+    # the refit (a translation turns each coefficient pair by a phase, which
+    # the ridge does not see), and so are the certificates
+    rot = np.linalg.qr(np.random.default_rng(3).standard_normal((3, 3)))[0]
+    rot *= np.linalg.det(rot)
+    (c,) = unknot_run["link"].components
+    cos = c.cos_coeffs @ rot.T
+    cos[0] += [0.4, -1.3, 0.7]
+    moved = LinkSpec(1.0, (FourierCurve(cos, c.sin_coeffs @ rot.T),))
+    cfg = unknot_run["config"]
+    k, e = make_basis(cfg.directions, np.random.default_rng(cfg.seed))
+    _, cauchy = pipeline.build_geometry(moved, cfg)
+    expansion, fit = fit_global(cauchy, cfg.eps_tilde, k @ rot.T, e @ rot.T, 1.0,
+                                ridge=cfg.ridge)
+    base, other = unknot_run["report"], verify(moved, expansion, cfg).report
+    assert _rel(fit.tube_residuals[0], unknot_run["synthesis"].fit.tube_residuals[0]) < 1e-6
+    assert _rel(other["strip_residuals"][0], base["strip_residuals"][0]) < 1e-6
+    (comp,), (partner,) = base["components"], other["components"]
+    for key in ("period", "hausdorff"):
+        assert _rel(partner[key], comp[key]) < 1e-6, key
+    assert _rel(np.log(partner["multipliers"][0]), np.log(comp["multipliers"][0])) < 1e-6
     verdicts = [[(c["name"], c["passed"]) for c in r["criteria"]] for r in (base, other)]
     assert verdicts[0] == verdicts[1]
 

@@ -4,6 +4,7 @@ in-strip core multiplier."""
 from types import SimpleNamespace
 
 import numpy as np
+import pytest
 
 from knotflows import presets
 from knotflows.charts import TubeChart
@@ -12,8 +13,8 @@ from knotflows.curves import resample_arclength
 from knotflows.field import BeltramiExpansion, make_basis
 from knotflows.framing import frame_transport
 from knotflows.paper import strip_monodromy
-from knotflows.strip import (_cauchy_vector, build_cauchy_data, closedness_residual,
-                             strip_residual)
+from knotflows.strip import (GAUSS_T_NODES, _cauchy_vector, build_cauchy_data,
+                             closedness_residual, gauss_rule, strip_residual)
 
 from conftest import traced_peak
 
@@ -87,6 +88,54 @@ def test_cauchy_data_grid_and_closedness():
     n = chart.normal_jet(s[:, None], t[None, :])["n"]
     assert np.max(np.abs(np.linalg.norm(n, axis=-1) - 1.0)) < 1e-12
     assert np.max(np.abs(np.sum(n * data.w, axis=-1))) < 1e-8
+
+
+def test_cauchy_data_fit_rows_sit_at_the_gauss_nodes(monkeypatch):
+    chart = _chart(presets.trefoil()[0], radius=0.1, w_half=0.02)
+    cfg = RunConfig(strip_s_per_2pi=64, strip_t_nodes=17)
+    s, t, _, _ = _gamma_on_grid(chart, cfg)
+    tau, weight = gauss_rule(17)
+    calls = []
+    strip_jet = TubeChart.strip_jet
+
+    def counted(self, s, t):
+        calls.append(1)
+        return strip_jet(self, s, t)
+
+    monkeypatch.setattr(TubeChart, "strip_jet", counted)
+    data = build_cauchy_data(chart, cfg)
+    # one strip jet serves the grid and the fit rows, each bit for bit what a
+    # strip jet at its own t alone gives
+    assert len(calls) == 1
+    monkeypatch.undo()
+    assert data.fit_points.shape == data.fit_w.shape == (len(s), GAUSS_T_NODES, 3)
+    assert np.array_equal(data.fit_sqrt_weight, np.sqrt(weight))
+    jet = chart.strip_jet(s[:, None], chart.w_half * tau[None, :])
+    assert np.array_equal(data.fit_points, jet["S"])
+    assert np.array_equal(data.fit_w, _cauchy_vector(jet, chart.w_half * tau[None, :]))
+    grid = chart.strip_jet(s[:, None], t[None, :])
+    assert np.array_equal(data.points, grid["S"])
+    assert np.array_equal(data.w, _cauchy_vector(grid, t[None, :]))
+
+
+@pytest.mark.parametrize("n_grid", [9, 33])
+def test_gauss_rule_sums_the_grid_moments(n_grid):
+    tau, weight = gauss_rule(n_grid)
+    grid = np.linspace(-1.0, 1.0, n_grid)
+    assert len(tau) == GAUSS_T_NODES
+    assert np.all(weight > 0) and np.all(np.diff(tau) > 0)
+    assert np.max(np.abs(tau + tau[::-1])) < 1e-15
+    # every t^j of degree j < 2P, relative to the grid's sum of |t|^j (n_grid at j = 0)
+    for j in range(2 * GAUSS_T_NODES):
+        err = abs(np.sum(weight * tau**j) - np.sum(grid**j))
+        assert err <= 1e-14 * np.sum(np.abs(grid) ** j), j
+
+
+@pytest.mark.parametrize("n_grid", [3, 4, 5, 6])
+def test_gauss_rule_of_a_few_nodes_is_the_grid(n_grid):
+    tau, weight = gauss_rule(n_grid)
+    assert np.max(np.abs(tau - np.linspace(-1.0, 1.0, n_grid))) <= 1e-15
+    assert np.max(np.abs(weight - 1.0)) <= 1e-14
 
 
 def test_closedness_residual_detects_injected_term():
