@@ -72,31 +72,30 @@ class TubeChart:
         """Adapted coordinates of (n, 3) points: (n, 3) rows (rho, z, theta).
 
         A row is nan when its point is not finite or out of chart: its nearest
-        core sample is not within radius + 4 w_half (the t-clip) plus one sample
-        step, the closest-point projection leaves the declared strip, or the
-        normal offset reaches the tube radius.
+        core sample is not within the chart box's bound hypot(radius, w_half)
+        plus one sample step, the closest-point projection fails or leaves the
+        declared strip, or the normal offset reaches the tube radius.
         """
         return self._to_tube_jet(xs)[0]
 
     def _to_tube_jet(self, xs):
         """to_tube_many's (n, 3) coordinates and the normal jet at each row's (theta, z).
 
-        One batched projection: one Newton per point within the cutoff, seeded
-        at its nearest core sample (one KD-tree query). A chart lies within the
-        core's reach, where every point has one nearest core point, so the core's
-        other near strands need no seed of their own, and a foot point in the
-        box is the one preimage whatever path Newton took to it.
+        One batched projection: one Newton in s per point within the cutoff,
+        seeded at its nearest core sample (one KD-tree query). A box point
+        (rho, z, theta) lies exactly hypot(rho, z) from c(theta), since n and
+        e1 are orthonormal, which sets the cutoff. A chart lies within the
+        core's reach, where every point has one nearest core point, so the
+        core's other near strands need no seed of their own, and a foot point
+        in the box is the one preimage whatever path Newton took to it.
         """
         xs = np.asarray(xs, dtype=float).reshape(-1, 3)
-        pts, e1s = self.frame.arc.points, self.frame.e1_samples
-        cutoff = self.radius + 4.0 * self.w_half + self.length / len(pts)
+        cutoff = np.hypot(self.radius, self.w_half) + self.length / self.frame.arc.n
         # the tree refuses non-finite points; their rows stay nan
         p = np.flatnonzero(np.isfinite(xs).all(axis=1))
         d, i = self._core_tree.query(xs[p], distance_upper_bound=cutoff)
         p, i = p[d < cutoff], i[d < cutoff]
-        x = xs[p]
-        t0 = np.clip(np.sum((x - pts[i]) * e1s[i], axis=1), -self.w_half, self.w_half)
-        s, t, ok = self._newton(x, self.frame.arc.s_nodes[i], t0)
+        s, t, ok = self._newton(xs[p], self.frame.arc.s_nodes[i])
         p, s, t = p[ok], s[ok], t[ok]
         found = np.zeros(len(xs), bool)
         s_pt, t_pt = np.zeros(len(xs)), np.zeros(len(xs))
@@ -108,47 +107,39 @@ class TubeChart:
                           np.nan)
         return coords, nj
 
-    def _newton(self, x, s, t):
-        """Newton toward the closest strip point of each row of (x, s, t).
+    def _newton(self, x, s):
+        """Newton in s toward the closest strip point of each row of (x, s).
 
-        One strip_jet call per iteration serves every row still iterating.
-        A row whose t step is clipped at +-4 w_half on two steps running fails:
-        its foot point lies beyond the strip. Returns (s, t, ok).
+        At the closest point x - S is normal to the unit ruling e1, so the
+        ruling coordinate is t = (x - c(s)) . e1(s) in closed form and Newton
+        runs on g(s) = (x - S) . S_s alone. One strip_jet call at t = 0 per
+        iteration serves every row still iterating. Returns (s, t, ok).
         """
 
-        def residual(s, t, x):
-            # gradient f of |x - S|^2 / 2 in (s, t) and its Jacobian's (1,1)
-            # and (1,2) entries (the (2,2) entry is -1)
-            jet = self.strip_jet(s, t)
-            d = x - jet["S"]
-            dot = {k: np.sum(d * jet[k], axis=1) for k in ("S_s", "e1", "S_ss", "de1")}
-            return (np.column_stack([dot["S_s"], dot["e1"]]),
-                    np.column_stack([dot["S_ss"] - np.sum(jet["S_s"] ** 2, axis=1),
-                                     dot["de1"]]))
+        def residual(s, x):
+            # t(s), g(s) and dg/ds = g_s + g_t dt/ds, where g_t = dt/ds = (x - S) . e1'
+            # for an orthonormal frame
+            jet = self.strip_jet(s, 0.0)
+            e1, de1 = jet["e1"], jet["de1"]
+            t = np.sum((x - jet["S"]) * e1, axis=1)[:, None]
+            d = x - (jet["S"] + t * e1)
+            S_s, S_ss = jet["S_s"] + t * de1, jet["S_ss"] + t * jet["d2e1"]
+            j12 = np.sum(d * de1, axis=1)
+            return (t[:, 0], np.sum(d * S_s, axis=1),
+                    np.sum(d * S_ss, axis=1) - np.sum(S_s ** 2, axis=1) + j12 ** 2)
 
         tol = 1e-13 * np.maximum(1.0, np.linalg.norm(x, axis=1))
-        f, jac = residual(s, t, x)
+        t, g, dg = residual(s, x)
         live, ok = np.ones(len(x), bool), np.zeros(len(x), bool)
-        clipped = np.zeros(len(x), bool)
         for _ in range(40):
-            ok |= live & (np.linalg.norm(f, axis=1) < tol)
-            det = -jac[:, 0] - jac[:, 1] ** 2
-            live &= ~ok & (det != 0.0)  # a singular Jacobian fails its row
+            ok |= live & (np.abs(g) < tol)
+            live &= ~ok & (dg != 0.0)  # a flat residual fails its row
             a = np.flatnonzero(live)
             if not a.size:
                 break
-            # the step solves [[j11, j12], [j12, -1]] step = -f
-            step_t = (jac[a, 1] * f[a, 0] - jac[a, 0] * f[a, 1]) / det[a]
-            s[a] += (f[a, 0] + jac[a, 1] * f[a, 1]) / det[a]
-            t_new = t[a] + step_t
-            t[a] = np.clip(t_new, -4.0 * self.w_half, 4.0 * self.w_half)
-            pinned = t[a] != t_new
-            live[a] = ~(pinned & clipped[a])
-            clipped[a] = pinned
-            a = a[live[a]]
-            if a.size:
-                f[a], jac[a] = residual(s[a], t[a], x[a])
-        ok |= live & (np.linalg.norm(f, axis=1) < 1e3 * tol)
+            s[a] -= g[a] / dg[a]
+            t[a], g[a], dg[a] = residual(s[a], x[a])
+        ok |= live & (np.abs(g) < 1e3 * tol)
         return s, t, ok
 
 

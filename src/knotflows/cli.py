@@ -217,6 +217,10 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code else EXIT_PASS
     try:
         return args.func(args)
+    except np.linalg.LinAlgError as exc:
+        # a ValueError subclass, but a numerical failure, not an input error
+        print(f"unexpected error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_UNEXPECTED
     except (FileFormatError, EmbeddingError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE

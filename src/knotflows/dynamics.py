@@ -84,7 +84,6 @@ class FloquetData:
     max_k |M_k u(x_k) - u(x_{k+1})| / |u(x_{k+1})|, per segment because the
     assembled M(T) amplifies rounding by e^{T}."""
 
-    monodromy: np.ndarray       # assembled M(T)
     det: float                  # from the segmented product, = 1 for div-free fields
     multipliers: tuple          # (mu_unstable, mu_stable) after flow deflation
     flow_eigen_residual: float  # worst per-segment flow transport error
@@ -213,7 +212,9 @@ def monodromy(field, orbit: PeriodicOrbit) -> FloquetData:
     deflates both products: drop the eigenvalue nearest 1. mu_unstable is the
     larger-modulus survivor of M(T), mu_stable the reciprocal of the survivor
     of M^{-1} farthest from 1/mu_unstable; an elliptic orbit gets its
-    conjugate pair.
+    conjugate pair. The orbit is a hyperbolic_saddle iff both multipliers are
+    real and |mu_unstable| > 1 > |mu_stable|, elliptic iff both are non-real,
+    and indeterminate otherwise.
     """
     factors = orbit.transfers
     det = float(np.prod(np.linalg.det(factors)))
@@ -237,17 +238,14 @@ def monodromy(field, orbit: PeriodicOrbit) -> FloquetData:
     mu_unstable = eig[np.argmax(np.abs(eig))]
     mu_stable = 1.0 / eig_inv[np.argmax(np.abs(eig_inv - 1.0 / mu_unstable))]
     mus = [complex(mu_unstable), complex(mu_stable)]
-    moduli = np.array([abs(m) for m in mus])
-    margin = float(np.min(np.abs(moduli - 1.0)))
-    if np.all(np.abs(moduli - 1.0) < 1e-6):
-        cls = "indeterminate" if np.abs(mus[0] - mus[1]) < 1e-6 else "elliptic"
-    elif moduli[0] > 1.0 and moduli[1] < 1.0:
+    margin = float(min(abs(abs(m) - 1.0) for m in mus))
+    mu_u, mu_s = (m.real if abs(m.imag) < 1e-9 * abs(m) else m for m in mus)
+    if isinstance(mu_u, float) and isinstance(mu_s, float) and abs(mu_u) > 1.0 > abs(mu_s):
         cls = "hyperbolic_saddle"
-    elif np.max(np.abs(moduli - 1.0)) < 1e-3:
+    elif isinstance(mu_u, complex) and isinstance(mu_s, complex):
         cls = "elliptic"
     else:
         cls = "indeterminate"
-    mu_clean = tuple(m.real if abs(m.imag) < 1e-9 * abs(m) else m for m in mus)
-    return FloquetData(monodromy=m_total, det=det, multipliers=mu_clean,
+    return FloquetData(det=det, multipliers=(mu_u, mu_s),
                        flow_eigen_residual=flow_res, classification=cls,
                        margin=margin)

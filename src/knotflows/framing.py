@@ -81,7 +81,6 @@ class FrameModel:
         # orthonormalize against the exact tangents at the samples
         e1 = e1 - np.sum(e1 * tans, axis=1, keepdims=True) * tans
         e1 = _unit(e1)
-        self.e1_samples = e1
         self.series = SpectralSeries(np.hstack([pts, e1]), self.length)
 
     def jet(self, s):

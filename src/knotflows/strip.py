@@ -36,22 +36,17 @@ def gauss_rule(n_grid: int):
 
     The weights are positive and sum to n_grid, and the rule sums every
     polynomial of degree < 2P as the grid does; for n_grid <= P it is the grid.
-    Lanczos with full reorthogonalization on diag(grid), from the constant
-    vector, gives the rule's Jacobi matrix, whose eigenvalues are the nodes
-    and whose eigenvectors' first components give the weights (Golub & Welsch,
-    Math. Comp. 23, 1969). The grid is symmetric about 0, so the matrix has a
-    zero diagonal.
+    The grid's measure is the discrete Chebyshev (Gram) measure, whose Jacobi
+    matrix has a zero diagonal and the closed-form off-diagonal
+    k sqrt((n^2 - k^2) / ((n - 1)^2 (4 k^2 - 1))), k = 1..P-1 (Gautschi,
+    Orthogonal Polynomials, 2004); its eigenvalues are the nodes and its
+    eigenvectors' first components give the weights (Golub & Welsch, Math.
+    Comp. 23, 1969).
     """
     p = min(n_grid, GAUSS_T_NODES)
-    x = np.linspace(-1.0, 1.0, n_grid)
-    q = [np.full(n_grid, n_grid ** -0.5)]
-    off = []
-    for _ in range(p - 1):
-        v, basis = x * q[-1], np.array(q)
-        v -= basis.T @ (basis @ v)
-        off.append(np.linalg.norm(v))
-        q.append(v / off[-1])
-    nodes, vecs = scipy.linalg.eigh_tridiagonal(np.zeros(p), np.array(off))
+    k = np.arange(1.0, p)
+    off = k * np.sqrt((n_grid**2 - k**2) / ((n_grid - 1) ** 2 * (4.0 * k**2 - 1.0)))
+    nodes, vecs = scipy.linalg.eigh_tridiagonal(np.zeros(p), off)
     return nodes, n_grid * vecs[0] ** 2
 
 

@@ -83,10 +83,10 @@ def _reference_to_tube(chart, x):
     is_min = (d2 <= np.roll(d2, 1)) & (d2 <= np.roll(d2, -1)) & (d2 <= reach**2)
     cand = np.flatnonzero(is_min)
     cand = cand[np.argsort(d2[cand])][:4]
+    e1s = chart.frame.jet(chart.frame.arc.s_nodes[cand])[1][:, 0]
     sols = []
-    for i in cand:
-        t0 = float(np.clip(np.dot(x - pts[i], chart.frame.e1_samples[i]),
-                           -chart.w_half, chart.w_half))
+    for i, e1 in zip(cand, e1s):
+        t0 = float(np.clip(np.dot(x - pts[i], e1), -chart.w_half, chart.w_half))
         s, t, jet, ok = _reference_project(chart, x, chart.frame.arc.s_nodes[i], t0)
         if ok:
             sols.append((float(np.linalg.norm(x - jet["S"])), s, t, jet))
@@ -337,11 +337,11 @@ def test_to_tube_many_strip_jet_calls_do_not_grow_with_points(monkeypatch):
     assert len(calls) <= 1 + 40 + 1
 
 
-def test_to_tube_many_fails_rows_pinned_at_the_t_clip(monkeypatch):
-    # 25 rows of the batch above (points beyond the candidate reach or near the
-    # centroid) step past |t| = 4 w_half again and again: each fails on its
-    # second clipped step, not after 40 iterations, and the batch still agrees
-    # with the damped reference, which runs them to its cap
+def test_to_tube_many_settles_every_row_in_a_few_strip_jets(monkeypatch):
+    # every row of the batch above either falls beyond the cutoff or converges
+    # in s within a few steps, those beyond the strip edge before the |z| gate
+    # rejects them, and the batch agrees with the damped reference, which runs
+    # its rows pinned at its own t-clip to its cap
     chart = _trefoil_chart()
     pts = _oracle_points(chart, np.random.default_rng(13), k=120)[:500]
     want = np.array([_reference_to_tube(chart, x) for x in pts])
@@ -356,6 +356,48 @@ def test_to_tube_many_fails_rows_pinned_at_the_t_clip(monkeypatch):
     got = chart.to_tube_many(pts)
     assert len(calls) <= 8
     _assert_same_coords(chart, got, want)
+
+
+@pytest.mark.parametrize("make_chart", [_trefoil_chart, _ellipse_chart, _hopf_chart])
+def test_newton_in_s_lands_on_the_closest_strip_point(make_chart):
+    # the ruling coordinate is closed-form, so at a converged row x - S is
+    # normal to both e1 and S_s, and t is (x - c(s)) . e1(s)
+    chart = make_chart()
+    pts = _oracle_points(chart, np.random.default_rng(14))
+    i = chart._core_tree.query(pts)[1]
+    s, t, ok = chart._newton(pts, chart.frame.arc.s_nodes[i])
+    assert ok[:150].all()
+    x, s, t = pts[ok], s[ok], t[ok]
+    jet = chart.strip_jet(s, t)
+    scale = 1e-12 * np.maximum(1.0, np.linalg.norm(x, axis=1))
+    assert np.all(np.abs(np.sum((x - jet["S"]) * jet["e1"], axis=1)) < scale)
+    assert np.all(np.abs(np.sum((x - jet["S"]) * jet["S_s"], axis=1)) < scale)
+    c, e = chart.frame.jet(s)
+    assert np.all(np.abs(t - np.sum((x - c[:, 0]) * e[:, 0], axis=1)) < scale)
+
+
+@pytest.mark.parametrize("make_chart", [_trefoil_chart, _ellipse_chart, _circle_chart,
+                                        _hopf_chart])
+def test_chart_box_corners_lie_within_the_cutoff(make_chart):
+    # a box point (rho, z, theta) is hypot(rho, z) from c(theta), so the box's
+    # corners are within hypot(radius, w_half) plus one sample step of a sample
+    chart = make_chart()
+    r, w, L = chart.radius, chart.w_half, chart.length
+    n = len(chart.frame.arc.points)
+    sign = np.array([(a, b) for a in (-1.0, 1.0) for b in (-1.0, 1.0)]).repeat(16, axis=0)
+    rho, z = sign[:, 0] * (1.0 - 1e-9) * r, sign[:, 1] * w
+    theta = np.tile(np.arange(16) * L / 16 + 0.1, 4)
+    pts = chart.from_tube(rho, z, theta)
+    d, i = chart._core_tree.query(pts)
+    assert np.all(d < np.hypot(r, w) + L / n)
+    s, t, ok = chart._newton(pts, chart.frame.arc.s_nodes[i])
+    assert ok.all() and np.max(np.abs(t - z)) < 1e-12 * max(1.0, L)
+    ds = np.abs(s - theta) % L
+    assert np.max(np.minimum(ds, L - ds)) < 1e-12 * max(1.0, L)
+    # z on the strip edge may round past it; a hair inside, every corner is in chart
+    got = chart.to_tube_many(chart.from_tube(rho, (1.0 - 1e-9) * z, theta))
+    assert not np.any(np.isnan(got))
+    assert np.max(np.abs(got[:, 0] - rho)) < 1e-12 * max(1.0, L)
 
 
 def test_to_tube_many_maps_non_finite_rows_to_nan():

@@ -279,6 +279,21 @@ def test_synthesize_closedness_failure_exits_3_without_a_field(tmp_path, capsys,
     assert not out.exists()
 
 
+def test_synthesize_linear_algebra_failure_exits_1_without_a_field(tmp_path, capsys,
+                                                                   monkeypatch):
+    # numpy's LinAlgError is a ValueError, but a failed SVD is no input error
+    def fails(link, config):
+        raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
+
+    monkeypatch.setattr(cli, "synthesize", fails)
+    out = tmp_path / "field.json"
+    assert cli.main(["synthesize", "--link", str(_circle_link(tmp_path)),
+                     "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("unexpected error: LinAlgError") and "SVD" in err
+    assert not out.exists()
+
+
 def test_verify_elliptic_orbit_exits_4_with_its_report(unknot_run, tmp_path, capsys,
                                                       monkeypatch):
     # an orbit whose multipliers are e^(+-0.64i): the report is still written,

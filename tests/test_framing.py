@@ -36,7 +36,7 @@ def test_corrected_frame_closes_around_trefoil():
     tans = arc.curve.velocity(arc.t_nodes)
     tans /= np.linalg.norm(tans, axis=1, keepdims=True)
     tans = np.vstack([tans, tans[:1]])
-    r = double_reflection_transport(pts, tans, fm.e1_samples[0])
+    r = double_reflection_transport(pts, tans, fm.jet(arc.s_nodes[0])[1][0])
     b = np.cross(tans, r)
     phi = -fm.holonomy
     r_end = np.cos(phi) * r[-1] + np.sin(phi) * b[-1]
