@@ -217,19 +217,22 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code else EXIT_PASS
     try:
         return args.func(args)
-    except np.linalg.LinAlgError as exc:
-        # a ValueError subclass, but a numerical failure, not an input error
-        print(f"unexpected error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_UNEXPECTED
     except (FileFormatError, EmbeddingError, ValueError) as exc:
+        if isinstance(exc, np.linalg.LinAlgError):
+            # a ValueError subclass, but a numerical failure, not an input error
+            return _unexpected(exc)
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except PipelineError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
     except Exception as exc:  # pragma: no cover - last-resort diagnostics
-        print(f"unexpected error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_UNEXPECTED
+        return _unexpected(exc)
+
+
+def _unexpected(exc: Exception) -> int:
+    print(f"unexpected error: {type(exc).__name__}: {exc}", file=sys.stderr)
+    return EXIT_UNEXPECTED
 
 
 if __name__ == "__main__":

@@ -213,8 +213,9 @@ def monodromy(field, orbit: PeriodicOrbit) -> FloquetData:
     larger-modulus survivor of M(T), mu_stable the reciprocal of the survivor
     of M^{-1} farthest from 1/mu_unstable; an elliptic orbit gets its
     conjugate pair. The orbit is a hyperbolic_saddle iff both multipliers are
-    real and |mu_unstable| > 1 > |mu_stable|, elliptic iff both are non-real,
-    and indeterminate otherwise.
+    real, |mu_unstable| > 1 > |mu_stable| and both moduli are at least 1e-6
+    from 1 (a pair straddling 1 by rounding is no saddle), elliptic iff both
+    are non-real, and indeterminate otherwise.
     """
     factors = orbit.transfers
     det = float(np.prod(np.linalg.det(factors)))
@@ -239,13 +240,13 @@ def monodromy(field, orbit: PeriodicOrbit) -> FloquetData:
     mu_stable = 1.0 / eig_inv[np.argmax(np.abs(eig_inv - 1.0 / mu_unstable))]
     mus = [complex(mu_unstable), complex(mu_stable)]
     margin = float(min(abs(abs(m) - 1.0) for m in mus))
-    mu_u, mu_s = (m.real if abs(m.imag) < 1e-9 * abs(m) else m for m in mus)
-    if isinstance(mu_u, float) and isinstance(mu_s, float) and abs(mu_u) > 1.0 > abs(mu_s):
+    real = [abs(m.imag) < 1e-9 * abs(m) for m in mus]
+    if all(real) and abs(mus[0]) > 1.0 > abs(mus[1]) and margin >= 1e-6:
         cls = "hyperbolic_saddle"
-    elif isinstance(mu_u, complex) and isinstance(mu_s, complex):
+    elif not any(real):
         cls = "elliptic"
     else:
         cls = "indeterminate"
-    return FloquetData(det=det, multipliers=(mu_u, mu_s),
+    return FloquetData(det=det, multipliers=tuple(m.real if r else m for m, r in zip(mus, real)),
                        flow_eigen_residual=flow_res, classification=cls,
                        margin=margin)

@@ -1,5 +1,7 @@
 """Integration, orbit refinement and Floquet data on closed-form fields."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
@@ -297,6 +299,20 @@ def test_monodromy_of_an_elliptic_orbit_is_its_conjugate_pair():
     assert np.max(np.abs(np.array([mu_u, mu_s]) - pair)) < 1e-12
     assert flo.classification == "elliptic"
     assert flo.margin < 1e-12
+
+
+def test_monodromy_of_a_near_identity_pair_straddling_1_is_indeterminate():
+    # factors diag(1 + 1e-9, 1/(1 + 1e-9), 1): M(T)'s survivors are real and
+    # straddle 1 by 6.4e-8, which is rounding noise, not a saddle
+    orbit = overflowing_orbit()
+    stretch = 1.0 + 1e-9
+    factors = np.broadcast_to(np.diag([stretch, 1.0 / stretch, 1.0]), (64, 3, 3))
+    flo = monodromy(_axial, dataclasses.replace(orbit, period=2.0 * np.pi, transfers=factors))
+    mu_u, mu_s = flo.multipliers
+    assert isinstance(mu_u, float) and isinstance(mu_s, float)
+    assert abs(mu_u) > 1.0 > abs(mu_s)
+    assert flo.margin < 1e-6
+    assert flo.classification == "indeterminate"
 
 
 def _random_expansion(n_dirs, seed):
