@@ -17,6 +17,8 @@ from .config import RunConfig
 from .curves import ArcLengthCurve, EmbeddingError, LinkSpec, resample_arclength
 from .framing import FrameModel, frame_transport
 
+EDGE_RTOL = 1e-12   # |t| up to w_half (1 + EDGE_RTOL) is on the strip edge
+
 
 class TubeChart:
     """Adapted tube coordinates around one link component.
@@ -74,7 +76,8 @@ class TubeChart:
         A row is nan when its point is not finite or out of chart: its nearest
         core sample is not within the chart box's bound hypot(radius, w_half)
         plus one sample step, the closest-point projection fails or leaves the
-        declared strip, or the normal offset reaches the tube radius.
+        declared strip, or the normal offset reaches the tube radius. A ruling
+        coordinate within EDGE_RTOL of w_half past the strip edge reads z = +-w_half.
         """
         return self._to_tube_jet(xs)[0]
 
@@ -100,9 +103,13 @@ class TubeChart:
         found = np.zeros(len(xs), bool)
         s_pt, t_pt = np.zeros(len(xs)), np.zeros(len(xs))
         found[p], s_pt[p], t_pt[p] = True, s, t
+        # a point on the strip edge may project a few ulp of w_half past it;
+        # such rows are on the strip, at t = +-w_half
+        found &= np.abs(t_pt) <= self.w_half * (1.0 + EDGE_RTOL)
+        t_pt = np.clip(t_pt, -self.w_half, self.w_half)
         nj = _normal_jet(self.strip_jet(s_pt, t_pt))
         rho = np.sum((xs - nj["S"]) * nj["n"], axis=1)
-        inside = found & (np.abs(t_pt) <= self.w_half) & (np.abs(rho) < self.radius)
+        inside = found & (np.abs(rho) < self.radius)
         coords = np.where(inside[:, None], np.column_stack([rho, t_pt, s_pt % self.length]),
                           np.nan)
         return coords, nj

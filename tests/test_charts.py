@@ -394,10 +394,32 @@ def test_chart_box_corners_lie_within_the_cutoff(make_chart):
     assert ok.all() and np.max(np.abs(t - z)) < 1e-12 * max(1.0, L)
     ds = np.abs(s - theta) % L
     assert np.max(np.minimum(ds, L - ds)) < 1e-12 * max(1.0, L)
-    # z on the strip edge may round past it; a hair inside, every corner is in chart
+    # a hair inside the strip edge every corner is in chart (on the edge: below)
     got = chart.to_tube_many(chart.from_tube(rho, (1.0 - 1e-9) * z, theta))
     assert not np.any(np.isnan(got))
     assert np.max(np.abs(got[:, 0] - rho)) < 1e-12 * max(1.0, L)
+
+
+@pytest.mark.parametrize("make_chart", [_trefoil_chart, _ellipse_chart, _circle_chart,
+                                        _hopf_chart])
+def test_chart_box_corners_on_the_strip_edge_round_trip(make_chart):
+    # Newton's t may round a few ulp of w_half past the edge; those rows are on
+    # the strip at z = +-w_half, so margin_z cannot go negative, while a point
+    # 1e-9 w_half past the edge stays out of chart
+    chart = make_chart()
+    r, w, L = chart.radius, chart.w_half, chart.length
+    sign = np.array([(a, b) for a in (-1.0, 1.0) for b in (-1.0, 1.0)]).repeat(16, axis=0)
+    rho, z = sign[:, 0] * (1.0 - 1e-9) * r, sign[:, 1] * w
+    theta = np.tile(np.arange(16) * L / 16 + 0.1, 4)
+    got = chart.to_tube_many(chart.from_tube(rho, z, theta))
+    assert not np.any(np.isnan(got))
+    assert np.max(np.abs(got[:, 1])) <= w
+    assert np.max(np.abs(got[:, 0] - rho)) < 1e-12 * max(1.0, L)
+    assert np.max(np.abs(got[:, 1] - z)) < 1e-12 * max(1.0, L)
+    dth = np.abs(got[:, 2] - theta % L)
+    assert np.max(np.minimum(dth, L - dth)) < 1e-12 * max(1.0, L)
+    beyond = chart.to_tube_many(chart.from_tube(rho, (1.0 + 1e-9) * z, theta))
+    assert np.all(np.isnan(beyond))
 
 
 def test_to_tube_many_maps_non_finite_rows_to_nan():

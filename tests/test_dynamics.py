@@ -11,7 +11,7 @@ from knotflows.charts import TubeChart
 from knotflows.curves import FourierCurve, resample_arclength
 from knotflows.dynamics import (MonodromyOverflow, NewtonFailure, OrbitEscape, integrate,
                                 monodromy, refine_orbit)
-from knotflows.field import BeltramiExpansion, make_basis
+from knotflows.field import BeltramiExpansion, _cos_sin_near, make_basis
 from knotflows.framing import frame_transport
 from knotflows.paper import TubeModelField
 
@@ -391,6 +391,55 @@ def test_jet_near_matches_jet():
     assert u.shape == (8, 3) and du.shape == (8, 3, 3)
     assert np.max(np.abs(u - u_ref)) < bound
     assert np.max(np.abs(du - du_ref)) < abs(field.lam) * bound
+
+
+def test_jet_near_matches_jet_across_re_centres(monkeypatch):
+    # 8 rows walk 200 steps of 0.05 from phases above 10, so the offset phases
+    # leave |d| <= 1/2 every ten steps or more: the kernel serves the calls in
+    # between, each overflow re-centres at x, and every call meets the bound
+    # of test_jet_near_matches_jet; a nan row re-centres too, and leaves no
+    # stale centre for the next finite call
+    field = _random_expansion(24, 8)
+    rng = np.random.default_rng(10)
+    centers = np.array([10.0, 4.0, -3.0]) + rng.uniform(-1.0, 1.0, (8, 3))
+    step = rng.normal(size=(8, 3))
+    step *= 0.05 / np.linalg.norm(step, axis=1, keepdims=True)
+    kernel = []
+
+    def counted(d):
+        kernel.append(1)
+        return _cos_sin_near(d)
+
+    monkeypatch.setattr("knotflows.field._cos_sin_near", counted)
+    amplitude = np.sum(np.hypot(field.alpha, field.beta))
+
+    def assert_close(u, du, x):
+        u_ref, du_ref = field.jet(x)
+        phase = np.max(np.abs(x @ field.lk))
+        bound = 8.0 * np.finfo(float).eps * (1.0 + phase) * amplitude
+        assert np.max(np.abs(u - u_ref)) < bound
+        assert np.max(np.abs(du - du_ref)) < abs(field.lam) * bound
+
+    jet = field.jet_near(centers)
+    assert np.all(np.max(np.abs(centers @ field.lk), axis=1) > 10.0)
+    for i in range(200):
+        x = centers + i * step
+        assert_close(*jet(x), x)
+    # both branches ran: steps of at most 0.05 in phase keep |d| <= 1/2 for 10
+    # calls after a re-centre, and the 24 spread members leave it within 20
+    assert 200 - 20 <= len(kernel) <= 200 - 10
+    bad = x + step
+    bad[3] = np.nan
+    u, du = jet(bad)
+    assert np.isnan(u[3]).all() and np.isnan(du[3]).all()
+    rows = np.arange(8) != 3
+    assert_close(u[rows], du[rows], bad[rows])
+    calls = len(kernel)
+    x = x + 2.0 * step
+    assert_close(*jet(x), x)
+    x = x + step
+    assert_close(*jet(x), x)
+    assert len(kernel) == calls + 1
 
 
 def test_tube_model_field_projects_once(monkeypatch):

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from knotflows.curves import LinkSpec
-from knotflows.field import (BeltramiExpansion, direction_set, eigen_bounds,
-                             make_basis, polarization_pair)
+from knotflows.field import (NEAR_PHASE, BeltramiExpansion, _cos_sin_near, direction_set,
+                             eigen_bounds, make_basis, polarization_pair)
 from knotflows.paper import (HelmholtzScalarExpansion, beltramize, check_points,
                              fd_curl_divergence, to_scalar_components)
 from knotflows.presets import circle
@@ -22,6 +22,22 @@ def _random_expansion(n_dirs=7, lam=1.0, seed=11):
     m = k.shape[0]
     return BeltramiExpansion(lam, k, e, rng.standard_normal(m),
                              rng.standard_normal(m))
+
+
+def test_cos_sin_near_matches_libm_to_2_ulp():
+    # a dense grid of [-1/2, 1/2] with both ends, signed zeros, values near
+    # 1e-300 (where d^2 underflows) and the last doubles inside the bound;
+    # sin(-0.0) reads +0.0, which the angle addition does not see
+    edge = np.nextafter(NEAR_PHASE, 0.0)
+    tiny = np.array([1e-300, 3.7e-300, 1e-308, 5e-324, 1e-160, 1e-8])
+    d = np.concatenate([np.linspace(-NEAR_PHASE, NEAR_PHASE, 400_001), [0.0, -0.0],
+                        tiny, -tiny, [edge, -edge]])
+    assert NEAR_PHASE == 0.5 and d.min() == -0.5 and d.max() == 0.5
+    given = d.copy()
+    c, s = _cos_sin_near(d)
+    assert np.array_equal(d, given)
+    for got, want in ((c, np.cos(d)), (s, np.sin(d))):
+        assert np.all(np.abs(got - want) <= 2.0 * np.spacing(np.abs(want)))
 
 
 def test_single_member_axis_wave():
