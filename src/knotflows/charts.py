@@ -48,8 +48,8 @@ class TubeChart:
     def strip_jet(self, s, t):
         """First and second derivatives of the strip embedding at (s, t).
 
-        s and t broadcast; one series evaluation per s value gives c, e1 and
-        their first two s-derivatives.
+        s and t broadcast; one call of the frame's truncated series per s
+        value gives c, e1 and their first two s-derivatives.
         """
         t = np.asarray(t, dtype=float)[..., None]
         c, e = self.frame.jet(s)

@@ -9,6 +9,11 @@ from scipy.linalg import circulant
 from scipy.spatial.distance import cdist
 
 
+# SpectralSeries drops the modes whose value tail is below this share of
+# max(1, max |column samples|)
+SERIES_TAIL = 1e-14
+
+
 class EmbeddingError(ValueError):
     """Raised when a curve fails an embedding check (degenerate speed or near self-contact)."""
 
@@ -85,25 +90,35 @@ class FourierCurve:
 
 
 class SpectralSeries:
-    """Trigonometric interpolant of periodic samples, with exact derivatives.
+    """Truncated trigonometric series of periodic samples, with exact derivatives.
 
-    Built from (n, d) samples, uniform over one period. A call at s returns
-    shape s.shape + (3, d): the interpolant and its first and second
-    derivatives, from one complex phase matrix times one (K, 3d) coefficient
-    table with columns [value | d/ds | d2/ds2].
+    Built from (n, d) samples, uniform over one period. Modes 0..K of the
+    samples' FFT are kept, K the least index at which, in every column, the
+    dropped value tail sum_{k>K} w_k |c_k| is at most SERIES_TAIL * max(1,
+    max |column samples|) (w_k = 2/n, 1/n for the mean and Nyquist modes).
+    That tail bounds the change of the value at every s, not only at the
+    samples. A call at s returns shape s.shape + (3, d): the series and its
+    first and second derivatives, from one complex phase matrix times one
+    (K + 1, 3d) coefficient table with columns [value | d/ds | d2/ds2].
     """
 
     def __init__(self, samples: np.ndarray, period: float):
         samples = np.asarray(samples, dtype=float).reshape(len(samples), -1)
         n, self.dim = samples.shape
         coeffs = np.fft.rfft(samples, axis=0)  # (n//2+1, d)
-        self._ik = 1j * (2.0 * np.pi / float(period)) * np.arange(coeffs.shape[0])
         w = np.full(coeffs.shape[0], 2.0 / n)
         w[0] = 1.0 / n
         wd = w.copy()
         if n % 2 == 0:
             # the Nyquist mode counts once, and is dropped when differentiating
             w[-1], wd[-1] = 1.0 / n, 0.0
+        # tail[K]: each column's value tail beyond mode K; the last row is zero
+        tail = np.cumsum((w[:, None] * np.abs(coeffs))[:0:-1], axis=0)[::-1]
+        tail = np.vstack([tail, np.zeros((1, self.dim))])
+        bound = SERIES_TAIL * np.maximum(1.0, np.max(np.abs(samples), axis=0))
+        keep = int(np.argmax(np.all(tail <= bound, axis=1))) + 1
+        coeffs, w, wd = coeffs[:keep], w[:keep], wd[:keep]
+        self._ik = 1j * (2.0 * np.pi / float(period)) * np.arange(keep)
         self.table = np.hstack([coeffs * w[:, None],
                                 coeffs * (wd * self._ik)[:, None],
                                 coeffs * (wd * self._ik**2)[:, None]])

@@ -59,9 +59,9 @@ class FrameModel:
     The raw transported frame picks up a holonomy angle around the loop; the
     correction rotates e1 by -holonomy * s / L so the frame closes up, and the
     closed samples, with the positions beside them, are stored as one
-    trigonometric interpolant over the (n, 6) samples [c | e1]. Positions,
-    frames and their s-derivatives all come from it, which keeps every
-    downstream geometric quantity self-consistent.
+    truncated trigonometric series (SpectralSeries) of the (n, 6) samples
+    [c | e1]. Positions, frames and their s-derivatives all come from it,
+    which keeps every downstream geometric quantity self-consistent.
     """
 
     def __init__(self, arc: ArcLengthCurve):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from knotflows import presets
-from knotflows.curves import (ArcLengthCurve, EmbeddingError, FourierCurve,
+from knotflows.curves import (SERIES_TAIL, ArcLengthCurve, EmbeddingError, FourierCurve,
                               LinkSpec, SpectralSeries, resample_arclength)
 from knotflows.framing import frame_transport
 
@@ -97,6 +97,28 @@ def test_spectral_series_reproduces_samples_and_derivative():
     assert np.max(np.abs(jet[:, 0] - expect)) < 1e-12
     assert np.max(np.abs(jet[:, 1] - d_expect)) < 1e-11
     assert np.max(np.abs(jet[:, 2] - dd_expect)) < 1e-10
+
+
+@pytest.mark.parametrize("n", [1024, 4096])
+def test_frame_series_of_circles_keeps_two_modes(n):
+    for curve in presets.circle(1.0) + presets.hopf(14.0):
+        assert frame_transport(resample_arclength(curve, n)).series.table.shape[0] == 2
+
+
+def test_truncated_series_reproduces_samples_within_tail_bound():
+    ring = resample_arclength(presets.borromean(major=8.0)[0], 1024)
+    assert frame_transport(ring).series.table.shape[0] - 1 <= 128
+    # columns of different spectra: the ring's, and the wider trefoil x32's
+    samples = np.hstack([ring.points, resample_arclength(presets.trefoil(32.0)[0], 1024).points])
+    series = SpectralSeries(samples, ring.length)
+    keep = series.table.shape[0]
+    bound = SERIES_TAIL * np.maximum(1.0, np.max(np.abs(samples), axis=0))
+    assert np.all(np.max(np.abs(series(ring.s_nodes)[:, 0] - samples), axis=0) <= bound)
+    # and K is the least such index: one mode fewer leaves some column's tail above it
+    coeffs = np.abs(np.fft.rfft(samples, axis=0))
+    w = np.full(coeffs.shape[0], 2.0 / 1024)
+    w[0] = w[-1] = 1.0 / 1024
+    assert np.any(np.sum(w[keep - 1:, None] * coeffs[keep - 1:], axis=0) > bound)
 
 
 def test_reach_of_unit_circle_is_one():

@@ -1,6 +1,7 @@
 """Rotation-minimizing frame transport and closed-frame construction."""
 
 import numpy as np
+import pytest
 
 from knotflows import presets
 from knotflows.curves import resample_arclength
@@ -72,3 +73,21 @@ def test_twist_rate_is_constant_minus_holonomy_over_length():
     t = c[:, 1] / np.linalg.norm(c[:, 1], axis=1, keepdims=True)
     twist_rate = np.sum(e[:, 1] * np.cross(t, e[:, 0]), axis=-1)
     assert np.max(np.abs(twist_rate - expected)) < 1e-6
+
+
+@pytest.mark.parametrize("curve", [presets.borromean(major=8.0)[0], presets.circle(14.0)[0]],
+                         ids=["ellipse", "circle14"])
+def test_frame_jet_matches_exact_curve_derivatives(curve):
+    fm = frame_transport(resample_arclength(curve, 1024))
+    s = np.random.default_rng(5).uniform(0.0, fm.length, 2000)
+    t = fm.arc.t_at(s)
+    v, a = curve.velocity(t), curve.acceleration(t)
+    speed = np.linalg.norm(v, axis=1, keepdims=True)
+    tangent = v / speed
+    # c''(s) = kappa N, the part of c''(t) normal to the tangent over |c'(t)|^2
+    kappa_n = (a - np.sum(a * tangent, axis=1, keepdims=True) * tangent) / speed**2
+    c, e = fm.jet(s)
+    assert np.max(np.linalg.norm(c[:, 1] - tangent, axis=1)) <= 1e-13
+    assert np.max(np.linalg.norm(c[:, 2] - kappa_n, axis=1)) <= 2e-12
+    assert np.max(np.abs(np.linalg.norm(e[:, 0], axis=1) - 1.0)) <= 1e-14
+    assert np.max(np.abs(np.sum(e[:, 0] * c[:, 1], axis=1))) <= 5e-14
