@@ -42,6 +42,17 @@ def _cos_sin_near(d: np.ndarray):
     return c, s
 
 
+def _ruling_terms(h: float) -> int:
+    """Terms on_rulings sums for phase offsets bounded by h <= NEAR_PHASE: the
+    first p with h^p / p! <= 2^-52, so every dropped term weighs at most the
+    unit roundoff of the member sum."""
+    p, term = 0, 1.0
+    while term > 2.0**-52:
+        p += 1
+        term *= h / p
+    return p
+
+
 def direction_set(n: int, rng: np.random.Generator | None = None) -> np.ndarray:
     """n quasi-uniform unit vectors (Fibonacci sphere), optionally jittered by
     one seeded random rotation of the whole set."""
@@ -206,3 +217,39 @@ class BeltramiExpansion:
             return o[:, :3], o[:, 3:].reshape(-1, 3, 3)
 
         return jet
+
+    def on_rulings(self, core, e1, t) -> np.ndarray:
+        """Field values at core[i] + t[j] e1[i] for (n, 3) core and e1 and (nt,)
+        t, shape (n, nt, 3), as a power series in t along each ruling.
+
+        The phase there is A + t B with A = lam k.core and B = lam k.e1, so
+        u = sum_p t^p / p! V_p, where V_p reads X_p = [B^p cos A | B^p sin A]
+        against [[CT, ST], [ST, -CT]] (CT, ST the value columns of jet's
+        tables): columns 0-2 for even p and 3-5 for odd p, with sign
+        (-1)^(p // 2). So cos and sin are taken n x members times, not
+        n x nt x members. The series stops at the first p with
+        h^p / p! <= 2^-52, h = max|t| max|B| (_ruling_terms), where the
+        dropped tail is below the rounding of the direct sum; when
+        h > NEAR_PHASE (or is not finite) this is __call__ on the broadcast
+        points.
+        """
+        core, e1, t = (np.asarray(v, dtype=float) for v in (core, e1, t))
+        b = e1 @ self.lk
+        h = np.max(np.abs(t)) * np.max(np.abs(b))
+        if not h <= NEAR_PHASE:
+            x = core[:, None, :] + t[None, :, None] * e1[:, None, :]
+            return self(x.reshape(-1, 3)).reshape(x.shape)
+        ct, st = self.cos_table[:, :3], self.sin_table[:, :3]
+        tables = (np.vstack([ct, st]), np.vstack([st, -ct]))
+        a = core @ self.lk
+        x = np.hstack([np.cos(a), np.sin(a)])
+        bb = np.hstack([b, b])
+        terms = _ruling_terms(h)
+        v = np.empty((core.shape[0], terms, 3))
+        for p in range(terms):
+            if p:
+                x *= bb
+            v[:, p] = x @ tables[p % 2]
+        orders = np.arange(terms)
+        coef = np.array([(-1.0) ** (p // 2) / math.factorial(p) for p in orders])
+        return (t[:, None] ** orders * coef) @ v

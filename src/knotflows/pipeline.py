@@ -80,8 +80,8 @@ def synthesize(link: LinkSpec, config: RunConfig) -> SynthesisResult:
     _, cauchy = build_geometry(link, config)
     closedness = [d.closedness for d in cauchy]
     timings["geometry_s"] = time.perf_counter() - t0
-    worst = max(closedness)
-    if worst > CLOSEDNESS_TOL:
+    worst = np.max(closedness)
+    if not worst <= CLOSEDNESS_TOL:
         raise PipelineError(
             f"Cauchy-data closedness residual {worst:.3e} exceeds "
             f"{CLOSEDNESS_TOL:g}; the pullback of gamma is not closed")
@@ -176,9 +176,10 @@ def verify(link: LinkSpec, expansion: BeltramiExpansion,
     strip_residuals = [strip_residual(expansion, d) for d in cauchy]
     timings["geometry_s"] = time.perf_counter() - t0
 
+    worst = np.max(closedness)
     _criterion(
-        criteria, "cauchy_closedness", max(closedness) <= CLOSEDNESS_TOL,
-        f"max residual {max(closedness):.3e} vs {CLOSEDNESS_TOL:g}")
+        criteria, "cauchy_closedness", worst <= CLOSEDNESS_TOL,
+        f"max residual {worst:.3e} vs {CLOSEDNESS_TOL:g}")
     _criterion(
         criteria, "strip_residual_budget",
         all(r < config.eps_tilde for r in strip_residuals),

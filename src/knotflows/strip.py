@@ -4,7 +4,10 @@ field against it.
 
 The ruled strip S(s, t) = c(s) + t e1(s) has first fundamental form
 h_ss = |c'(s) + t e1'(s)|^2, h_st = 0, h_tt = 1, so w restricted to the
-strip reads g(t, s) d/ds - t d/dt with g = 1/h_ss.
+strip reads g(t, s) d/ds - t d/dt with g = 1/h_ss. The grid is kept as its
+rulings: the core point c and direction e1 at each s-node and the t-nodes,
+so that a field on the grid is a power series in t per s-node
+(BeltramiExpansion.on_rulings).
 """
 
 from __future__ import annotations
@@ -17,7 +20,8 @@ import scipy.linalg
 from .charts import TubeChart
 from .config import RunConfig
 
-STRIP_BLOCK = 1024    # strip points per field call in strip_residual
+# strip points per field call in strip_residual: max(1, STRIP_BLOCK // nt) s-rows
+STRIP_BLOCK = 1024
 # Gauss nodes in t per s-node of the fit: at 6 the test fixtures' coefficients
 # stay within 1.4e-8 relative of the full-grid fit's, at 4 the trefoil's move 1.6e-5
 GAUSS_T_NODES = 6
@@ -52,9 +56,9 @@ def gauss_rule(n_grid: int):
 
 @dataclass(frozen=True)
 class CauchyData:
-    """Cauchy data for one tube: ambient strip points and target vectors on
-    the strip grid, the closedness residual of the 1-form gamma dual to w
-    pulled back to the strip, and the rows the fit reads.
+    """Cauchy data for one tube: the strip grid as its rulings core + t e1,
+    the target vectors on it, the closedness residual of the 1-form gamma
+    dual to w pulled back to the strip, and the rows the fit reads.
 
     Closedness of gamma is what makes w a legitimate boundary trace of a
     Beltrami field. The fit rows sit at the s-nodes of the grid and the
@@ -63,7 +67,9 @@ class CauchyData:
     sum over the grid, which stays the out-of-sample gate (strip_residual).
     """
 
-    points: np.ndarray            # (ns, nt, 3) grid
+    core: np.ndarray              # (ns, 3): c at the s-nodes
+    e1: np.ndarray                # (ns, 3): the ruling direction there
+    t: np.ndarray                 # (nt,): the grid's t-nodes
     w: np.ndarray                 # (ns, nt, 3)
     closedness: float             # max |d(gamma)| on the grid
     fit_points: np.ndarray        # (ns, P, 3) at the Gauss nodes
@@ -73,33 +79,35 @@ class CauchyData:
 
 def build_cauchy_data(chart: TubeChart, config: RunConfig) -> CauchyData:
     """The tube's grid, closedness and fit rows from one strip jet, whose t
-    runs over the grid's nt nodes and then the Gauss nodes."""
+    runs over the grid's nt nodes, then the Gauss nodes, then t = 0 (the core)."""
     ns = max(64, int(round(config.strip_s_per_2pi * chart.length / (2.0 * np.pi))))
     nt = config.strip_t_nodes
     s = chart.length * np.arange(ns) / ns
     t = np.linspace(-chart.w_half, chart.w_half, nt)
     tau, weight = gauss_rule(nt)
-    t_all = np.concatenate([t, chart.w_half * tau])
+    t_all = np.concatenate([t, chart.w_half * tau, [0.0]])
     jet = chart.strip_jet(s[:, None], t_all[None, :])
     w_all = _cauchy_vector(jet, t_all[None, :])
     w = w_all[:, :nt]
     gamma_s = np.sum(w * jet["S_s"][:, :nt], axis=-1)
     gamma_t = np.sum(w * jet["e1"][:, :nt], axis=-1)
-    return CauchyData(jet["S"][:, :nt], w,
+    return CauchyData(jet["S"][:, -1].copy(), jet["e1"][:, -1].copy(), t, w,
                       closedness_residual(gamma_s, gamma_t, s[1] - s[0], t[1] - t[0]),
-                      jet["S"][:, nt:], w_all[:, nt:], np.sqrt(weight))
+                      jet["S"][:, nt:-1], w_all[:, nt:-1], np.sqrt(weight))
 
 
 def strip_residual(field, data: CauchyData) -> float:
-    """max |u - w| over one tube's strip grid.
+    """max |u - w| over one tube's strip grid; nan if any node reads nan.
 
-    The field is called on STRIP_BLOCK points at a time, so its (points x
-    members) phase tables stay a fixed size however long the tube is.
+    The field is read along the grid's rulings (BeltramiExpansion.on_rulings),
+    max(1, STRIP_BLOCK // nt) s-rows at a time, so its (s-rows x members)
+    phase tables stay a fixed size however long the tube is.
     """
-    x, w = data.points.reshape(-1, 3), data.w.reshape(-1, 3)
-    return float(max(
-        np.linalg.norm(field(x[lo:lo + STRIP_BLOCK]) - w[lo:lo + STRIP_BLOCK], axis=1).max()
-        for lo in range(0, x.shape[0], STRIP_BLOCK)))
+    rows = max(1, STRIP_BLOCK // data.t.size)
+    return float(np.max([
+        np.linalg.norm(field.on_rulings(data.core[lo:lo + rows], data.e1[lo:lo + rows], data.t)
+                       - data.w[lo:lo + rows], axis=-1).max()
+        for lo in range(0, data.core.shape[0], rows)]))
 
 
 def closedness_residual(gamma_s: np.ndarray, gamma_t: np.ndarray,

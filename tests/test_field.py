@@ -6,6 +6,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from knotflows import field
 from knotflows.curves import LinkSpec
 from knotflows.field import (NEAR_PHASE, BeltramiExpansion, _cos_sin_near, direction_set,
                              eigen_bounds, make_basis, polarization_pair)
@@ -106,6 +107,51 @@ def test_jet_matches_call_and_is_traceless():
     assert val1.shape == (3,) and jac1.shape == (3, 3)
     assert np.max(np.abs(val1 - u(pts[3]))) < 1e-13 * np.max(np.abs(ref))
     assert np.max(np.abs(jac1 - jac[3])) < 1e-13 * np.max(np.abs(jac))
+
+
+def _rulings(rng, n, lam_h, u):
+    """n rulings with cores in [-1, 1]^3 and unit directions, and 9 t-nodes whose
+    largest |t| max|B| is lam_h (B = lam k.e1 over the members of u)."""
+    core = rng.uniform(-1.0, 1.0, (n, 3))
+    e1 = rng.standard_normal((n, 3))
+    e1 /= np.linalg.norm(e1, axis=1, keepdims=True)
+    t = np.linspace(-1.0, 1.0, 9) * lam_h / np.max(np.abs(e1 @ u.lk))
+    return core, e1, t, core[:, None, :] + t[None, :, None] * e1[:, None, :]
+
+
+def test_on_rulings_matches_call_within_the_members_rounding(monkeypatch):
+    # the series against the direct sum on the grid, for h up to NEAR_PHASE;
+    # both are exact but for rounding, which the members' sum bounds
+    terms = []
+    ruling_terms = field._ruling_terms
+    monkeypatch.setattr(field, "_ruling_terms", lambda h: terms.append(h) or ruling_terms(h))
+    rng = np.random.default_rng(21)
+    for seed, lam in ((3, 1.0), (4, 1.7), (5, 0.3)):
+        u = _random_expansion(n_dirs=60, lam=lam, seed=seed)
+        bound = 4.0 * 2.0**-52 * np.sum(np.linalg.norm(u.cos_table[:, :3], axis=1)
+                                        + np.linalg.norm(u.sin_table[:, :3], axis=1))
+        for lam_h in (0.0, 1e-3, 0.014, 0.1, 0.3, 0.999 * NEAR_PHASE):
+            core, e1, t, x = _rulings(rng, 40, lam_h, u)
+            got = u.on_rulings(core, e1, t)
+            assert got.shape == (40, 9, 3)
+            assert np.max(np.abs(got - u(x.reshape(-1, 3)).reshape(x.shape))) <= bound
+    # every call took the series, none the fallback
+    assert len(terms) == 18 and max(terms) <= NEAR_PHASE
+
+
+def test_on_rulings_past_near_phase_is_call_on_the_grid(monkeypatch):
+    monkeypatch.setattr(field, "_ruling_terms", lambda h: pytest.fail("series taken"))
+    u = _random_expansion(n_dirs=30, lam=1.3, seed=6)
+    rng = np.random.default_rng(22)
+    for lam_h in (1.001 * NEAR_PHASE, 3.0):
+        core, e1, t, x = _rulings(rng, 25, lam_h, u)
+        assert np.array_equal(u.on_rulings(core, e1, t), u(x.reshape(-1, 3)).reshape(x.shape))
+    # a non-finite t or ruling direction takes the fallback too
+    core, e1, t, _ = _rulings(rng, 25, 0.1, u)
+    t[4], e1[3, 1] = np.nan, np.nan
+    x = core[:, None, :] + t[None, :, None] * e1[:, None, :]
+    assert np.array_equal(u.on_rulings(core, e1, t), u(x.reshape(-1, 3)).reshape(x.shape),
+                          equal_nan=True)
 
 
 def test_direction_set_quasi_uniform():

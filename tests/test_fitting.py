@@ -18,19 +18,36 @@ from knotflows.strip import GAUSS_T_NODES, CauchyData
 from conftest import twin_basis
 
 
-def _synthetic_data(points, w, weight=None):
-    """CauchyData of given (ns, nt, 3) points and targets whose fit rows are
-    the grid itself, column j weighted by weight[j] (by default 1: the
-    full-grid fit)."""
-    weight = np.ones(points.shape[1]) if weight is None else np.asarray(weight, float)
-    return CauchyData(points=points, w=w, closedness=0.0,
+def _grid(data):
+    """The (ns, nt, 3) strip grid of a tube's rulings, core + t e1."""
+    return data.core[:, None, :] + data.t[None, :, None] * data.e1[:, None, :]
+
+
+def _rulings(rng, ns, nt, centre=(0.0, 0.0, 0.0), spread=1.0, half=0.25):
+    """ns rulings with seeded cores in the cube centre +- spread and unit
+    directions, and nt t-nodes across [-half, half]; at lam = 1 no phase
+    offset along a ruling exceeds half, so strip_residual reads the series."""
+    core = np.asarray(centre) + rng.uniform(-spread, spread, (ns, 3))
+    e1 = rng.standard_normal((ns, 3))
+    e1 /= np.linalg.norm(e1, axis=1, keepdims=True)
+    return core, e1, np.linspace(-half, half, nt)
+
+
+def _synthetic_data(core, e1, t, target, weight=None):
+    """CauchyData on the grid of the given rulings with targets target(points),
+    whose fit rows are the grid itself, column j weighted by weight[j] (by
+    default 1: the full-grid fit)."""
+    weight = np.ones(t.size) if weight is None else np.asarray(weight, float)
+    points = core[:, None, :] + t[None, :, None] * e1[:, None, :]
+    w = target(points.reshape(-1, 3)).reshape(points.shape)
+    return CauchyData(core=core, e1=e1, t=t, w=w, closedness=0.0,
                       fit_points=points, fit_w=w, fit_sqrt_weight=np.sqrt(weight))
 
 
 def _full_grid(data):
     """The full-grid reference of a tube's fit rows: every grid node, unit weights."""
-    return dataclasses.replace(data, fit_points=data.points, fit_w=data.w,
-                               fit_sqrt_weight=np.ones(data.points.shape[1]))
+    return dataclasses.replace(data, fit_points=_grid(data), fit_w=data.w,
+                               fit_sqrt_weight=np.ones(data.t.size))
 
 
 # integer column weights of _three_tubes, so that a weight counts copies of a row
@@ -41,9 +58,9 @@ def _three_tubes(rng):
     """Three separated tubes of quadratic targets, which no basis fits exactly;
     their fit rows carry TUBE_WEIGHTS."""
     datas = []
-    for center in ([0.0, 0.0, 0.0], [2.0, 0.0, 0.0], [0.0, 2.0, 1.0]):
-        pts = np.asarray(center) + rng.uniform(-0.5, 0.5, (6, 4, 3))
-        datas.append(_synthetic_data(pts, pts**2, TUBE_WEIGHTS))
+    for centre in ([0.0, 0.0, 0.0], [2.0, 0.0, 0.0], [0.0, 2.0, 1.0]):
+        rulings = _rulings(rng, 6, len(TUBE_WEIGHTS), centre, spread=0.5)
+        datas.append(_synthetic_data(*rulings, np.square, TUBE_WEIGHTS))
     return datas
 
 
@@ -100,9 +117,7 @@ def test_fit_recovers_single_member_exactly():
     rng = np.random.default_rng(4)
     k, e = make_basis(4, rng)
     target = BeltramiExpansion(1.0, k[2:3], e[2:3], [1.0], [0.0])
-    pts = rng.uniform(-1.0, 1.0, (12, 5, 3))
-    w = target(pts.reshape(-1, 3)).reshape(pts.shape)
-    data = _synthetic_data(pts, w)
+    data = _synthetic_data(*_rulings(rng, 12, 5), target)
     fitted, report = fit_global([data], 1e-8, k, e, 1.0, ridge=0.0)
     expect = np.zeros(k.shape[0])
     expect[2] = 1.0
@@ -142,10 +157,8 @@ def test_single_basis_at_half_ridge_matches_twin_basis():
 def test_fit_reports_failure_with_advice():
     rng = np.random.default_rng(6)
     k, e = make_basis(2, rng)
-    pts = rng.uniform(-1.0, 1.0, (10, 4, 3))
     # a quadratic target is not in the span of two plane-wave directions
-    w = pts**2
-    data = _synthetic_data(pts, w)
+    data = _synthetic_data(*_rulings(rng, 10, 4), np.square)
     _, report = fit_global([data], 1e-10, k, e, 1.0)
     assert not report.success
     assert max(report.tube_residuals) > 1e-10
@@ -175,8 +188,7 @@ def test_fit_defaults_are_the_run_config_defaults():
 def test_fit_requires_one_finite_positive_tolerance():
     rng = np.random.default_rng(0)
     k, e = make_basis(2, rng)
-    pts = rng.uniform(-1.0, 1.0, (4, 4, 3))
-    data = _synthetic_data(pts, np.zeros_like(pts))
+    data = _synthetic_data(*_rulings(rng, 4, 4), np.zeros_like)
     for eps in (0.0, -1e-3, np.nan, np.inf, (1e-3, 2e-3)):
         with pytest.raises(ValueError, match="one finite tolerance > 0"):
             fit_global([data], eps, k, e, 1.0)
@@ -192,7 +204,7 @@ def test_streamed_fit_matches_dense_lstsq():
     # integer weight m taken m times
     n = 2 * k.shape[0]
     copies = np.tile(TUBE_WEIGHTS, 6)
-    pts = np.vstack([np.repeat(d.points.reshape(-1, 3), copies, axis=0) for d in datas])
+    pts = np.vstack([np.repeat(_grid(d).reshape(-1, 3), copies, axis=0) for d in datas])
     a = design_matrix(k, e, lam, pts)
     b = np.concatenate([np.repeat(d.w.reshape(-1, 3), copies, axis=0).reshape(-1)
                         for d in datas])
@@ -226,7 +238,7 @@ def test_fit_streams_the_design_matrix_in_blocks(monkeypatch):
     assert max(rows) <= n_coef + 3
     assert sum(rows) == 3 * report.n_points
     # the fit reads the Gauss rows: GAUSS_T_NODES per s-node of every tube
-    assert report.n_points == sum(d.points.shape[0] * GAUSS_T_NODES for d in datas)
+    assert report.n_points == sum(d.core.shape[0] * GAUSS_T_NODES for d in datas)
 
 
 @pytest.mark.parametrize("run", ["unknot_run", "hopf_run", "trefoil_run"])
@@ -243,5 +255,5 @@ def test_gauss_rows_fit_matches_the_full_grid_fit(run, request):
     assert np.linalg.norm(got - want) <= 1e-7 * np.linalg.norm(want)
     assert np.allclose(result.fit.tube_residuals, ref_report.tube_residuals,
                        rtol=1e-8, atol=0.0)
-    assert ref_report.n_points == sum(d.points[..., 0].size for d in datas)
-    assert result.fit.n_points == sum(d.points.shape[0] * GAUSS_T_NODES for d in datas)
+    assert ref_report.n_points == sum(d.w[..., 0].size for d in datas)
+    assert result.fit.n_points == sum(d.core.shape[0] * GAUSS_T_NODES for d in datas)

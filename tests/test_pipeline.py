@@ -1,5 +1,6 @@
 """Pipeline orchestration: gates, criteria and the report schema."""
 
+import dataclasses
 import json
 from dataclasses import asdict
 
@@ -30,6 +31,28 @@ def test_synthesize_closedness_gate(monkeypatch):
     monkeypatch.setattr(pipeline, "CLOSEDNESS_TOL", 1e-18)
     with pytest.raises(PipelineError, match="closedness"):
         synthesize(link, RunConfig(lam=1.0))
+
+
+def test_nan_closedness_in_the_second_tube_fails_both_gates(monkeypatch):
+    # a nan that is not the first tube's must not slip past max() and a > test
+    link = LinkSpec(1.0, tuple(presets.hopf(radius=14.0)))
+    cfg = RunConfig(lam=1.0, w_half_factor=0.01, strip_s_per_2pi=18, strip_t_nodes=9)
+    built = []
+    build_cauchy_data = pipeline.build_cauchy_data
+
+    def second_tube_nan(chart, config):
+        built.append(build_cauchy_data(chart, config))
+        if len(built) % 2:
+            return built[-1]
+        return dataclasses.replace(built[-1], closedness=float("nan"))
+
+    monkeypatch.setattr(pipeline, "build_cauchy_data", second_tube_nan)
+    with pytest.raises(PipelineError, match="closedness"):
+        synthesize(link, cfg)
+    report = verify(link, _axis_wave(), cfg).report
+    assert np.isnan(report["closedness"][1]) and np.isfinite(report["closedness"][0])
+    passed = {c["name"]: c["passed"] for c in report["criteria"]}
+    assert passed["cauchy_closedness"] is False
 
 
 @pytest.mark.parametrize("bad", [

@@ -6,14 +6,15 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from knotflows import presets
+from knotflows import field, presets
 from knotflows.charts import TubeChart
 from knotflows.config import RunConfig
-from knotflows.curves import resample_arclength
+from knotflows.curves import LinkSpec, resample_arclength
 from knotflows.field import BeltramiExpansion, make_basis
 from knotflows.framing import frame_transport
 from knotflows.paper import strip_monodromy
-from knotflows.strip import (GAUSS_T_NODES, _cauchy_vector, build_cauchy_data,
+from knotflows.pipeline import build_geometry
+from knotflows.strip import (GAUSS_T_NODES, STRIP_BLOCK, _cauchy_vector, build_cauchy_data,
                              closedness_residual, gauss_rule, strip_residual)
 
 from conftest import traced_peak
@@ -77,8 +78,9 @@ def test_cauchy_data_grid_and_closedness():
     cfg = RunConfig(strip_s_per_2pi=64, strip_t_nodes=17)
     data = build_cauchy_data(chart, cfg)
     s, t, gamma_s, gamma_t = _gamma_on_grid(chart, cfg)
-    assert data.points.shape == (len(s), 17, 3)
-    assert data.w.shape == data.points.shape
+    assert data.core.shape == data.e1.shape == (len(s), 3)
+    assert np.array_equal(data.t, t)
+    assert data.w.shape == (len(s), 17, 3)
     # gamma = ds - t dt for any chart: both components are exact here
     assert np.max(np.abs(gamma_s - 1.0)) < 1e-9
     assert np.max(np.abs(gamma_t + t[None, :])) < 1e-9
@@ -114,7 +116,8 @@ def test_cauchy_data_fit_rows_sit_at_the_gauss_nodes(monkeypatch):
     assert np.array_equal(data.fit_points, jet["S"])
     assert np.array_equal(data.fit_w, _cauchy_vector(jet, chart.w_half * tau[None, :]))
     grid = chart.strip_jet(s[:, None], t[None, :])
-    assert np.array_equal(data.points, grid["S"])
+    assert np.array_equal(data.core[:, None, :] + t[None, :, None] * data.e1[:, None, :],
+                          grid["S"])
     assert np.array_equal(data.w, _cauchy_vector(grid, t[None, :]))
 
 
@@ -189,18 +192,63 @@ def test_strip_monodromy_scales_with_length():
     assert abs(mu - np.exp(-1.0)) < 1e-8
 
 
+def _random_rulings(rng, ns, nt, half):
+    """ns rulings of seeded cores in [-40, 40]^3 and unit directions, nt t-nodes
+    across [-half, half], with standard-normal targets on the grid."""
+    core = rng.uniform(-40.0, 40.0, (ns, 3))
+    e1 = rng.standard_normal((ns, 3))
+    e1 /= np.linalg.norm(e1, axis=1, keepdims=True)
+    return SimpleNamespace(core=core, e1=e1, t=np.linspace(-half, half, nt),
+                           w=rng.standard_normal((ns, nt, 3)))
+
+
 def test_strip_residual_memory_is_bounded_by_its_block():
     # a trefoil-fixture tube: 325 x 33 strip nodes (10,725 points) against 600
     # members; one field call on the whole grid peaks near 100 MiB
     rng = np.random.default_rng(5)
     k, e = make_basis(600, rng)
     u = BeltramiExpansion(1.0, k, e, rng.standard_normal(600), rng.standard_normal(600))
-    points = rng.uniform(-40.0, 40.0, (325, 33, 3))
-    w = rng.standard_normal((325, 33, 3))
-    data = SimpleNamespace(points=points, w=w)
+    data = _random_rulings(rng, 325, 33, 0.07)
     got, peak = traced_peak(strip_residual, u, data)
-    assert peak < 16 * 2**20
-    x, w = points.reshape(-1, 3), w.reshape(-1, 3)
+    assert peak < 4 * 2**20
+    # the oracle: direct field calls on the grid, 100 points at a time
+    x = (data.core[:, None, :] + data.t[None, :, None] * data.e1[:, None, :]).reshape(-1, 3)
+    w = data.w.reshape(-1, 3)
     expect = max(np.linalg.norm(u(x[lo:lo + 100]) - w[lo:lo + 100], axis=1).max()
                  for lo in range(0, x.shape[0], 100))
     assert abs(got - expect) <= 1e-12 * expect
+
+
+def test_strip_residual_reads_nan_in_the_last_block():
+    # 100 s-rows of 33 t-nodes are 4 blocks of 31 rows; a nan target in the
+    # last one must not be dropped by the max over blocks
+    rng = np.random.default_rng(6)
+    k, e = make_basis(20, rng)
+    u = BeltramiExpansion(1.0, k, e, rng.standard_normal(20), rng.standard_normal(20))
+    data = _random_rulings(rng, 100, 33, 0.07)
+    assert np.isfinite(strip_residual(u, data))
+    data.w[-1, 5, 1] = np.nan
+    assert np.isnan(strip_residual(u, data))
+
+
+@pytest.mark.parametrize("curves, cfg, terms", [
+    # the benchmark's ellipse and hopf workloads: |t B| <= w_half lam = 0.014, 0.035
+    (presets.borromean(major=8.0)[:1],
+     RunConfig(directions=200, strip_s_per_2pi=32, orbit_samples=512), 7),
+    (presets.hopf(radius=14.0),
+     RunConfig(directions=400, w_half_factor=0.01, strip_s_per_2pi=18, strip_t_nodes=9,
+               orbit_samples=256), 8),
+], ids=["ellipse", "hopf"])
+def test_strip_residual_series_terms_on_the_workload_strips(monkeypatch, curves, cfg, terms):
+    _, datas = build_geometry(LinkSpec(1.0, tuple(curves)), cfg)
+    k, e = make_basis(cfg.directions, np.random.default_rng(cfg.seed))
+    rng = np.random.default_rng(7)
+    u = BeltramiExpansion(1.0, k, e, rng.standard_normal(len(k)), rng.standard_normal(len(k)))
+    counts = []
+    ruling_terms = field._ruling_terms
+    monkeypatch.setattr(field, "_ruling_terms",
+                        lambda h: counts.append(ruling_terms(h)) or counts[-1])
+    for data in datas:
+        strip_residual(u, data)
+    blocks = sum(-(-d.core.shape[0] // (STRIP_BLOCK // d.t.size)) for d in datas)
+    assert counts == [terms] * blocks
