@@ -16,8 +16,8 @@ from .charts import TubeChart, build_charts, tube_radius
 from .config import RunConfig
 from .curves import (ArcLengthCurve, EmbeddingError, FourierCurve, LinkSpec,
                      resample_arclength)
-from .dynamics import (FloquetData, IntegrationError, NewtonFailure, OrbitEscape,
-                       PeriodicOrbit, Trajectory, integrate, monodromy,
+from .dynamics import (DynamicsError, FloquetData, IntegrationError, NewtonFailure,
+                       OrbitEscape, PeriodicOrbit, Trajectory, integrate, monodromy,
                        refine_orbit)
 from .field import BeltramiExpansion, direction_set, make_basis
 from .fileio import (FileFormatError, load_field, load_link, load_seeds,
@@ -35,7 +35,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ArcLengthCurve", "BeltramiExpansion", "CauchyData",
-    "ConfinementCertificate", "EmbeddingError", "FileFormatError",
+    "ConfinementCertificate", "DynamicsError", "EmbeddingError", "FileFormatError",
     "FitReport", "FloquetData", "FourierCurve", "FrameModel",
     "IntegrationError", "LinkSpec", "LinkingError", "LinkingResult",
     "NewtonFailure", "OrbitEscape", "PeriodicOrbit", "PipelineError", "RunConfig",

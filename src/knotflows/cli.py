@@ -16,7 +16,6 @@ import numpy as np
 
 from . import fileio
 from .config import RunConfig
-from .curves import EmbeddingError
 from .dynamics import IntegrationError, integrate
 from .fileio import FileFormatError
 from .pipeline import PipelineError, synthesize, verify
@@ -217,7 +216,7 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code else EXIT_PASS
     try:
         return args.func(args)
-    except (FileFormatError, EmbeddingError, ValueError) as exc:
+    except ValueError as exc:
         if isinstance(exc, np.linalg.LinAlgError):
             # a ValueError subclass, but a numerical failure, not an input error
             return _unexpected(exc)

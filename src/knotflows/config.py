@@ -48,7 +48,7 @@ class RunConfig:
                 raise ValueError(f"config {f.name} must be a number, got {value!r}")
             if f.type == "int" and not isinstance(value, numbers.Integral):
                 raise ValueError(f"config {f.name} must be an int, got {value!r}")
-            # the strip's t-derivative and an orbit polyline need 3 nodes
+            # the strip grid keeps a node inside its edges; an orbit polyline needs 3
             if f.name in ("strip_t_nodes", "orbit_samples") and value < 3:
                 raise ValueError(f"config {f.name} must be >= 3, got {value!r}")
             zero_ok = f.name in ("ridge", "seed")

@@ -6,8 +6,8 @@ a multiple-shooting system (segment closures plus a phase condition on the
 first node). Each shoot integrates all m segments as one ODE. The shoot that
 closes the system is the orbit's one integration: its dense interpolant gives
 the orbit samples, and its segment transfer matrices give a segmented
-monodromy product whose determinant and stable multiplier stay resolvable
-even when e^{T} is large.
+monodromy product whose determinant, and with it the stable multiplier,
+stays resolvable even when e^{T} is large.
 
 Fields are callables x -> u(x) on (3,) or (n, 3) points. A shoot's variational
 flow also needs field.jet_near(nodes) -> (x -> (u(x), Du(x))) for (m, 3)
@@ -28,20 +28,25 @@ from .charts import TubeChart
 CLOSURE_TOL = 1e-9    # max |shooting residual| required of a refined orbit
 
 
-class IntegrationError(RuntimeError):
+class DynamicsError(RuntimeError):
+    """An orbit could not be integrated, refined or given its Floquet data."""
+
+
+class IntegrationError(DynamicsError):
     """The ODE solver stopped before the end of its interval."""
 
 
-class OrbitEscape(RuntimeError):
+class OrbitEscape(DynamicsError):
     """An iterate left the tube."""
 
 
-class NewtonFailure(RuntimeError):
+class NewtonFailure(DynamicsError):
     """The shooting Newton did not close the orbit."""
 
 
-class MonodromyOverflow(RuntimeError):
-    """The monodromy product of an orbit is not finite in float64."""
+class MonodromyOverflow(DynamicsError):
+    """The monodromy product of an orbit leaves float64's range: it is not
+    finite, or every eigenvalue but the flow's underflows to 0."""
 
 
 @dataclass(frozen=True)
@@ -205,17 +210,17 @@ def monodromy(field, orbit: PeriodicOrbit) -> FloquetData:
 
     Integrates nothing: M(T) = M_m ... M_1 from the factors refine_orbit
     integrated from each shooting node, so trajectory error never compounds
-    along the period. The determinant is the product of the factor
-    determinants and the stable multiplier is read from the inverse-factor
-    product, which keeps both accurate when e^{T} exceeds 1/rtol. The flow
-    direction u(x0) is an exact eigenvector with eigenvalue 1, so one rule
-    deflates both products: drop the eigenvalue nearest 1. mu_unstable is the
-    larger-modulus survivor of M(T), mu_stable the reciprocal of the survivor
-    of M^{-1} farthest from 1/mu_unstable; an elliptic orbit gets its
-    conjugate pair. The orbit is a hyperbolic_saddle iff both multipliers are
-    real, |mu_unstable| > 1 > |mu_stable| and both moduli are at least 1e-6
-    from 1 (a pair straddling 1 by rounding is no saddle), elliptic iff both
-    are non-real, and indeterminate otherwise.
+    along the period. The eigenvalues of M(T) are 1 (the flow direction
+    u(x0) is an exact eigenvector), mu_unstable and mu_stable, with product
+    det M(T): drop the eigenvalue nearest 1, take mu_unstable as the
+    larger-modulus survivor and mu_stable = det / mu_unstable, where det is
+    the product of the factor determinants (Liouville). Both stay accurate
+    when e^{T} exceeds 1/rtol, where the smaller survivor of M(T) is
+    rounding. Since det > 0, the two multipliers are real or non-real
+    together; an elliptic orbit gets its conjugate pair. The orbit is a
+    hyperbolic_saddle iff they are real, |mu_unstable| > 1 > |mu_stable| and
+    both moduli are at least 1e-6 from 1 (a pair straddling 1 by rounding is
+    no saddle), elliptic iff they are non-real, and indeterminate otherwise.
     """
     factors = orbit.transfers
     det = float(np.prod(np.linalg.det(factors)))
@@ -224,29 +229,26 @@ def monodromy(field, orbit: PeriodicOrbit) -> FloquetData:
     flow_res = float(np.max(np.linalg.norm(np.einsum("kij,kj->ki", factors, us) - u_next,
                                            axis=1) / np.linalg.norm(u_next, axis=1)))
 
-    m_total, m_inv = np.eye(3), np.eye(3)
+    m_total = np.eye(3)
     with np.errstate(over="ignore", invalid="ignore"):
         for mk in factors:
             m_total = mk @ m_total
-            m_inv = m_inv @ np.linalg.inv(mk)
-    if not np.isfinite((m_total, m_inv)).all():
+    if not np.isfinite(m_total).all():
         raise MonodromyOverflow(f"M(T) overflows float64 at the period T = {orbit.period:.6g}")
 
-    # the flow eigenvalue of each product is the one nearest 1; the survivors
-    # of M^{-1} are the reciprocals of those of M
-    eig, eig_inv = [np.delete(e, np.argmin(np.abs(e - 1.0)))
-                    for e in (np.linalg.eigvals(m_total), np.linalg.eigvals(m_inv))]
-    mu_unstable = eig[np.argmax(np.abs(eig))]
-    mu_stable = 1.0 / eig_inv[np.argmax(np.abs(eig_inv - 1.0 / mu_unstable))]
-    mus = [complex(mu_unstable), complex(mu_stable)]
+    eig = np.linalg.eigvals(m_total)
+    eig = np.delete(eig, np.argmin(np.abs(eig - 1.0)))
+    mu = complex(eig[np.argmax(np.abs(eig))])
+    if mu == 0.0:
+        raise MonodromyOverflow(f"M(T) underflows float64 at the period T = {orbit.period:.6g}")
+    real = abs(mu.imag) < 1e-9 * abs(mu)
+    mus = (mu.real, det / mu.real) if real else (mu, det / mu)
     margin = float(min(abs(abs(m) - 1.0) for m in mus))
-    real = [abs(m.imag) < 1e-9 * abs(m) for m in mus]
-    if all(real) and abs(mus[0]) > 1.0 > abs(mus[1]) and margin >= 1e-6:
-        cls = "hyperbolic_saddle"
-    elif not any(real):
+    if not real:
         cls = "elliptic"
+    elif abs(mus[0]) > 1.0 > abs(mus[1]) and margin >= 1e-6:
+        cls = "hyperbolic_saddle"
     else:
         cls = "indeterminate"
-    return FloquetData(det=det, multipliers=tuple(m.real if r else m for m, r in zip(mus, real)),
-                       flow_eigen_residual=flow_res, classification=cls,
-                       margin=margin)
+    return FloquetData(det=det, multipliers=mus, flow_eigen_residual=flow_res,
+                       classification=cls, margin=margin)

@@ -16,41 +16,43 @@ import numpy as np
 
 GOLDEN_ANGLE = np.pi * (3.0 - np.sqrt(5.0))
 
-# jet_near's offset kernel: on |d| <= NEAR_PHASE, cos d and sin d are Taylor
-# polynomials, cos to degree TAYLOR_DEGREE and sin to TAYLOR_DEGREE - 1. The
-# first dropped terms are 6e-22 and 2.1e-20 at |d| = 1/2, so both round to
-# within 1 ulp of libm there, at a quarter of its cost per element
+# jet_near's offset kernel takes cos d and sin d by Taylor polynomials on
+# |d| <= NEAR_PHASE, at a quarter of libm's cost per element
 NEAR_PHASE = 0.5
-TAYLOR_DEGREE = 16
-_COS_TAYLOR = [(-1) ** j / math.factorial(2 * j) for j in range(TAYLOR_DEGREE // 2 + 1)]
-_SIN_TAYLOR = [(-1) ** j / math.factorial(2 * j + 1) for j in range(TAYLOR_DEGREE // 2)]
+
+
+def _taylor_terms(h: float) -> int:
+    """Taylor terms for phase offsets bounded by h <= NEAR_PHASE: the first p
+    with h^p / p! <= 2^-52, so every dropped term weighs at most the unit
+    roundoff of the sum it is dropped from."""
+    p, term = 0, 1.0
+    while term > 2.0**-52:
+        p += 1
+        term *= h / p
+    return p
+
+
+# (-1)^(p // 2) / p!, the signed Taylor coefficients of cos (even p) and sin
+# (odd p), for every term a phase offset within NEAR_PHASE needs
+_TAYLOR = np.array([(-1.0) ** (p // 2) / math.factorial(p)
+                    for p in range(_taylor_terms(NEAR_PHASE))])
 
 
 def _cos_sin_near(d: np.ndarray):
     """cos d and sin d by Horner in d^2, for |d| <= NEAR_PHASE."""
+    cos_taylor, sin_taylor = _TAYLOR[0::2], _TAYLOR[1::2]
     z = d * d
-    c, s = _COS_TAYLOR[-1] * z, _SIN_TAYLOR[-1] * z
-    for a in _COS_TAYLOR[-2:0:-1]:
+    c, s = cos_taylor[-1] * z, sin_taylor[-1] * z
+    for a in cos_taylor[-2:0:-1]:
         c += a
         c *= z
-    for a in _SIN_TAYLOR[-2:0:-1]:
+    for a in sin_taylor[-2:0:-1]:
         s += a
         s *= z
     c += 1.0
     s *= d
     s += d
     return c, s
-
-
-def _ruling_terms(h: float) -> int:
-    """Terms on_rulings sums for phase offsets bounded by h <= NEAR_PHASE: the
-    first p with h^p / p! <= 2^-52, so every dropped term weighs at most the
-    unit roundoff of the member sum."""
-    p, term = 0, 1.0
-    while term > 2.0**-52:
-        p += 1
-        term *= h / p
-    return p
 
 
 def direction_set(n: int, rng: np.random.Generator | None = None) -> np.ndarray:
@@ -73,12 +75,14 @@ def direction_set(n: int, rng: np.random.Generator | None = None) -> np.ndarray:
 
 
 def polarization_pair(k: np.ndarray):
-    """Two orthonormal vectors spanning the plane orthogonal to unit vector k."""
+    """Two orthonormal vectors spanning the plane orthogonal to unit vector k,
+    for (..., 3) rows k at once. Each row is normalized by its own dot
+    product, as np.linalg.norm does a single vector, to the last bit."""
     k = np.asarray(k, dtype=float)
-    axis = np.zeros(3)
-    axis[np.argmin(np.abs(k))] = 1.0
+    axis = np.zeros_like(k)
+    np.put_along_axis(axis, np.argmin(np.abs(k), axis=-1)[..., None], 1.0, axis=-1)
     e1 = np.cross(k, axis)
-    e1 /= np.linalg.norm(e1)
+    e1 /= np.sqrt(e1[..., None, :] @ e1[..., :, None])[..., 0]
     return e1, np.cross(k, e1)
 
 
@@ -87,7 +91,7 @@ def make_basis(n_directions: int, rng: np.random.Generator | None = None):
     basis fields (alpha and beta per member). A second polarization would add
     nothing: with e2 = k x e1, N2 = -i N1 spans the same two real fields."""
     dirs = direction_set(n_directions, rng)
-    return dirs, np.array([polarization_pair(k)[0] for k in dirs])
+    return dirs, polarization_pair(dirs)[0]
 
 
 def _check_members(k, e, tol=1e-12):
@@ -228,7 +232,7 @@ class BeltramiExpansion:
         tables): columns 0-2 for even p and 3-5 for odd p, with sign
         (-1)^(p // 2). So cos and sin are taken n x members times, not
         n x nt x members. The series stops at the first p with
-        h^p / p! <= 2^-52, h = max|t| max|B| (_ruling_terms), where the
+        h^p / p! <= 2^-52, h = max|t| max|B| (_taylor_terms), where the
         dropped tail is below the rounding of the direct sum; when
         h > NEAR_PHASE (or is not finite) this is __call__ on the broadcast
         points.
@@ -244,12 +248,10 @@ class BeltramiExpansion:
         a = core @ self.lk
         x = np.hstack([np.cos(a), np.sin(a)])
         bb = np.hstack([b, b])
-        terms = _ruling_terms(h)
+        terms = _taylor_terms(h)
         v = np.empty((core.shape[0], terms, 3))
         for p in range(terms):
             if p:
                 x *= bb
             v[:, p] = x @ tables[p % 2]
-        orders = np.arange(terms)
-        coef = np.array([(-1.0) ** (p // 2) / math.factorial(p) for p in orders])
-        return (t[:, None] ** orders * coef) @ v
+        return (t[:, None] ** np.arange(terms) * _TAYLOR[:terms]) @ v

@@ -123,16 +123,8 @@ def beltramize(w1: HelmholtzScalarExpansion, w2: HelmholtzScalarExpansion,
     kxp = np.cross(np.broadcast_to(k, p.shape).astype(complex), p)
     q = 0.5 * (-np.cross(k.astype(complex), kxp) + 1j * kxp)
     # q satisfies i k x q = q; decompose q = (alpha - i beta)(e + i k x e)
-    ks, es, alphas, betas = [], [], [], []
-    for j in range(k.shape[0]):
-        e1, f1 = polarization_pair(k[j])
-        qr = q[j].real
-        alphas.append(np.dot(qr, e1))
-        betas.append(np.dot(qr, f1))
-        ks.append(k[j])
-        es.append(e1)
-    return BeltramiExpansion(lam, np.array(ks), np.array(es),
-                             np.array(alphas), np.array(betas))
+    e, f = polarization_pair(k)
+    return BeltramiExpansion(lam, k, e, np.sum(q.real * e, axis=1), np.sum(q.real * f, axis=1))
 
 
 def to_scalar_components(u: BeltramiExpansion):

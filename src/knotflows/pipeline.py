@@ -23,8 +23,7 @@ import numpy as np
 from .charts import build_charts
 from .config import RunConfig
 from .curves import LinkSpec
-from .dynamics import (CLOSURE_TOL, IntegrationError, MonodromyOverflow, NewtonFailure,
-                       OrbitEscape, monodromy, refine_orbit)
+from .dynamics import CLOSURE_TOL, DynamicsError, monodromy, refine_orbit
 from .field import BeltramiExpansion, eigen_bounds, make_basis
 from .fileio import REPORT_SCHEMA
 from .fitting import FitReport, fit_global
@@ -159,7 +158,7 @@ def verify(link: LinkSpec, expansion: BeltramiExpansion,
            config: RunConfig) -> VerificationOutcome:
     """Check every claim the synthesized field makes about the link.
 
-    Dynamics failures (orbit escape, Newton breakdown) are recorded per
+    Dynamics failures (any DynamicsError) are recorded per
     component and verification continues for the remaining components. A
     component whose strip residual is not below its eps~ is marked
     "over_budget" and gets no orbit: its fit is not close enough to the
@@ -203,13 +202,13 @@ def verify(link: LinkSpec, expansion: BeltramiExpansion,
                        "strip_half_width": chart.w_half,
                        "core_length": chart.length}
         orbit = None
-        if strip_residuals[i] >= config.eps_tilde:
+        if not strip_residuals[i] < config.eps_tilde:
             entry["status"] = "over_budget"
         else:
             try:
                 orbit, certificate = _certify_orbit(expansion, chart, config)
                 entry.update(certificate)
-            except (OrbitEscape, NewtonFailure, IntegrationError, MonodromyOverflow) as exc:
+            except DynamicsError as exc:
                 entry.update({"status": "dynamics_error",
                               "error": f"{type(exc).__name__}: {exc}"})
         orbits.append(orbit)

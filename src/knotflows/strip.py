@@ -71,7 +71,7 @@ class CauchyData:
     e1: np.ndarray                # (ns, 3): the ruling direction there
     t: np.ndarray                 # (nt,): the grid's t-nodes
     w: np.ndarray                 # (ns, nt, 3)
-    closedness: float             # max |d(gamma)| on the grid
+    closedness: float             # max |d(gamma)| over the grid nodes, in closed form
     fit_points: np.ndarray        # (ns, P, 3) at the Gauss nodes
     fit_w: np.ndarray             # (ns, P, 3)
     fit_sqrt_weight: np.ndarray   # (P,): sqrt of each Gauss node's weight
@@ -79,7 +79,12 @@ class CauchyData:
 
 def build_cauchy_data(chart: TubeChart, config: RunConfig) -> CauchyData:
     """The tube's grid, closedness and fit rows from one strip jet, whose t
-    runs over the grid's nt nodes, then the Gauss nodes, then t = 0 (the core)."""
+    runs over the grid's nt nodes, then the Gauss nodes, then t = 0 (the core).
+
+    gamma = (1 - t a) ds + (a / h - t |e1|^2) dt with a = e1 . S_s and
+    h = |S_s|^2, so d(gamma) = d/ds gamma_t - d/dt gamma_s reads off the jet:
+    (e1 . S_ss + e1' . S_s) / h - 2 a (S_s . S_ss) / h^2 + a - t e1 . e1'.
+    """
     ns = max(64, int(round(config.strip_s_per_2pi * chart.length / (2.0 * np.pi))))
     nt = config.strip_t_nodes
     s = chart.length * np.arange(ns) / ns
@@ -88,11 +93,12 @@ def build_cauchy_data(chart: TubeChart, config: RunConfig) -> CauchyData:
     t_all = np.concatenate([t, chart.w_half * tau, [0.0]])
     jet = chart.strip_jet(s[:, None], t_all[None, :])
     w_all = _cauchy_vector(jet, t_all[None, :])
-    w = w_all[:, :nt]
-    gamma_s = np.sum(w * jet["S_s"][:, :nt], axis=-1)
-    gamma_t = np.sum(w * jet["e1"][:, :nt], axis=-1)
-    return CauchyData(jet["S"][:, -1].copy(), jet["e1"][:, -1].copy(), t, w,
-                      closedness_residual(gamma_s, gamma_t, s[1] - s[0], t[1] - t[0]),
+    s_s, s_ss, e1, de1 = (jet[k][:, :nt] for k in ("S_s", "S_ss", "e1", "de1"))
+    h, a = np.sum(s_s * s_s, axis=-1), np.sum(e1 * s_s, axis=-1)
+    d_gamma = (np.sum(e1 * s_ss + de1 * s_s, axis=-1) / h
+               - 2.0 * a * np.sum(s_s * s_ss, axis=-1) / h**2 + a - t * np.sum(e1 * de1, axis=-1))
+    return CauchyData(jet["S"][:, -1].copy(), jet["e1"][:, -1].copy(), t, w_all[:, :nt],
+                      float(np.max(np.abs(d_gamma))),
                       jet["S"][:, nt:-1], w_all[:, nt:-1], np.sqrt(weight))
 
 
@@ -108,14 +114,3 @@ def strip_residual(field, data: CauchyData) -> float:
         np.linalg.norm(field.on_rulings(data.core[lo:lo + rows], data.e1[lo:lo + rows], data.t)
                        - data.w[lo:lo + rows], axis=-1).max()
         for lo in range(0, data.core.shape[0], rows)]))
-
-
-def closedness_residual(gamma_s: np.ndarray, gamma_t: np.ndarray,
-                        ds: float, dt: float) -> float:
-    """Max |d(gamma)| = |d/ds gamma_t - d/dt gamma_s| on the grid.
-
-    Central differences, periodic in s, one-sided at the t edges.
-    """
-    dgt_ds = (np.roll(gamma_t, -1, axis=0) - np.roll(gamma_t, 1, axis=0)) / (2.0 * ds)
-    dgs_dt = np.gradient(gamma_s, dt, axis=1, edge_order=2)
-    return float(np.max(np.abs(dgt_ds - dgs_dt)))

@@ -288,9 +288,36 @@ def test_monodromy_refuses_an_overflowing_product():
         monodromy(_axial, overflowing_orbit())
 
 
+def test_monodromy_refuses_an_underflowing_product():
+    # factors diag(1, e^-12, e^-12) contract both transverse directions to
+    # e^-768, below float64's range: mu_unstable reads 0, and det / 0 must not run
+    orbit = overflowing_orbit()
+    factors = np.broadcast_to(np.diag([1.0, np.exp(-12.0), np.exp(-12.0)]), (64, 3, 3))
+    with pytest.raises(MonodromyOverflow, match="underflows .* T = 768"):
+        monodromy(_axial, dataclasses.replace(orbit, transfers=factors))
+
+
+def test_monodromy_reads_mu_stable_from_the_determinant(monkeypatch):
+    # 64 factors P diag(e^2, e^-2, 1) P^-1 multiply to e^(+-128) beside the
+    # flow eigenvalue 1: the smaller survivor of M(T) is rounding of its e^128
+    # entries, while det / mu_unstable resolves e^-128, and no factor is inverted
+    p = np.array([[1.0, 0.3, 0.0], [0.2, 1.0, 0.0], [0.0, 0.0, 1.0]])
+    factor = p @ np.diag([np.exp(2.0), np.exp(-2.0), 1.0]) @ np.linalg.inv(p)
+    orbit = dataclasses.replace(overflowing_orbit(), period=128.0,
+                                transfers=np.broadcast_to(factor, (64, 3, 3)))
+    monkeypatch.setattr(np.linalg, "inv", lambda a: pytest.fail("a factor was inverted"))
+    flo = monodromy(_axial, orbit)
+    mu_u, mu_s = flo.multipliers
+    assert isinstance(mu_u, float) and isinstance(mu_s, float)
+    assert abs(mu_u * mu_s - flo.det) <= 2.0 * np.finfo(float).eps * abs(flo.det)
+    assert abs(mu_u / np.exp(128.0) - 1.0) < 1e-12
+    assert abs(mu_s / np.exp(-128.0) - 1.0) < 1e-12
+    assert flo.classification == "hyperbolic_saddle"
+
+
 def test_monodromy_of_an_elliptic_orbit_is_its_conjugate_pair():
     # all three eigenvalues have modulus 1: the flow eigenvalue 1 is dropped
-    # from M(T) and from M^{-1} alike, so neither multiplier is it
+    # from M(T) and mu_stable = det / mu_unstable, so neither multiplier is it
     flo = monodromy(_axial, rotating_orbit())
     mu_u, mu_s = flo.multipliers
     assert isinstance(mu_u, complex) and isinstance(mu_s, complex)

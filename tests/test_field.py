@@ -123,8 +123,8 @@ def test_on_rulings_matches_call_within_the_members_rounding(monkeypatch):
     # the series against the direct sum on the grid, for h up to NEAR_PHASE;
     # both are exact but for rounding, which the members' sum bounds
     terms = []
-    ruling_terms = field._ruling_terms
-    monkeypatch.setattr(field, "_ruling_terms", lambda h: terms.append(h) or ruling_terms(h))
+    taylor_terms = field._taylor_terms
+    monkeypatch.setattr(field, "_taylor_terms", lambda h: terms.append(h) or taylor_terms(h))
     rng = np.random.default_rng(21)
     for seed, lam in ((3, 1.0), (4, 1.7), (5, 0.3)):
         u = _random_expansion(n_dirs=60, lam=lam, seed=seed)
@@ -140,7 +140,7 @@ def test_on_rulings_matches_call_within_the_members_rounding(monkeypatch):
 
 
 def test_on_rulings_past_near_phase_is_call_on_the_grid(monkeypatch):
-    monkeypatch.setattr(field, "_ruling_terms", lambda h: pytest.fail("series taken"))
+    monkeypatch.setattr(field, "_taylor_terms", lambda h: pytest.fail("series taken"))
     u = _random_expansion(n_dirs=30, lam=1.3, seed=6)
     rng = np.random.default_rng(22)
     for lam_h in (1.001 * NEAR_PHASE, 3.0):
@@ -181,6 +181,24 @@ def test_make_basis_polarizations():
     assert np.array_equal(k, direction_set(10, np.random.default_rng(2)))
     assert np.max(np.abs(np.sum(k * e, axis=1))) < 1e-12
     assert np.max(np.abs(np.linalg.norm(e, axis=1) - 1.0)) < 1e-12
+
+
+@pytest.mark.parametrize("n", [200, 400, 1200])
+def test_polarization_pair_on_rows_is_each_row_alone_bit_for_bit(n):
+    # the reference: one direction at a time, normalized by np.linalg.norm;
+    # a last-bit change in e would move the fit
+    def one(k):
+        axis = np.zeros(3)
+        axis[np.argmin(np.abs(k))] = 1.0
+        e1 = np.cross(k, axis)
+        e1 /= np.linalg.norm(e1)
+        return e1, np.cross(k, e1)
+
+    dirs = direction_set(n, np.random.default_rng(n))
+    e, f = polarization_pair(dirs)
+    assert np.array_equal(e, np.array([one(k)[0] for k in dirs]))
+    assert np.array_equal(f, np.array([one(k)[1] for k in dirs]))
+    assert all(np.array_equal(polarization_pair(k)[0], one(k)[0]) for k in dirs[:5])
 
 
 def test_member_validation():

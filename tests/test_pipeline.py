@@ -209,6 +209,34 @@ def test_missing_orbit_leaves_the_pair_uncomputed(hopf_run, monkeypatch):
     assert {"orbits_converged", "linking_matrix"} <= failed
 
 
+def test_nan_strip_residual_is_over_budget(hopf_run, monkeypatch):
+    # a nan residual is not below eps~: its tube gets no orbit refinement
+    residuals = []
+    strip_residual = pipeline.strip_residual
+
+    def second_tube_nan(field, data):
+        residuals.append(strip_residual(field, data))
+        return residuals[-1] if len(residuals) == 1 else float("nan")
+
+    refined = []
+    refine_orbit = pipeline.refine_orbit
+
+    def recorded(field, chart, **kwargs):
+        refined.append(chart.component_id)
+        return refine_orbit(field, chart, **kwargs)
+
+    monkeypatch.setattr(pipeline, "strip_residual", second_tube_nan)
+    monkeypatch.setattr(pipeline, "refine_orbit", recorded)
+    outcome = verify(hopf_run["link"], hopf_run["synthesis"].expansion, hopf_run["config"])
+    report = outcome.report
+    assert np.isnan(report["strip_residuals"][1])
+    assert [c["status"] for c in report["components"]] == ["ok", "over_budget"]
+    assert outcome.orbits[0] is not None and outcome.orbits[1] is None
+    assert refined == [0]
+    passed = {c["name"]: c["passed"] for c in report["criteria"]}
+    assert passed["strip_residual_budget"] is False
+
+
 @pytest.mark.parametrize("failing_call, which", [(1, "target"), (2, "orbit")])
 def test_linking_error_is_recorded_in_the_pair(hopf_run, monkeypatch, failing_call, which):
     # the first linking number is the cores', the second the orbits'

@@ -15,7 +15,7 @@ from knotflows.framing import frame_transport
 from knotflows.paper import strip_monodromy
 from knotflows.pipeline import build_geometry
 from knotflows.strip import (GAUSS_T_NODES, STRIP_BLOCK, _cauchy_vector, build_cauchy_data,
-                             closedness_residual, gauss_rule, strip_residual)
+                             gauss_rule, strip_residual)
 
 from conftest import traced_peak
 
@@ -84,7 +84,6 @@ def test_cauchy_data_grid_and_closedness():
     # gamma = ds - t dt for any chart: both components are exact here
     assert np.max(np.abs(gamma_s - 1.0)) < 1e-9
     assert np.max(np.abs(gamma_t + t[None, :])) < 1e-9
-    assert data.closedness == closedness_residual(gamma_s, gamma_t, s[1] - s[0], t[1] - t[0])
     assert data.closedness < 1e-8
     # w is tangent to the strip: orthogonal to its unit normals
     n = chart.normal_jet(s[:, None], t[None, :])["n"]
@@ -141,17 +140,42 @@ def test_gauss_rule_of_a_few_nodes_is_the_grid(n_grid):
     assert np.max(np.abs(weight - 1.0)) <= 1e-14
 
 
-def test_closedness_residual_detects_injected_term():
-    s = np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False)
-    t = np.linspace(-0.1, 0.1, 17)
-    ss, tt = np.meshgrid(s, t, indexing="ij")
-    ds, dt = s[1] - s[0], t[1] - t[0]
-    # gamma = t ds has d(gamma) = -dt ^ ds, so |residual| = 1
-    res = closedness_residual(tt, np.zeros_like(tt), ds, dt)
-    assert abs(res - 1.0) < 1e-10
-    # and gamma = sin(s) dt is detected through the s-derivative
-    res = closedness_residual(np.zeros_like(tt), np.sin(ss), ds, dt)
-    assert res > 0.9
+def _fd_closedness(gamma_s, gamma_t, ds, dt):
+    """Oracle: max |d/ds gamma_t - d/dt gamma_s| by central differences,
+    periodic in s and one-sided at the t edges."""
+    dgt_ds = (np.roll(gamma_t, -1, axis=0) - np.roll(gamma_t, 1, axis=0)) / (2.0 * ds)
+    return float(np.max(np.abs(dgt_ds - np.gradient(gamma_s, dt, axis=1, edge_order=2))))
+
+
+def test_closedness_reads_a_frame_defect_that_differences_converge_to(monkeypatch):
+    # e1 scaled by g = 1 + 1e-3 sin(q s), q = 2 pi / L, is no unit normal, so
+    # gamma is not closed; central differences of gamma on the grid converge
+    # to the closed form at second order as the grid refines
+    chart = _chart(presets.trefoil()[0], radius=0.1, w_half=0.02)
+    q = 2.0 * np.pi / chart.length
+    jet = chart.frame.jet
+
+    def scaled(s):
+        c, e = jet(s)
+        qs = q * np.asarray(s)[..., None]
+        g, dg, d2g = 1.0 + 1e-3 * np.sin(qs), 1e-3 * q * np.cos(qs), -1e-3 * q * q * np.sin(qs)
+        return c, np.stack([g * e[..., 0, :], g * e[..., 1, :] + dg * e[..., 0, :],
+                            g * e[..., 2, :] + 2.0 * dg * e[..., 1, :] + d2g * e[..., 0, :]],
+                           axis=-2)
+
+    monkeypatch.setattr(chart.frame, "jet", scaled)
+    errors = []
+    for s_per_2pi, nt in ((202, 17), (807, 65)):
+        cfg = RunConfig(strip_s_per_2pi=s_per_2pi, strip_t_nodes=nt)
+        s, t, gamma_s, gamma_t = _gamma_on_grid(chart, cfg)
+        closedness = build_cauchy_data(chart, cfg).closedness
+        # |d(gamma)| ~ w_half |g'| ~ 1.7e-5, far above a unit frame's rounding
+        assert closedness > 1e-6
+        fd = _fd_closedness(gamma_s, gamma_t, s[1] - s[0], t[1] - t[0])
+        errors.append(abs(fd - closedness) / closedness)
+    # 256 x 17, then 1,024 x 65 nodes: steps 4x finer, so second order takes
+    # the error down about 16x
+    assert errors[1] < errors[0] / 10.0 and errors[1] < 1e-3, errors
 
 
 def test_lyapunov_values_identity():
@@ -245,9 +269,9 @@ def test_strip_residual_series_terms_on_the_workload_strips(monkeypatch, curves,
     rng = np.random.default_rng(7)
     u = BeltramiExpansion(1.0, k, e, rng.standard_normal(len(k)), rng.standard_normal(len(k)))
     counts = []
-    ruling_terms = field._ruling_terms
-    monkeypatch.setattr(field, "_ruling_terms",
-                        lambda h: counts.append(ruling_terms(h)) or counts[-1])
+    taylor_terms = field._taylor_terms
+    monkeypatch.setattr(field, "_taylor_terms",
+                        lambda h: counts.append(taylor_terms(h)) or counts[-1])
     for data in datas:
         strip_residual(u, data)
     blocks = sum(-(-d.core.shape[0] // (STRIP_BLOCK // d.t.size)) for d in datas)
